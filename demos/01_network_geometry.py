@@ -3,9 +3,12 @@
 Transmission energy follows a power law of distance, and a node that can
 reach a far neighbour automatically reaches every nearer one. That makes
 each node's menu of *useful* power settings finite: zero, or exactly the
-energy needed for one of the other nodes. Everything downstream — the
-routing MILP's link variables, the brute-force enumerations in the test
-suite — leans on that observation.
+energy needed for one of the other nodes. Everything downstream leans on
+that observation: the brute-force enumerations in the test suite search
+only those levels, and the routing MILP needs no link variables at all —
+a route's enabled links are its minimal symmetric broadcast closure
+(``NetworkModel.broadcast_closure``), which is never costlier than the
+route's costliest hop.
 """
 
 import numpy as np

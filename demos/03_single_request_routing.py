@@ -1,12 +1,13 @@
 """Routing one request: the energy cap MILP and what bends its answer.
 
-Each admission solves a small mixed-integer program: enable links (paying
-their symmetric, broadcast-ordered energy), route the request over enabled
-links within its hop budget, respect per-node bandwidth, and — when a
-fairness threshold is set — keep every node's cumulative energy within
-that slack of the network average. The objective is the worst single-link
-transmission energy, so relaying through near neighbours wins whenever the
-constraints allow it.
+Each admission solves a small mixed-integer program over route arcs only:
+route the request within its hop budget, respect per-node bandwidth, and —
+when a fairness threshold is set — keep every node's cumulative energy
+within that slack of the network average. The objective is the worst
+single-link transmission energy, so relaying through near neighbours wins
+whenever the constraints allow it. The enabled links are then the minimal
+symmetric broadcast closure of the route, which never costs more than the
+route's costliest hop.
 """
 
 import numpy as np

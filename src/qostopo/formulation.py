@@ -7,14 +7,15 @@ traffic requests:
   pairs and minimizes the worst per-node bandwidth utilization (a node's
   channel is occupied by the flow it forwards in either direction plus the
   demand it originates or terminates);
-* a topology-control MILP that switches directed links on (respecting
-  link symmetry and the broadcast property: reaching a node implies
-  reaching every closer node), picks one unsplittable route per request,
-  and minimizes the maximum per-link transmission energy subject to
-  per-request hop bounds, per-node bandwidth, and — optionally — an
-  energy-fairness cap that keeps every node's cumulative consumption
-  within a threshold of the network average (counting the energy the
-  candidate routes would add).
+* a topology-control MILP over route arcs alone that picks one
+  unsplittable route per request and minimizes the maximum per-link
+  transmission energy subject to per-request hop bounds, per-node
+  bandwidth, and — optionally — an energy-fairness cap that keeps every
+  node's cumulative consumption within a threshold of the network average
+  (counting the energy the candidate routes would add). The enabled links
+  are the routes' minimal closure under link symmetry and the broadcast
+  property (reaching a node implies reaching every closer node); it never
+  costs more than the costliest arc, so it cannot move the cap.
 
 Solver output is decoded into plain topologies and node paths and then
 re-validated from scratch against every constraint; a failed re-check is
@@ -166,7 +167,8 @@ class LoadLpResult:
 class TopologySolution:
     """Decoded topology MILP output.
 
-    ``links`` holds the enabled directed links, ``routes`` one node path per
+    ``links`` holds the enabled directed links — the minimal symmetric
+    broadcast closure of the routes' arcs — ``routes`` one node path per
     request (``None`` when the request is lost), ``node_energy`` the
     incremental transmission energy each node commits for these routes, and
     ``max_energy`` the minimized per-link transmission-energy cap.
@@ -325,16 +327,15 @@ def build_topology_milp(
 ) -> MilpModel:
     """Build the MILP minimizing the maximum per-link transmission energy.
 
-    Variables: the energy cap (continuous in [0, max_power]), one link
-    indicator per ordered node pair, and one route-arc indicator per
-    ordered pair per request. Rows, in order: link symmetry; the broadcast
-    ordering (using a link forces every link from the same node to a
-    nearer target); the cap dominating every enabled link's energy; per
-    request a hop-count row, route-arc/link coupling, and unit route
+    Variables: the energy cap (continuous in [0, max_power]), then one
+    route-arc indicator per ordered node pair per request, so the layout is
+    ``1 + R * n(n-1)``. Rows, in order: per request a hop-count row, one
+    row per arc keeping the cap above that arc's energy, and unit route
     conservation; a per-node bandwidth row; and, when ``threshold`` is not
     None, a per-node fairness row keeping cumulative consumption (ledger
     plus the energy the candidate routes add) within ``threshold`` of the
-    network average.
+    network average. Links need no variables: their closure never costs
+    more than the costliest arc (:meth:`NetworkModel.broadcast_closure`).
     """
     reqs = _check_requests(net, requests)
     n = net.node_count
@@ -344,37 +345,17 @@ def build_topology_milp(
         raise ModelError(f"threshold must be finite or None, got {threshold!r}")
 
     pairs = _ordered_pairs(n)
-    dist = net.distance_matrix
     energy = net.energy_matrix
 
     model = MilpModel()
     cap = model.add_continuous(0.0, net.max_power)
     model.set_objective({cap: 1.0})
-    link = {pair: model.add_binary() for pair in pairs}
     arc = [{pair: model.add_binary() for pair in pairs} for _ in reqs]
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            model.add_constraint({link[(i, j)]: 1.0, link[(j, i)]: -1.0}, "=", 0.0)
-
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dist[i, k] <= dist[i, j]:
-                    model.add_constraint({link[(i, j)]: 1.0, link[(i, k)]: -1.0}, "<=", 0.0)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            model.add_constraint({link[(i, j)]: energy[i, j], cap: -1.0}, "<=", 0.0)
 
     for r, req in enumerate(reqs):
         model.add_constraint({arc[r][pair]: 1.0 for pair in pairs}, "<=", float(req.hop_bound))
         for pair in pairs:
-            model.add_constraint({arc[r][pair]: 1.0, link[pair]: -1.0}, "<=", 0.0)
+            model.add_constraint({arc[r][pair]: energy[pair], cap: -1.0}, "<=", 0.0)
         for v in range(n):
             coeffs = {}
             for j in range(n):
@@ -444,12 +425,12 @@ def decode_and_validate(
     threshold: float | None,
     raw: Solution,
 ) -> TopologySolution:
-    """Turn an optimal solver result into links and routes, then re-verify.
+    """Turn an optimal solver result into routes and links, then re-verify.
 
-    Every structural constraint is re-checked directly from the decoded
-    links and paths (not from solver values): symmetry, broadcast ordering,
-    the energy cap, hop bounds before and after cycle stripping, arc/link
-    coupling, exact unit conservation, bandwidth, and the fairness row.
+    Every row is re-checked directly from the decoded arcs and paths (not
+    from solver values): the energy cap, hop bounds before and after cycle
+    stripping, exact unit conservation, bandwidth, and the fairness row.
+    ``links`` is the minimal symmetric broadcast closure of the route arcs.
     Raises :class:`ValidationError` with all violations on failure.
     """
     if raw.status is not Status.OPTIMAL:
@@ -459,7 +440,7 @@ def decode_and_validate(
     pairs = _ordered_pairs(n)
     m = len(pairs)
     values = raw.values
-    expected = 1 + m * (1 + len(reqs))
+    expected = 1 + m * len(reqs)
     if values is None or values.shape != (expected,):
         raise ValidationError("solution vector does not match the model layout")
 
@@ -471,30 +452,20 @@ def decode_and_validate(
         raise ValidationError("; ".join(problems))
 
     raw_cap = float(values[0])
-    links = {pair for k, pair in enumerate(pairs) if values[1 + k] > 0.5}
     route_arcs = []
     for r in range(len(reqs)):
-        base = 1 + m * (1 + r)
+        base = 1 + m * r
         route_arcs.append({pair for k, pair in enumerate(pairs) if values[base + k] > 0.5})
+    all_arcs = set().union(*route_arcs)
 
-    dist = net.distance_matrix
     energy = net.energy_matrix
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ((i, j) in links) != ((j, i) in links):
-                problems.append(f"link ({i},{j}) enabled in one direction only")
-    for i, j in links:
-        for k in range(n):
-            if k != i and k != j and dist[i, k] <= dist[i, j] and (i, k) not in links:
-                problems.append(f"link ({i},{j}) on but nearer ({i},{k}) off")
-
-    # Report the energy cap recomputed exactly from the enabled links; the
+    # Report the energy cap recomputed exactly from the route arcs; the
     # solver's own objective value may sit a rounding error away. Tolerances
     # on re-checks with energy-scaled coefficients are relative to that scale.
-    cap = max((float(energy[i, j]) for i, j in links), default=0.0)
+    cap = max((float(energy[i, j]) for i, j in all_arcs), default=0.0)
     if abs(raw_cap - cap) > FEASIBILITY_TOL * max(1.0, cap):
-        problems.append(f"solver cap {raw_cap} does not match enabled links (need {cap})")
+        problems.append(f"solver cap {raw_cap} does not match the route arcs (need {cap})")
     if cap > net.max_power + FEASIBILITY_TOL * max(1.0, net.max_power):
         problems.append(f"energy cap {cap} exceeds the power limit {net.max_power}")
 
@@ -504,9 +475,6 @@ def decode_and_validate(
         arcs = route_arcs[r]
         if len(arcs) > req.hop_bound:
             problems.append(f"request {r}: {len(arcs)} route arcs exceed the hop bound {req.hop_bound}")
-        missing = arcs - links
-        if missing:
-            problems.append(f"request {r}: route arcs {sorted(missing)} use disabled links")
         balance = np.zeros(n, dtype=int)
         for i, j in arcs:
             balance[i] += 1
@@ -558,7 +526,7 @@ def decode_and_validate(
         raise ValidationError("; ".join(problems))
     return TopologySolution(
         max_energy=cap,
-        links=links,
+        links=net.broadcast_closure(all_arcs),
         routes=routes,
         node_energy=increments,
         resource_limited=False,

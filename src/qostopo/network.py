@@ -7,7 +7,8 @@ power ``p`` reaches every node whose link energy is at most ``p`` — the
 broadcast property — so the only useful power settings for a node are ``0``
 and the link energies of the other nodes. This module provides distances,
 link energies, those per-node power levels, the directed link set induced by
-a power assignment, and the bidirectional closure used for routing.
+a power assignment, the smallest symmetric broadcast-closed link set around
+a route, and the bidirectional closure used for routing.
 """
 
 from __future__ import annotations
@@ -128,6 +129,27 @@ class NetworkModel:
         reach = self.energy_matrix <= p[:, None]
         np.fill_diagonal(reach, False)
         return {(int(i), int(j)) for i, j in np.argwhere(reach)}
+
+    def broadcast_closure(self, links) -> set[tuple[int, int]]:
+        """Smallest symmetric, broadcast-closed link set containing ``links``.
+
+        Each node's power starts at its costliest given link; powers are
+        then raised until every induced link is also induced in reverse.
+        Every added link is no costlier than the given link that forced it,
+        so the costliest link energy never grows.
+        """
+        energy = self.energy_matrix
+        power = np.zeros(self.node_count)
+        for i, j in links:
+            self._check_pair(i, j)
+            power[i] = max(power[i], energy[i, j])
+        while True:
+            reach = energy <= power[:, None]
+            np.fill_diagonal(reach, False)
+            raised = np.maximum(power, np.where(reach, energy, 0.0).max(axis=0))
+            if np.array_equal(raised, power):
+                return {(int(i), int(j)) for i, j in np.argwhere(reach)}
+            power = raised
 
 
 def symmetric_closure(links) -> set[tuple[int, int]]:

@@ -4,7 +4,8 @@
 2. load relaxation on hand-checkable instances: utilization values, the
    strict overload rule, flow conservation, commodity merging
 3. topology optimization on hand-checkable instances: direct vs relayed
-   routing, link sets, per-node energy commitments
+   routing, link sets, per-node energy commitments; the model holds the
+   cap and route-arc binaries only
 4. infeasible requests come back as lost outcomes, not exceptions
 5. fairness threshold: binding and slack cases, ledger left untouched
 6. decode-time re-verification: a planted violation of each structural rule
@@ -282,6 +283,22 @@ def test_zero_threshold_rejects_any_first_route():
     assert sol.lost
 
 
+@pytest.mark.parametrize("threshold", [None, 50.0])
+@pytest.mark.parametrize("count", [1, 2])
+def test_topology_model_holds_route_arcs_only(count, threshold):
+    # the cap plus one binary per ordered pair per request; per request a hop
+    # row, one cap row per arc and n conservation rows, then n bandwidth rows
+    # and, with a threshold, n fairness rows -- no link block
+    n = 5
+    reqs = [Request(0, 4, 1.0, 3), Request(1, 3, 2.0, 2)][:count]
+    model = build_topology_milp(line(n), reqs, EnergyLedger.empty(n), threshold)
+    arcs = n * (n - 1)
+    assert model.num_variables == 1 + count * arcs
+    assert model.binary_ids == list(range(1, 1 + count * arcs))
+    fairness_rows = 0 if threshold is None else n
+    assert model.num_constraints == count * (1 + arcs + n) + n + fairness_rows
+
+
 def test_solution_lost_property_mixes_requests():
     sol = TopologySolution(
         max_energy=1.0,
@@ -296,75 +313,42 @@ def test_solution_lost_property_mixes_requests():
 # -- decode-time re-verification ---------------------------------------------
 
 
-def _relay_layout(net, reqs, route_arcs, links, cap):
+def _relay_layout(net, reqs, route_arcs, cap):
     """Assemble a raw solver vector for the standard variable layout."""
     from qostopo.formulation import _ordered_pairs
 
     pairs = _ordered_pairs(net.node_count)
-    values = np.zeros(1 + len(pairs) * (1 + len(reqs)))
+    values = np.zeros(1 + len(pairs) * len(reqs))
     values[0] = cap
-    for k, pair in enumerate(pairs):
-        if pair in links:
-            values[1 + k] = 1.0
     for r, arcs in enumerate(route_arcs):
-        base = 1 + len(pairs) * (1 + r)
+        base = 1 + len(pairs) * r
         for k, pair in enumerate(pairs):
             if pair in arcs:
                 values[base + k] = 1.0
     return Solution(Status.OPTIMAL, values=values, objective_value=float(cap))
 
 
-RELAY_LINKS = {(0, 1), (1, 0), (1, 2), (2, 1)}
-
-
 def test_decode_accepts_hand_built_relay():
     net = line(3)
     req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], RELAY_LINKS, 1.0)
+    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 1.0)
     sol = decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
     assert sol.routes == [[0, 1, 2]]
     assert sol.max_energy == pytest.approx(1.0)
 
 
-def test_decode_rejects_one_way_link():
-    net = line(3)
-    req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], RELAY_LINKS - {(1, 0)}, 1.0)
-    with pytest.raises(ValidationError, match="one direction only"):
-        decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
-
-
-def test_decode_rejects_broadcast_ordering_violation():
-    # node 0 reaches node 2 but not the strictly nearer node 1
-    net = line(3)
-    req = Request(0, 2, 2.0, 1)
-    links = {(0, 2), (2, 0), (2, 1), (1, 2)}
-    raw = _relay_layout(net, [req], [{(0, 2)}], links, 4.0)
-    with pytest.raises(ValidationError, match="nearer"):
-        decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
-
-
 def test_decode_rejects_cap_mismatch():
     net = line(3)
     req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], RELAY_LINKS, 0.25)
+    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 0.25)
     with pytest.raises(ValidationError, match="does not match"):
-        decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
-
-
-def test_decode_rejects_route_on_disabled_link():
-    net = line(3)
-    req = Request(0, 2, 2.0, 1)
-    full = {(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)}
-    raw = _relay_layout(net, [req], [{(0, 2)}], full - {(0, 2), (2, 0)}, 1.0)
-    with pytest.raises(ValidationError, match="disabled links"):
         decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
 
 
 def test_decode_rejects_broken_conservation():
     net = line(3)
     req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1)}], RELAY_LINKS, 1.0)
+    raw = _relay_layout(net, [req], [{(0, 1)}], 1.0)
     with pytest.raises(ValidationError, match="balance"):
         decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
 
@@ -372,7 +356,7 @@ def test_decode_rejects_broken_conservation():
 def test_decode_rejects_fractional_indicator():
     net = line(3)
     req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], RELAY_LINKS, 1.0)
+    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 1.0)
     values = raw.values.copy()
     values[1] = 0.4
     with pytest.raises(ValidationError, match="not integral"):
@@ -395,7 +379,7 @@ def test_decode_rejects_wrong_layout_and_status():
 def test_decode_rejects_bandwidth_violation():
     net = line(3, bandwidth=3.0)
     req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], RELAY_LINKS, 1.0)
+    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 1.0)
     with pytest.raises(ValidationError, match="bandwidth"):
         decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
 
@@ -403,19 +387,18 @@ def test_decode_rejects_bandwidth_violation():
 def test_decode_rejects_threshold_violation():
     net = line(3)
     req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], RELAY_LINKS, 1.0)
+    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 1.0)
     led = EnergyLedger(np.array([0.0, 100.0, 0.0]))
     with pytest.raises(ValidationError, match="above average"):
         decode_and_validate(net, [req], led, 0.0, raw)
 
 
 def _four_line_cycle_raw(net, req):
-    # path 0 -> 1 -> 2 plus a stray 2-cycle through node 3; the ordering
-    # rule then forces every link of the 4-node line on, so the cap is the
-    # longest pair distance squared
+    # path 0 -> 1 -> 2 plus a stray 2-cycle through node 3; the stray arcs
+    # span the whole 4-node line, so the cap is the longest pair distance
+    # squared
     arcs = {(0, 1), (1, 2), (0, 3), (3, 0)}
-    links = {(i, j) for i in range(4) for j in range(4) if i != j}
-    return _relay_layout(net, [req], [arcs], links, 9.0)
+    return _relay_layout(net, [req], [arcs], 9.0)
 
 
 def test_decode_strips_stray_cycle_when_hops_allow():
@@ -442,8 +425,7 @@ def test_decode_checks_threshold_against_raw_arcs():
     net = line(4)
     req = Request(0, 2, 1.0, 3)
     arcs = {(0, 2), (1, 2), (2, 1)}
-    links = {(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (2, 3), (3, 2)}
-    raw = _relay_layout(net, [req], [arcs], links, 4.0)
+    raw = _relay_layout(net, [req], [arcs], 4.0)
     led = EnergyLedger(np.array([0.0, 0.0, 0.0, 12.0]))
     threshold = 7.7
     sol = decode_and_validate(net, [req], led, threshold, raw)

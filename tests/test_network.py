@@ -4,7 +4,9 @@
 2. construction rejections: too few nodes, coincident nodes, bad scalars
 3. power levels are exactly {0} plus the reachable link energies
 4. induced link sets: broadcast property and monotonicity in power
-5. symmetric closure keeps only the bidirectional pairs
+5. broadcast closure: the smallest symmetric, broadcast-closed superset of
+   a link set, never costlier than the links it closes
+6. symmetric closure keeps only the bidirectional pairs
 """
 
 import numpy as np
@@ -120,6 +122,45 @@ def test_induced_links_rejects_power_outside_cap():
     # at the cap itself only the short links are reachable
     links = net.induced_links(np.array([2.0, 2.0, 2.0]))
     assert (0, 2) not in links and (0, 1) in links
+
+
+def _closed(net, links):
+    # symmetric, and equal to the links its own per-node powers induce
+    power = np.zeros(net.node_count)
+    for i, j in links:
+        power[i] = max(power[i], net.energy_matrix[i, j])
+    return all((j, i) in links for i, j in links) and net.induced_links(power) == links
+
+
+def test_broadcast_closure_pinned_cases():
+    net = line3()
+    assert net.broadcast_closure(set()) == set()
+    # node 1 sits equally far from both ends, so answering node 0 reaches 2
+    relay = {(0, 1), (1, 0), (1, 2), (2, 1)}
+    assert net.broadcast_closure({(0, 1)}) == relay
+    assert net.broadcast_closure({(0, 1), (1, 2)}) == relay
+    # the long hop forces both outer nodes to reach the middle one, and the
+    # middle one to answer them
+    assert net.broadcast_closure({(0, 2)}) == {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
+    with pytest.raises(ValueError):
+        net.broadcast_closure({(0, 3)})
+
+
+def test_broadcast_closure_is_the_smallest_closed_superset():
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        net = NetworkModel(rng.uniform(0.0, 30.0, size=(n, 2)), max_power=2000.0, bandwidth=1.0)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        picks = rng.random(len(pairs)) < rng.uniform(0.05, 0.4)
+        arcs = {pair for pair, pick in zip(pairs, picks) if pick}
+        closure = net.broadcast_closure(arcs)
+        assert arcs <= closure
+        assert _closed(net, closure)
+        for link in closure - arcs:
+            assert not _closed(net, closure - {link})
+        top = max((net.energy_matrix[i, j] for i, j in arcs), default=0.0)
+        assert max((net.energy_matrix[i, j] for i, j in closure), default=0.0) == top
 
 
 def test_symmetric_closure():
