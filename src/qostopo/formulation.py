@@ -27,6 +27,7 @@ reported as such with zero energy committed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -77,7 +78,9 @@ class Request:
     """One unsplittable traffic demand from ``sender`` to ``receiver``.
 
     ``demand`` is the bandwidth the request occupies, ``hop_bound`` the
-    maximum number of links its route may use.
+    maximum number of links its route may use. Any integer type (numpy's
+    included) is accepted for the node ids and the hop bound, and any real
+    type for the demand; they are stored as built-in ``int`` and ``float``.
     """
 
     sender: int
@@ -87,14 +90,16 @@ class Request:
 
     def __post_init__(self):
         for label, node in (("sender", self.sender), ("receiver", self.receiver)):
-            if not (isinstance(node, int) and node >= 0):
+            if not (isinstance(node, numbers.Integral) and node >= 0):
                 raise ValueError(f"{label} must be a nonnegative integer, got {node!r}")
         if self.sender == self.receiver:
             raise ValueError("sender and receiver must differ")
-        if not (isinstance(self.demand, (int, float)) and math.isfinite(self.demand) and self.demand > 0):
+        if not (isinstance(self.demand, numbers.Real) and math.isfinite(self.demand) and self.demand > 0):
             raise ValueError(f"demand must be positive and finite, got {self.demand!r}")
-        if not (isinstance(self.hop_bound, int) and self.hop_bound >= 1):
+        if not (isinstance(self.hop_bound, numbers.Integral) and self.hop_bound >= 1):
             raise ValueError(f"hop_bound must be an integer >= 1, got {self.hop_bound!r}")
+        for name, kind in (("sender", int), ("receiver", int), ("demand", float), ("hop_bound", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 class EnergyLedger:

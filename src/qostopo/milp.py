@@ -13,6 +13,14 @@ retried once with presolve off, and if that attempt fails too,
 file descriptor 1, bypassing its own output options, so fd 1 is pointed at
 the null device for the duration of each backend call.
 
+scipy's ``sparse`` and ``optimize`` (HiGHS) modules are imported on the
+first solve that reaches the backend, not when this module is imported, so
+code that never solves (scenario parsing, geometry, the command line's help
+and usage errors) never pays for them. The loaded names (``sparse``,
+``Bounds``, ``LinearConstraint``, ``linprog``, ``milp``) are attributes of
+this module and stay patchable: the loader only fills names that are still
+``None``, so a stand-in set before the first solve is the one called.
+
 The module also ships two solver-independent companions used to cross-check
 results: :func:`check_solution`, a plain-Python constraint re-checker that
 shares no code with the solve path, and :func:`lp_text`, an LP-file-style
@@ -31,8 +39,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
+# Filled on the first solve by _load_scipy.
+sparse = None
+Bounds = LinearConstraint = linprog = milp = None
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -257,6 +267,7 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
         else:
             row_lb.append(con.rhs)
             row_ub.append(con.rhs)
+    _load_scipy()
     a_mat = sparse.csc_array((data, (row_idx, col_idx)), shape=(len(rows), n))
 
     if integrality.any():
@@ -320,6 +331,26 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
         if res.status == 4 and not _is_limit_stop(res):
             res = backend(presolve=False)
     return _interpret(res)
+
+
+def _load_scipy() -> None:
+    """Bind the scipy names this module solves with, leaving any already set."""
+    if None not in (sparse, Bounds, LinearConstraint, linprog, milp):
+        return
+    from scipy import optimize
+    from scipy import sparse as scipy_sparse
+
+    loaded = {
+        "sparse": scipy_sparse,
+        "Bounds": optimize.Bounds,
+        "LinearConstraint": optimize.LinearConstraint,
+        "linprog": optimize.linprog,
+        "milp": optimize.milp,
+    }
+    namespace = globals()
+    for name, value in loaded.items():
+        if namespace[name] is None:
+            namespace[name] = value
 
 
 @contextlib.contextmanager

@@ -1,7 +1,8 @@
 """Command-line interface proofs.
 
 1. `run` writes and prints the routing table byte-for-byte, plus a JSON
-   report that round-trips to the exact in-memory objects
+   report that round-trips to the exact in-memory objects; on a thresholded
+   scenario, file descriptor 1 carries the table and nothing else
 2. `sweep` writes the CSV grid byte-for-byte with the axis sorted and the
    unconstrained threshold last
 3. `loadcheck` prints the utilization summary and the strict overload flag
@@ -56,6 +57,33 @@ def test_run_golden_table(tmp_path, capsys):
     assert main(["run", "--scenario", str(LINE3), "--out", str(out)]) == 0
     assert (out / TABLE_FILENAME).read_text(encoding="utf-8") == LINE3_TABLE
     assert capsys.readouterr().out == LINE3_TABLE
+
+
+# Thresholded, so every admission solves the topology MILP. On the HiGHS in
+# scipy 1.17.1 one of its solves prints
+# "HighsMipSolverData::transformNewIntegerFeasibleSolution tmpSolver.run();"
+# straight to file descriptor 1, where capsys cannot see it.
+HIGHS_CHATTY_SCENARIO = """\
+nodes: 6
+region: [1000, 1000]
+max_power: 2000000
+bandwidth: 30
+hop_bound: 5
+request_rate: 2.0
+mean_demand: 4.0
+threshold: 100000
+seed: 100
+"""
+
+
+def test_run_writes_only_the_table_to_fd_1(tmp_path, capfd):
+    scenario = tmp_path / "chatty.yaml"
+    scenario.write_text(HIGHS_CHATTY_SCENARIO)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    table = (out / TABLE_FILENAME).read_text(encoding="utf-8")
+    assert table.startswith("λ_m = 4, Threshold = 100000,")
+    assert capfd.readouterr().out == table
 
 
 def test_run_json_report_round_trips(tmp_path):

@@ -70,6 +70,19 @@ def test_request_validation():
         Request(0, 1, np.inf, 3)
     with pytest.raises(ValueError):
         Request(0, 1, 1.0, 0)
+    base = dict(sender=0, receiver=2, demand=1.0, hop_bound=3)
+    for name, bad in (("sender", 2.0), ("receiver", np.float64(1.0)), ("hop_bound", 3.0),
+                      ("sender", np.int64(-1)), ("demand", np.float64(np.nan)), ("demand", "1.0")):
+        with pytest.raises(ValueError, match=name):
+            Request(**{**base, name: bad})
+
+
+def test_request_accepts_numpy_numbers_and_stores_builtins():
+    req = Request(np.int64(0), np.int32(2), np.float64(1.5), np.int64(3))
+    assert req == Request(0, 2, 1.5, 3)
+    assert [type(v) for v in (req.sender, req.receiver, req.demand, req.hop_bound)] == [int, int, float, int]
+    assert type(Request(0, 1, 2, 1).demand) is float
+    assert type(Request(0, 1, np.float32(0.5), 1).demand) is float
 
 
 def test_ledger_basics():

@@ -11,9 +11,15 @@
 9. a HiGHS "Solve error" is retried without presolve, a second failure
    raises SolverError (CLI exit code 3), and HiGHS's console lines stay
    out of stdout
+10. scipy's optimize/sparse modules load on the first solve, not on import,
+    and a stand-in patched onto the module before that solve is kept
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -387,3 +393,65 @@ def test_cli_maps_solver_error_to_exit_code_3(monkeypatch, tmp_path, capsys):
     scenario = Path(__file__).resolve().parent.parent / "scenarios" / "line3.yaml"
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 3
     assert "Solve error" in capsys.readouterr().err
+
+
+_IMPORT_BOUNDARY_SCRIPT = """
+import contextlib, io, json, sys, types
+
+def scipy_loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules)
+
+seen = {}
+import qostopo
+import qostopo.milp
+from qostopo import MilpModel, NetworkModel, Request, Status, generate_scenario, load_scenario, solve, solve_load_lp
+from qostopo.cli import main
+seen["import"] = scipy_loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    seen["help_exit"] = main(["--help"])
+    seen["usage_exit"] = main([])
+seen["cli"] = scipy_loaded()
+scenario = load_scenario(sys.argv[1])
+generate_scenario(scenario.params)
+seen["scenario"] = scipy_loaded()
+
+calls = []
+def fake_milp(*args, **kwargs):
+    calls.append(kwargs["options"]["presolve"])
+    return types.SimpleNamespace(status=2, message="fake", x=None, fun=None)
+qostopo.milp.milp = fake_milp
+
+net = NetworkModel([[0.0, 0.0], [1.0, 0.0]], max_power=10.0, bandwidth=50.0)
+seen["load_lp_utilization"] = solve_load_lp(net, [Request(0, 1, 4.0, 1)]).max_utilization
+seen["first_solve"] = scipy_loaded()
+
+m = MilpModel()
+x = m.add_binary()
+m.add_constraint({x: 1.0}, ">=", 0.5)
+m.set_objective({x: 1.0})
+seen["fake_status"] = solve(m).status.value
+seen["fake_calls"] = calls
+seen["fake_kept"] = qostopo.milp.milp is fake_milp
+qostopo.milp.milp = None
+seen["reloaded_status"] = solve(m).status.value
+seen["reloaded_is_scipy"] = qostopo.milp.milp.__module__.startswith("scipy.optimize")
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_on_first_solve_and_keeps_patched_names():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY_SCRIPT, str(root / "scenarios" / "field15.yaml")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["import"] == seen["cli"] == seen["scenario"] == []
+    assert (seen["help_exit"], seen["usage_exit"]) == (0, 1)
+    assert seen["load_lp_utilization"] == pytest.approx(0.16, abs=1e-9)
+    assert seen["first_solve"] == ["scipy.optimize", "scipy.sparse"]
+    assert seen["fake_status"] == "infeasible" and seen["fake_calls"] == [True]
+    assert seen["fake_kept"]
+    assert seen["reloaded_status"] == "optimal" and seen["reloaded_is_scipy"]
