@@ -1,7 +1,8 @@
 """Routing one request: the energy cap MILP and what bends its answer.
 
-Each admission solves a small mixed-integer program over route arcs only:
-route the request within its hop budget, respect per-node bandwidth, and —
+Each admission solves a small mixed-integer program over route arcs, whose
+order variables leave one simple path as the only integer solution: route
+the request within its hop budget, respect per-node bandwidth, and —
 when a fairness threshold is set — keep every node's cumulative energy
 within that slack of the network average. The objective is the worst
 single-link transmission energy, so relaying through near neighbours wins

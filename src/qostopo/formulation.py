@@ -7,21 +7,24 @@ traffic requests:
   pairs and minimizes the worst per-node bandwidth utilization (a node's
   channel is occupied by the flow it forwards in either direction plus the
   demand it originates or terminates);
-* a topology-control MILP over route arcs alone that picks one
-  unsplittable route per request and minimizes the maximum per-link
-  transmission energy subject to per-request hop bounds, per-node
-  bandwidth, and — optionally — an energy-fairness cap that keeps every
-  node's cumulative consumption within a threshold of the network average
-  (counting the energy the candidate routes would add). The enabled links
-  are the routes' minimal closure under link symmetry and the broadcast
-  property (reaching a node implies reaching every closer node); it never
-  costs more than the costliest arc, so it cannot move the cap.
+* a topology-control MILP over route arcs that picks one unsplittable
+  route per request and minimizes the maximum per-link transmission energy
+  subject to per-request hop bounds, per-node bandwidth, and — optionally —
+  an energy-fairness cap that keeps every node's cumulative consumption
+  within a threshold of the network average (counting the energy the
+  candidate routes would add). Miller-Tucker-Zemlin order variables forbid
+  cycles, so each request's route is one simple path and the energy the
+  fairness row counts is exactly the energy the route commits. The enabled
+  links are the routes' minimal closure under link symmetry and the
+  broadcast property (reaching a node implies reaching every closer node);
+  it never costs more than the costliest arc, so it cannot move the cap.
 
 Solver output is decoded into plain topologies and node paths and then
-re-validated from scratch against every constraint; a failed re-check is
-reported as :class:`ValidationError`, signalling a bug rather than an
-infeasible instance. Requests that admit no feasible route are "lost":
-reported as such with zero energy committed.
+re-validated from scratch against every constraint; an arc set that is not
+exactly one simple path, or any other failed re-check, is reported as
+:class:`ValidationError`, signalling a bug rather than an infeasible
+instance. Requests that admit no feasible route are "lost": reported as
+such with zero energy committed.
 """
 
 from __future__ import annotations
@@ -332,15 +335,28 @@ def build_topology_milp(
 ) -> MilpModel:
     """Build the MILP minimizing the maximum per-link transmission energy.
 
-    Variables: the energy cap (continuous in [0, max_power]), then one
-    route-arc indicator per ordered node pair per request, so the layout is
-    ``1 + R * n(n-1)``. Rows, in order: per request a hop-count row, one
-    row per arc keeping the cap above that arc's energy, and unit route
-    conservation; a per-node bandwidth row; and, when ``threshold`` is not
-    None, a per-node fairness row keeping cumulative consumption (ledger
-    plus the energy the candidate routes add) within ``threshold`` of the
-    network average. Links need no variables: their closure never costs
-    more than the costliest arc (:meth:`NetworkModel.broadcast_closure`).
+    Its only integer points are one simple sender-to-receiver path per
+    request within the hop bound. Variables: the energy cap (continuous in
+    [0, max_power]); per request one route-arc indicator per ordered node
+    pair, where arcs into the sender or out of the receiver are continuous
+    and fixed at 0; then per request one Miller-Tucker-Zemlin order
+    variable per node, in [0, H] for hop bound H and fixed at 0 for the
+    sender. The layout is ``1 + R * n(n-1) + R * n``.
+
+    Rows, in order, per request: a hop-count row; then per node a cap row
+    (its outgoing arcs' energies summed stay below the cap, skipped for the
+    receiver, which has no outgoing arc), out-degree <= 1 (skipped for the
+    receiver), in-degree <= 1 (skipped for the sender) and unit route
+    conservation; then per open arc (i, j) the order row
+    ``u_j - u_i - (H+1) x_ij >= -H``, so that every arc used climbs at least
+    one step and no cycle survives. After the requests: a per-node
+    bandwidth row and, when ``threshold`` is not None, a per-node fairness
+    row keeping cumulative consumption (ledger plus the energy the
+    candidate routes add) within ``threshold`` of the network average. The
+    order rows alone imply the hop bound and the degree rows; the hop and
+    degree rows stay as cuts that tighten the LP relaxation. Links need no
+    variables: their closure never costs more than the costliest arc
+    (:meth:`NetworkModel.broadcast_closure`).
     """
     reqs = _check_requests(net, requests)
     n = net.node_count
@@ -355,30 +371,39 @@ def build_topology_milp(
     model = MilpModel()
     cap = model.add_continuous(0.0, net.max_power)
     model.set_objective({cap: 1.0})
-    arc = [{pair: model.add_binary() for pair in pairs} for _ in reqs]
+    # No simple path enters its sender or leaves its receiver.
+    open_arcs = [[(i, j) for i, j in pairs if j != req.sender and i != req.receiver] for req in reqs]
+    arc = [
+        {pair: model.add_binary() if pair in live else model.add_continuous(0.0, 0.0) for pair in pairs}
+        for live in map(set, open_arcs)
+    ]
+    order = [
+        [model.add_continuous(0.0, 0.0 if v == req.sender else float(req.hop_bound)) for v in range(n)]
+        for req in reqs
+    ]
 
+    load: list[dict[int, float]] = [{} for _ in range(n)]
     for r, req in enumerate(reqs):
-        model.add_constraint({arc[r][pair]: 1.0 for pair in pairs}, "<=", float(req.hop_bound))
-        for pair in pairs:
-            model.add_constraint({arc[r][pair]: energy[pair], cap: -1.0}, "<=", 0.0)
+        x, u, hops = arc[r], order[r], float(req.hop_bound)
+        out = [[] for _ in range(n)]
+        into = [[] for _ in range(n)]
+        for i, j in open_arcs[r]:
+            out[i].append((i, j))
+            into[j].append((i, j))
+            load[i][x[(i, j)]] = load[j][x[(i, j)]] = req.demand
+        model.add_constraint({x[pair]: 1.0 for pair in open_arcs[r]}, "<=", hops)
         for v in range(n):
-            coeffs = {}
-            for j in range(n):
-                if j == v:
-                    continue
-                coeffs[arc[r][(v, j)]] = 1.0
-                coeffs[arc[r][(j, v)]] = -1.0
+            if out[v]:
+                model.add_constraint({**{x[pair]: energy[pair] for pair in out[v]}, cap: -1.0}, "<=", 0.0)
+                model.add_constraint({x[pair]: 1.0 for pair in out[v]}, "<=", 1.0)
+            if into[v]:
+                model.add_constraint({x[pair]: 1.0 for pair in into[v]}, "<=", 1.0)
             rhs = 1.0 if v == req.sender else -1.0 if v == req.receiver else 0.0
-            model.add_constraint(coeffs, "=", rhs)
+            model.add_constraint({**{x[pair]: 1.0 for pair in out[v]}, **{x[pair]: -1.0 for pair in into[v]}}, "=", rhs)
+        for i, j in open_arcs[r]:
+            model.add_constraint({u[j]: 1.0, u[i]: -1.0, x[(i, j)]: -(hops + 1.0)}, ">=", -hops)
 
-    for v in range(n):
-        coeffs = {}
-        for r, req in enumerate(reqs):
-            for j in range(n):
-                if j == v:
-                    continue
-                coeffs[arc[r][(v, j)]] = coeffs.get(arc[r][(v, j)], 0.0) + req.demand
-                coeffs[arc[r][(j, v)]] = coeffs.get(arc[r][(j, v)], 0.0) + req.demand
+    for coeffs in load:
         model.add_constraint(coeffs, "<=", net.bandwidth)
 
     if threshold is not None:
@@ -386,7 +411,7 @@ def build_topology_milp(
         for v in range(n):
             coeffs = {}
             for r, req in enumerate(reqs):
-                for (i, j) in pairs:
+                for (i, j) in open_arcs[r]:
                     weight = req.demand * energy[i, j]
                     share = (1.0 if i == v else 0.0) - 1.0 / n
                     coeffs[arc[r][(i, j)]] = coeffs.get(arc[r][(i, j)], 0.0) + weight * share
@@ -396,30 +421,16 @@ def build_topology_milp(
     return model
 
 
-def _bfs_path(n: int, arcs: set[tuple[int, int]], start: int, goal: int) -> list[int] | None:
-    # Fewest-hop walk through the arc set; visiting order is deterministic
-    # (ascending neighbors), and any off-path cycles are dropped implicitly.
-    out: dict[int, list[int]] = {v: [] for v in range(n)}
-    for i, j in sorted(arcs):
-        out[i].append(j)
-    parent: dict[int, int] = {start: start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in out[v]:
-                if w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        if goal in parent:
-            break
-        frontier = nxt
-    if goal not in parent:
+def _simple_path(arcs: set[tuple[int, int]], start: int, goal: int) -> list[int] | None:
+    # Follow the successor map from start; the arcs are one simple path to
+    # goal exactly when the walk reaches goal over distinct nodes having used
+    # every arc.
+    succ = dict(arcs)
+    path = [start]
+    while path[-1] != goal and path[-1] in succ and len(path) <= len(arcs):
+        path.append(succ[path[-1]])
+    if path[-1] != goal or len(path) != len(arcs) + 1 or len(set(path)) != len(path):
         return None
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
     return path
 
 
@@ -432,9 +443,13 @@ def decode_and_validate(
 ) -> TopologySolution:
     """Turn an optimal solver result into routes and links, then re-verify.
 
-    Every row is re-checked directly from the decoded arcs and paths (not
-    from solver values): the energy cap, hop bounds before and after cycle
-    stripping, exact unit conservation, bandwidth, and the fairness row.
+    Each request's arcs must form exactly one simple path from its sender
+    to its receiver; anything else (a path plus a cycle, a broken walk) is
+    a violation. Every row is re-checked directly from the decoded arcs and
+    paths (not from solver values): the energy cap, the hop bound, exact
+    unit conservation, bandwidth, and the fairness row on the energy the
+    committed paths add, which is exactly what the ledger is charged. The
+    order variables only serve to exclude cycles and are not read.
     ``links`` is the minimal symmetric broadcast closure of the route arcs.
     Raises :class:`ValidationError` with all violations on failure.
     """
@@ -445,12 +460,12 @@ def decode_and_validate(
     pairs = _ordered_pairs(n)
     m = len(pairs)
     values = raw.values
-    expected = 1 + m * len(reqs)
-    if values is None or values.shape != (expected,):
+    arc_end = 1 + m * len(reqs)
+    if values is None or values.shape != (arc_end + n * len(reqs),):
         raise ValidationError("solution vector does not match the model layout")
 
     problems: list[str] = []
-    for idx in range(1, expected):
+    for idx in range(1, arc_end):
         if min(abs(values[idx]), abs(values[idx] - 1.0)) > INTEGRALITY_TOL:
             problems.append(f"indicator variable {idx} = {values[idx]} is not integral")
     if problems:
@@ -476,6 +491,7 @@ def decode_and_validate(
 
     routes: list[list[int] | None] = []
     increments = np.zeros(n)
+    occupancy = np.zeros(n)
     for r, req in enumerate(reqs):
         arcs = route_arcs[r]
         if len(arcs) > req.hop_bound:
@@ -488,39 +504,23 @@ def decode_and_validate(
             want = 1 if v == req.sender else -1 if v == req.receiver else 0
             if balance[v] != want:
                 problems.append(f"request {r}: node {v} route balance {balance[v]} != {want}")
-        path = _bfs_path(n, arcs, req.sender, req.receiver)
+        path = _simple_path(arcs, req.sender, req.receiver)
+        routes.append(path)
         if path is None:
-            problems.append(f"request {r}: no walk from {req.sender} to {req.receiver} in its arcs")
-            routes.append(None)
+            problems.append(f"request {r}: route arcs are not one simple path from {req.sender} to {req.receiver}")
             continue
-        if len(path) - 1 > req.hop_bound:
-            problems.append(f"request {r}: decoded path has {len(path) - 1} hops > {req.hop_bound}")
         for i, j in zip(path, path[1:]):
             increments[i] += req.demand * energy[i, j]
-        routes.append(path)
-
-    occupancy = np.zeros(n)
-    for req, path in zip(reqs, routes):
-        if path is None:
-            continue
-        for i, j in zip(path, path[1:]):
             occupancy[i] += req.demand
             occupancy[j] += req.demand
+
     slack = FEASIBILITY_TOL * max(1.0, net.bandwidth)
     for v in range(n):
         if occupancy[v] > net.bandwidth + slack:
             problems.append(f"node {v} route occupancy {occupancy[v]} exceeds bandwidth {net.bandwidth}")
 
     if threshold is not None:
-        # The fairness row certifies the full arc sets the solver returned,
-        # stray cycles included (extra arcs raise the average too, so they
-        # can be load-bearing for feasibility); re-check exactly that. The
-        # committed routes are the stripped paths, which only remove energy.
-        raw_increments = np.zeros(n)
-        for r, req in enumerate(reqs):
-            for i, j in route_arcs[r]:
-                raw_increments[i] += req.demand * energy[i, j]
-        combined = ledger.consumed + raw_increments
+        combined = ledger.consumed + increments
         slack = FEASIBILITY_TOL * max(1.0, abs(threshold), float(combined.max()))
         allowed = combined.mean() + threshold + slack
         for v in range(n):

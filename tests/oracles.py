@@ -4,8 +4,9 @@ Nothing here calls into the solver wrappers under test: MILPs are settled by
 exhaustive enumeration of the binary variables (with direct dense linprog
 calls for any continuous remainder), and single-request routing is settled
 by brute force over every per-node power assignment crossed with every
-simple path inside the hop budget. Both are exponential and only meant for
-the small instances the tests generate.
+simple path inside the hop budget, or over the simple paths alone priced by
+their costliest arc. All are exponential and only meant for the small
+instances the tests generate.
 """
 
 import numpy as np
@@ -151,17 +152,9 @@ def simple_paths(n, start, goal, max_hops):
     return paths
 
 
-def single_request_bruteforce(net, request, ledger, threshold):
-    """Minimal worst-case transmission energy by exhaustive search.
-
-    Crosses every per-node power assignment (each node picks one of its
-    useful levels) with every simple path within the hop budget. A pair is
-    feasible when the assignment's bidirectional closure carries the whole
-    path and the path passes the per-node bandwidth and fairness checks; its
-    cost is the assignment's largest power. Returns ``(energy, path)`` for
-    the cheapest feasible pair, or ``None`` when the request cannot be
-    routed. Exponential in the node count — keep ``n`` small.
-    """
+def _feasible_paths(net, request, ledger, threshold):
+    """(per-node power need, path) for every simple path within the hop
+    budget that passes the per-node bandwidth and fairness checks."""
     n = net.node_count
     energy = net.energy_matrix
 
@@ -185,6 +178,21 @@ def single_request_bruteforce(net, request, ledger, threshold):
             if combined.max() > combined.mean() + threshold + 1e-9 * scale:
                 continue
         candidates.append((need, path))
+    return candidates
+
+
+def single_request_bruteforce(net, request, ledger, threshold):
+    """Minimal worst-case transmission energy by exhaustive search.
+
+    Crosses every per-node power assignment (each node picks one of its
+    useful levels) with every simple path within the hop budget. A pair is
+    feasible when the assignment's bidirectional closure carries the whole
+    path and the path passes the per-node bandwidth and fairness checks; its
+    cost is the assignment's largest power. Returns ``(energy, path)`` for
+    the cheapest feasible pair, or ``None`` when the request cannot be
+    routed. Exponential in the node count — keep ``n`` small.
+    """
+    candidates = _feasible_paths(net, request, ledger, threshold)
     if not candidates:
         return None
 
@@ -205,3 +213,19 @@ def single_request_bruteforce(net, request, ledger, threshold):
     if best is None:
         return None
     return best, best_path
+
+
+def simple_path_bruteforce(net, request, ledger, threshold):
+    """The cheapest feasible simple path by its costliest arc alone.
+
+    Same candidates as :func:`single_request_bruteforce`, without the power
+    assignments: a path's symmetric broadcast closure costs no more than its
+    costliest arc, so that arc's energy is the path's cost. Returns
+    ``(energy, path)`` or ``None``; polynomial in the number of paths, so it
+    reaches node counts the power meshgrid cannot.
+    """
+    best = None
+    for need, path in _feasible_paths(net, request, ledger, threshold):
+        if best is None or need.max() < best[0]:
+            best = (float(need.max()), path)
+    return best

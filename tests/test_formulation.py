@@ -5,14 +5,15 @@
    strict overload rule, flow conservation, commodity merging
 3. topology optimization on hand-checkable instances: direct vs relayed
    routing, link sets, per-node energy commitments; the model holds the
-   cap and route-arc binaries only
+   cap, route arcs and order variables only
 4. infeasible requests come back as lost outcomes, not exceptions
 5. fairness threshold: binding and slack cases, ledger left untouched
 6. decode-time re-verification: a planted violation of each structural rule
-   is rejected; stray route cycles are stripped when the hop row allows
+   is rejected, and so is any arc set that is not exactly one simple path
 7. seeded relaxation properties: larger thresholds and hop budgets never
    hurt feasibility or the achieved energy cap
-8. small seeded instances match the exhaustive routing oracle
+8. small seeded instances match the exhaustive routing oracle; sequential
+   thresholded 7-node runs match the simple-path oracle request by request
 9. solver budgets surface as SolverLimitError / resource-limited losses
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import qostopo.formulation as formulation
-from oracles import single_request_bruteforce
+from oracles import simple_path_bruteforce, single_request_bruteforce
 from qostopo import (
     EnergyLedger,
     NetworkModel,
@@ -299,17 +300,36 @@ def test_zero_threshold_rejects_any_first_route():
 @pytest.mark.parametrize("threshold", [None, 50.0])
 @pytest.mark.parametrize("count", [1, 2])
 def test_topology_model_holds_route_arcs_only(count, threshold):
-    # the cap plus one binary per ordered pair per request; per request a hop
-    # row, one cap row per arc and n conservation rows, then n bandwidth rows
-    # and, with a threshold, n fairness rows -- no link block
+    # the cap, one indicator per ordered pair per request (binary when the
+    # arc is open, fixed at 0 when it enters the sender or leaves the
+    # receiver), then n order variables per request; per request a hop row,
+    # n-1 cap rows, n-1 out-degree and n-1 in-degree rows, n conservation
+    # rows and one order row per open arc, then n bandwidth rows and, with a
+    # threshold, n fairness rows -- no link block
+    from qostopo.formulation import _ordered_pairs
+
     n = 5
     reqs = [Request(0, 4, 1.0, 3), Request(1, 3, 2.0, 2)][:count]
     model = build_topology_milp(line(n), reqs, EnergyLedger.empty(n), threshold)
-    arcs = n * (n - 1)
-    assert model.num_variables == 1 + count * arcs
-    assert model.binary_ids == list(range(1, 1 + count * arcs))
+    pairs = _ordered_pairs(n)
+    arcs = len(pairs)
+    assert model.num_variables == 1 + count * (arcs + n)
+    open_ids = [
+        1 + arcs * r + k
+        for r, req in enumerate(reqs)
+        for k, (i, j) in enumerate(pairs)
+        if j != req.sender and i != req.receiver
+    ]
+    open_arcs = arcs - 2 * (n - 1) + 1
+    assert model.binary_ids == open_ids and len(open_ids) == count * open_arcs
+    bounds = [(var.lower, var.upper) for var in model.variables]
+    assert all(bounds[v] == (0.0, 0.0) for v in range(1, 1 + count * arcs) if v not in open_ids)
+    for r, req in enumerate(reqs):
+        base = 1 + count * arcs + n * r
+        want = [(0.0, 0.0 if v == req.sender else float(req.hop_bound)) for v in range(n)]
+        assert bounds[base:base + n] == want
     fairness_rows = 0 if threshold is None else n
-    assert model.num_constraints == count * (1 + arcs + n) + n + fairness_rows
+    assert model.num_constraints == count * (1 + 3 * (n - 1) + n + open_arcs) + n + fairness_rows
 
 
 def test_solution_lost_property_mixes_requests():
@@ -327,11 +347,16 @@ def test_solution_lost_property_mixes_requests():
 
 
 def _relay_layout(net, reqs, route_arcs, cap):
-    """Assemble a raw solver vector for the standard variable layout."""
+    """Assemble a raw solver vector for the standard variable layout.
+
+    The order variables after the arc blocks stay 0: the decoder judges the
+    arcs alone.
+    """
     from qostopo.formulation import _ordered_pairs
 
-    pairs = _ordered_pairs(net.node_count)
-    values = np.zeros(1 + len(pairs) * len(reqs))
+    n = net.node_count
+    pairs = _ordered_pairs(n)
+    values = np.zeros(1 + (len(pairs) + n) * len(reqs))
     values[0] = cap
     for r, arcs in enumerate(route_arcs):
         base = 1 + len(pairs) * r
@@ -406,47 +431,46 @@ def test_decode_rejects_threshold_violation():
         decode_and_validate(net, [req], led, 0.0, raw)
 
 
-def _four_line_cycle_raw(net, req):
-    # path 0 -> 1 -> 2 plus a stray 2-cycle through node 3; the stray arcs
-    # span the whole 4-node line, so the cap is the longest pair distance
-    # squared
-    arcs = {(0, 1), (1, 2), (0, 3), (3, 0)}
-    return _relay_layout(net, [req], [arcs], 9.0)
-
-
-def test_decode_strips_stray_cycle_when_hops_allow():
-    net = line(4)
-    req = Request(0, 2, 2.0, 4)
-    sol = decode_and_validate(net, [req], EnergyLedger.empty(4), None, _four_line_cycle_raw(net, req))
-    assert sol.routes == [[0, 1, 2]]
-    # committed energy comes from the stripped path only
-    assert sol.node_energy == pytest.approx([2.0, 2.0, 0.0, 0.0])
-    assert sol.max_energy == pytest.approx(9.0)
-
-
-def test_decode_rejects_cycle_that_breaks_the_hop_row():
-    net = line(4)
-    req = Request(0, 2, 2.0, 3)
+def test_decode_rejects_path_over_the_hop_bound():
+    net = line(3)
+    req = Request(0, 2, 2.0, 1)
+    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 1.0)
     with pytest.raises(ValidationError, match="hop bound"):
-        decode_and_validate(net, [req], EnergyLedger.empty(4), None, _four_line_cycle_raw(net, req))
+        decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
 
 
-def test_decode_checks_threshold_against_raw_arcs():
-    # a stray 1<->2 cycle spends energy at two idle nodes, lifting the
-    # average enough to cover the hot node 3; the check must follow the
-    # arcs the solver actually certified, not the stripped path
+def test_decode_rejects_path_plus_cycle():
+    # the path 0 -> 2 plus a 1 <-> 2 cycle through its receiver balances at
+    # every node and fits the hop row; the cycle spends energy at the idle
+    # node 1 and lifts the average over the hot node 3, which the path alone
+    # would leave above average + threshold
     net = line(4)
     req = Request(0, 2, 1.0, 3)
-    arcs = {(0, 2), (1, 2), (2, 1)}
-    raw = _relay_layout(net, [req], [arcs], 4.0)
+    raw = _relay_layout(net, [req], [{(0, 2), (1, 2), (2, 1)}], 4.0)
     led = EnergyLedger(np.array([0.0, 0.0, 0.0, 12.0]))
-    threshold = 7.7
-    sol = decode_and_validate(net, [req], led, threshold, raw)
-    assert sol.routes == [[0, 2]]
-    assert sol.node_energy == pytest.approx([4.0, 0.0, 0.0, 0.0])
-    # stripped-path increments alone would have left node 3 over the line
-    stripped = led.consumed + sol.node_energy
-    assert stripped.max() > stripped.mean() + threshold
+    with pytest.raises(ValidationError, match="not one simple path"):
+        decode_and_validate(net, [req], led, 7.7, raw)
+    with pytest.raises(ValidationError, match="not one simple path"):
+        decode_and_validate(net, [req], led, None, raw)
+    # a cycle through the sender: node 0 leaves by two arcs
+    wide = Request(0, 2, 2.0, 4)
+    raw = _relay_layout(net, [wide], [{(0, 1), (1, 2), (0, 3), (3, 0)}], 9.0)
+    with pytest.raises(ValidationError, match="not one simple path"):
+        decode_and_validate(net, [wide], EnergyLedger.empty(4), None, raw)
+
+
+def test_decode_rejects_path_plus_disjoint_cycle():
+    # the path 0 -> 1 -> 2 plus a 3 <-> 4 cycle that shares no node with it
+    net = line(5)
+    req = Request(0, 2, 2.0, 4)
+    raw = _relay_layout(net, [req], [{(0, 1), (1, 2), (3, 4), (4, 3)}], 1.0)
+    with pytest.raises(ValidationError, match="not one simple path"):
+        decode_and_validate(net, [req], EnergyLedger.empty(5), None, raw)
+    # the same path alone is accepted and commits its own energy
+    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 1.0)
+    sol = decode_and_validate(net, [req], EnergyLedger.empty(5), None, raw)
+    assert sol.routes == [[0, 1, 2]]
+    assert sol.node_energy == pytest.approx([2.0, 2.0, 0.0, 0.0, 0.0])
 
 
 # -- relaxation properties ---------------------------------------------------
@@ -511,6 +535,33 @@ def test_small_instances_match_bruteforce():
             assert sol.max_energy == pytest.approx(expect[0], abs=1e-6)
             routed += 1
     assert routed >= 4
+
+
+def test_thresholded_runs_match_simple_path_bruteforce():
+    # every request of seeded 7-node runs with hop bound 4, against the
+    # ledger its predecessors left: a model that admitted a route plus a
+    # cycle could let the cycle's energy carry a cheaper path, or any path at
+    # all, past the fairness row where that path alone fails it
+    from qostopo import ScenarioParams, generate_scenario
+
+    compared = routed = 0
+    for threshold in (2e3, 5e3, 1e4, 2e4):
+        for seed in range(8):
+            p = ScenarioParams(node_count=7, region=(100.0, 100.0), path_loss_exponent=2.0, max_power=20000.0,
+                               bandwidth=60.0, request_rate=1.0, mean_demand=10.0, hop_bound=4,
+                               threshold=threshold, seed=seed)
+            net, reqs = generate_scenario(p)
+            led = EnergyLedger.empty(p.node_count)
+            for req in reqs:
+                sol = solve_single_request(net, req, led, threshold)
+                expect = simple_path_bruteforce(net, req, led, threshold)
+                assert sol.lost == (expect is None), (threshold, seed, req)
+                if expect is not None:
+                    assert sol.max_energy == pytest.approx(expect[0], rel=1e-9), (threshold, seed, req)
+                    led.charge(sol.node_energy)
+                    routed += 1
+                compared += 1
+    assert routed >= 80 and compared >= 200
 
 
 # -- solver budgets -----------------------------------------------------------

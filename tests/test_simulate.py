@@ -13,7 +13,8 @@
 8. run reports are internally consistent and deterministic; paths obey
    every per-request rule; the ledger equals the tabulated energy
 9. sequential coupling: earlier admissions can block later ones under a
-   fairness threshold
+   fairness threshold; the committed ledger keeps the fairness row after
+   every admission
 10. sweeps: axis ordering with None last, duplicates kept, singleton
     points equal averaged runs, relaxed thresholds never lose more
 """
@@ -307,6 +308,25 @@ def test_sequential_coupling_under_a_threshold():
     # with no threshold both are admitted
     free = run(line3_params(), network=LINE3, requests=reqs)
     assert free.lost_count == 0
+
+
+@pytest.mark.parametrize("threshold", [5.0, 50.0, 500.0, 2000.0])
+def test_committed_ledger_keeps_fairness_after_every_admission(threshold):
+    # an admission certifies the fairness row on exactly the energy it
+    # charges, so replaying the table never finds a ledger above
+    # mean + threshold; hop bound 4 leaves room for a route plus a cycle
+    for seed in range(12):
+        p = params(node_count=8, region=(100.0, 100.0), max_power=20000.0, bandwidth=60.0,
+                   mean_demand=10.0, hop_bound=4, threshold=threshold, seed=seed)
+        net, _ = generate_scenario(p)
+        ledger = np.zeros(p.node_count)
+        for row in run(p).request_table:
+            if row.lost:
+                continue
+            for i, j in zip(row.path, row.path[1:]):
+                ledger[i] += row.demand * net.link_energy(i, j)
+            peak = float(ledger.max())
+            assert peak <= ledger.mean() + threshold + 1e-7 * max(1.0, peak), (seed, row.index)
 
 
 # -- sweeps ------------------------------------------------------------------------
