@@ -14,7 +14,11 @@ traffic requests:
   within a threshold of the network average (counting the energy the
   candidate routes would add). Miller-Tucker-Zemlin order variables forbid
   cycles, so each request's route is one simple path and the energy the
-  fairness row counts is exactly the energy the route commits. The enabled
+  fairness row counts is exactly the energy the route commits. For a single
+  request the direct link and every two-hop route through a relay are
+  checked in closed form first; the cheapest one that meets every row
+  bounds the cap, and arcs dearer than that bound are fixed at 0, which
+  shrinks the model without removing any optimal route. The enabled
   links are the routes' minimal closure under link symmetry and the
   broadcast property (reaching a node implies reaching every closer node);
   it never costs more than the costliest arc, so it cannot move the cap.
@@ -336,23 +340,34 @@ def build_topology_milp(
     """Build the MILP minimizing the maximum per-link transmission energy.
 
     Its only integer points are one simple sender-to-receiver path per
-    request within the hop bound. Variables: the energy cap (continuous in
-    [0, max_power]); per request one route-arc indicator per ordered node
-    pair, where arcs into the sender or out of the receiver are continuous
-    and fixed at 0; then per request one Miller-Tucker-Zemlin order
-    variable per node, in [0, H] for hop bound H and fixed at 0 for the
-    sender. The layout is ``1 + R * n(n-1) + R * n``.
+    request within the hop bound. Variables: the energy cap, continuous in
+    [0, bound]; per request one route-arc indicator per ordered node pair;
+    then per request one Miller-Tucker-Zemlin order variable per node, in
+    [0, H] for hop bound H and fixed at 0 for the sender. The layout is
+    ``1 + R * n(n-1) + R * n``. An arc is open (binary) unless it enters
+    the sender, leaves the receiver or costs more than the bound; closed
+    arcs are continuous and fixed at 0.
+
+    For a single request the bound is the costliest arc of the cheapest
+    one- or two-hop route (the direct link, or sender-relay-receiver over
+    any relay) that meets every row below by at least the re-check
+    tolerance: the hop bound, ``max_power``, bandwidth (the demand at each
+    endpoint, twice the demand at the relay) and, with a threshold, the
+    fairness row in closed form. Without such a route, and for several
+    requests, the bound is ``max_power``. Such a route is feasible, so the
+    optimal cap is at most the bound and every optimal route survives.
 
     Rows, in order, per request: a hop-count row; then per node a cap row
-    (its outgoing arcs' energies summed stay below the cap, skipped for the
-    receiver, which has no outgoing arc), out-degree <= 1 (skipped for the
-    receiver), in-degree <= 1 (skipped for the sender) and unit route
-    conservation; then per open arc (i, j) the order row
-    ``u_j - u_i - (H+1) x_ij >= -H``, so that every arc used climbs at least
-    one step and no cycle survives. After the requests: a per-node
-    bandwidth row and, when ``threshold`` is not None, a per-node fairness
-    row keeping cumulative consumption (ledger plus the energy the
-    candidate routes add) within ``threshold`` of the network average. The
+    (its open outgoing arcs' energies summed stay below the cap) and
+    out-degree <= 1, both skipped for a node with no open outgoing arc
+    (such as the receiver), in-degree <= 1, skipped for a node with no open
+    incoming arc (such as the sender), and unit route conservation; then
+    per open arc (i, j) the order row ``u_j - u_i - (H+1) x_ij >= -H``, so
+    that every arc used climbs at least one step and no cycle survives.
+    After the requests: a per-node bandwidth row and, when ``threshold`` is
+    not None, a per-node fairness row keeping cumulative consumption
+    (ledger plus the energy the candidate routes add) within ``threshold``
+    of the network average; both range over open arcs only. The
     order rows alone imply the hop bound and the degree rows; the hop and
     degree rows stay as cuts that tighten the LP relaxation. Links need no
     variables: their closure never costs more than the costliest arc
@@ -367,12 +382,17 @@ def build_topology_milp(
 
     pairs = _ordered_pairs(n)
     energy = net.energy_matrix
+    bound = _cap_bound(net, reqs[0], ledger, threshold) if len(reqs) == 1 else net.max_power
 
     model = MilpModel()
-    cap = model.add_continuous(0.0, net.max_power)
+    cap = model.add_continuous(0.0, bound)
     model.set_objective({cap: 1.0})
-    # No simple path enters its sender or leaves its receiver.
-    open_arcs = [[(i, j) for i, j in pairs if j != req.sender and i != req.receiver] for req in reqs]
+    # No simple path enters its sender or leaves its receiver, and no optimal
+    # route uses an arc dearer than a route known to be feasible.
+    open_arcs = [
+        [(i, j) for i, j in pairs if j != req.sender and i != req.receiver and energy[i, j] <= bound]
+        for req in reqs
+    ]
     arc = [
         {pair: model.add_binary() if pair in live else model.add_continuous(0.0, 0.0) for pair in pairs}
         for live in map(set, open_arcs)
@@ -419,6 +439,41 @@ def build_topology_milp(
             model.add_constraint(coeffs, "<=", rhs)
 
     return model
+
+
+def _cap_bound(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None) -> float:
+    """Costliest arc of the cheapest one- or two-hop route that meets every
+    row of the model by at least the decoder's tolerance, else ``max_power``.
+
+    The direct link and every two-hop route through a relay are candidates.
+    A counted route stays feasible in the model, so the optimal cap is at
+    most the returned bound and no arc dearer than it lies on an optimal
+    route.
+    """
+    energy = net.energy_matrix
+    s, d, demand = req.sender, req.receiver, req.demand
+    routes = [(s, d)]
+    if req.hop_bound >= 2:
+        routes += [(s, v, d) for v in range(net.node_count) if v not in (s, d)]
+    power_room = net.max_power - FEASIBILITY_TOL * max(1.0, net.max_power)
+    bandwidth_room = net.bandwidth - FEASIBILITY_TOL * max(1.0, net.bandwidth)
+    best = net.max_power
+    for route in routes:
+        arcs = list(zip(route, route[1:]))
+        top = max(float(energy[arc]) for arc in arcs)
+        # a relay's channel carries the demand both in and out
+        occupancy = demand * (2.0 if len(arcs) == 2 else 1.0)
+        if top >= best or top > power_room or occupancy > bandwidth_room:
+            continue
+        if threshold is not None:
+            combined = ledger.consumed.copy()
+            for i, j in arcs:
+                combined[i] += demand * energy[i, j]
+            margin = FEASIBILITY_TOL * max(1.0, abs(threshold), float(combined.max()))
+            if combined.max() > combined.mean() + threshold - margin:
+                continue
+        best = top
+    return best
 
 
 def _simple_path(arcs: set[tuple[int, int]], start: int, goal: int) -> list[int] | None:

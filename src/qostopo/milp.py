@@ -110,11 +110,15 @@ class Solution:
     ``values`` maps variable id -> value (a dense array indexed by VarId);
     it is present for Optimal solutions and for ResourceLimit outcomes that
     produced an incumbent. ``objective_value`` is present iff Optimal.
+    ``mip_node_count`` is the number of branch-and-bound nodes HiGHS
+    explored; it is ``None`` for purely continuous models, which ``linprog``
+    solves without branching.
     """
 
     status: Status
     values: np.ndarray | None = None
     objective_value: float | None = None
+    mip_node_count: int | None = None
 
     def value(self, var: int) -> float:
         if self.values is None:
@@ -330,7 +334,9 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
         res = backend(presolve=True)
         if res.status == 4 and not _is_limit_stop(res):
             res = backend(presolve=False)
-    return _interpret(res)
+    # linprog may report a node count too (0); only milp branches
+    nodes = getattr(res, "mip_node_count", None) if integrality.any() else None
+    return _interpret(res, None if nodes is None else int(nodes))
 
 
 def _load_scipy() -> None:
@@ -382,18 +388,18 @@ def _is_limit_stop(res) -> bool:
     return "limit" in str(res.message).lower()
 
 
-def _interpret(res) -> Solution:
+def _interpret(res, nodes: int | None) -> Solution:
     values = None if res.x is None else np.asarray(res.x, dtype=float)
     if res.status == 0:
-        return Solution(Status.OPTIMAL, values=values, objective_value=float(res.fun))
+        return Solution(Status.OPTIMAL, values=values, objective_value=float(res.fun), mip_node_count=nodes)
     if res.status == 1:
-        return Solution(Status.RESOURCE_LIMIT, values=values)
+        return Solution(Status.RESOURCE_LIMIT, values=values, mip_node_count=nodes)
     if res.status == 2:
-        return Solution(Status.INFEASIBLE)
+        return Solution(Status.INFEASIBLE, mip_node_count=nodes)
     if res.status == 3:
-        return Solution(Status.UNBOUNDED)
+        return Solution(Status.UNBOUNDED, mip_node_count=nodes)
     if _is_limit_stop(res):
-        return Solution(Status.RESOURCE_LIMIT, values=values)
+        return Solution(Status.RESOURCE_LIMIT, values=values, mip_node_count=nodes)
     raise SolverError(f"solver returned an unexpected result: {res.message}")
 
 

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import yaml
-
 from .formulation import Request
 from .network import NetworkModel
 from .simulate import ScenarioParams
@@ -168,6 +166,9 @@ def _get_requests(doc: dict, nodes: int, default_hop_bound: int):
 
 def load_scenario(path, seed_override: int | None = None) -> Scenario:
     """Parse a scenario file; ``seed_override`` replaces the file's seed."""
+    # Imported here so that `import qostopo` does not pay for PyYAML.
+    import yaml
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

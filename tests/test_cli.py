@@ -1,8 +1,10 @@
 """Command-line interface proofs.
 
 1. `run` writes and prints the routing table byte-for-byte, plus a JSON
-   report that round-trips to the exact in-memory objects; on a thresholded
-   scenario, file descriptor 1 carries the table and nothing else
+   report that round-trips to the exact in-memory objects; file descriptor 1
+   carries the table (and `loadcheck` its summary) and nothing else, both
+   against stand-in solvers that write to it and on a thresholded scenario
+   where HiGHS itself does
 2. `sweep` writes the CSV grid byte-for-byte with the axis sorted and the
    unconstrained threshold last
 3. `loadcheck` prints the utilization summary and the strict overload flag
@@ -11,11 +13,15 @@
    3 internal solver trouble; --help exits 0
 """
 
+import contextlib
+import os
 from pathlib import Path
 
 import pytest
+from scipy import optimize
 
 import qostopo.cli as cli
+import qostopo.milp
 from qostopo import SolverLimitError, load_scenario, run
 from qostopo.cli import (
     REPORT_FILENAME,
@@ -59,32 +65,59 @@ def test_run_golden_table(tmp_path, capsys):
     assert capsys.readouterr().out == LINE3_TABLE
 
 
+def test_run_and_loadcheck_write_only_their_output_to_fd_1(tmp_path, capfd, monkeypatch):
+    # stand-ins that write to file descriptor 1, as HiGHS does, before each
+    # real backend call: whatever the solver prints, fd 1 carries the output
+    calls = []
+
+    def noisy(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            os.write(1, f"{name} chatter on fd 1\n".encode())
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(qostopo.milp, "milp", noisy("milp", optimize.milp))
+    monkeypatch.setattr(qostopo.milp, "linprog", noisy("linprog", optimize.linprog))
+    assert main(["run", "--scenario", str(LINE3), "--out", str(tmp_path / "out")]) == 0
+    assert capfd.readouterr().out == LINE3_TABLE
+    assert main(["loadcheck", "--scenario", str(LINE3)]) == 0
+    assert capfd.readouterr().out == "L_max = 0.08\nOVERLOADED: no\n"
+    assert calls == ["milp", "linprog"]
+
+
 # Thresholded, so every admission solves the topology MILP. On the HiGHS in
 # scipy 1.17.1 one of its solves prints
 # "HighsMipSolverData::transformNewIntegerFeasibleSolution tmpSolver.run();"
 # straight to file descriptor 1, where capsys cannot see it. Whether a solve
-# prints depends on the exact model, so a change to the topology MILP must
-# re-check, with fd 1 left unredirected, that this scenario still prints.
+# prints depends on the exact model; the test checks that it still does.
 HIGHS_CHATTY_SCENARIO = """\
-nodes: 7
+nodes: 10
 region: [300, 300]
 max_power: 180000
-bandwidth: 30
-hop_bound: 5
-request_rate: 2.0
-mean_demand: 4.0
+bandwidth: 200
+hop_bound: 3
+request_rate: 1.0
+mean_demand: 10.0
 threshold: 100000
-seed: 102
+seed: 100
 """
 
 
-def test_run_writes_only_the_table_to_fd_1(tmp_path, capfd):
+def test_run_writes_only_the_table_to_fd_1(tmp_path, capfd, monkeypatch):
     scenario = tmp_path / "chatty.yaml"
     scenario.write_text(HIGHS_CHATTY_SCENARIO)
+    # the premise: with the redirect switched off, HiGHS writes to fd 1 here
+    with monkeypatch.context() as patch:
+        patch.setattr(qostopo.milp, "_stdout_silenced", contextlib.nullcontext)
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "loud")]) == 0
+    table = (tmp_path / "loud" / TABLE_FILENAME).read_text(encoding="utf-8")
+    assert table.startswith("λ_m = 10, Threshold = 100000,")
+    assert capfd.readouterr().out != table, "HiGHS no longer prints on this scenario; find one that does"
+
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
-    table = (out / TABLE_FILENAME).read_text(encoding="utf-8")
-    assert table.startswith("λ_m = 4, Threshold = 100000,")
+    assert (out / TABLE_FILENAME).read_text(encoding="utf-8") == table
     assert capfd.readouterr().out == table
 
 

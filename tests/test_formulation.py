@@ -5,7 +5,9 @@
    strict overload rule, flow conservation, commodity merging
 3. topology optimization on hand-checkable instances: direct vs relayed
    routing, link sets, per-node energy commitments; the model holds the
-   cap, route arcs and order variables only
+   cap, route arcs and order variables only, and the cheapest one- or
+   two-hop route that meets every row with room to spare bounds the cap
+   and closes every dearer arc
 4. infeasible requests come back as lost outcomes, not exceptions
 5. fairness threshold: binding and slack cases, ledger left untouched
 6. decode-time re-verification: a planted violation of each structural rule
@@ -13,7 +15,8 @@
 7. seeded relaxation properties: larger thresholds and hop budgets never
    hurt feasibility or the achieved energy cap
 8. small seeded instances match the exhaustive routing oracle; sequential
-   thresholded 7-node runs match the simple-path oracle request by request
+   7-node runs, with and without a threshold, match the simple-path oracle
+   request by request
 9. solver budgets surface as SolverLimitError / resource-limited losses
 """
 
@@ -300,36 +303,83 @@ def test_zero_threshold_rejects_any_first_route():
 @pytest.mark.parametrize("threshold", [None, 50.0])
 @pytest.mark.parametrize("count", [1, 2])
 def test_topology_model_holds_route_arcs_only(count, threshold):
-    # the cap, one indicator per ordered pair per request (binary when the
-    # arc is open, fixed at 0 when it enters the sender or leaves the
-    # receiver), then n order variables per request; per request a hop row,
-    # n-1 cap rows, n-1 out-degree and n-1 in-degree rows, n conservation
-    # rows and one order row per open arc, then n bandwidth rows and, with a
-    # threshold, n fairness rows -- no link block
+    # the cap, bounded by the cheapest feasible one- or two-hop route of a
+    # single request (max_power otherwise), one indicator per ordered pair
+    # per request (binary when the arc is open, fixed at 0 when it enters
+    # the sender, leaves the receiver or costs more than the cap's bound),
+    # then n order variables per request; per request a hop row, a cap and
+    # an out-degree row per node with an open out-arc, an in-degree row per
+    # node with an open in-arc, n conservation rows and one order row per
+    # open arc, then n bandwidth rows and, with a threshold, n fairness
+    # rows -- no link block
     from qostopo.formulation import _ordered_pairs
 
     n = 5
+    net = line(n)
     reqs = [Request(0, 4, 1.0, 3), Request(1, 3, 2.0, 2)][:count]
-    model = build_topology_milp(line(n), reqs, EnergyLedger.empty(n), threshold)
+    model = build_topology_milp(net, reqs, EnergyLedger.empty(n), threshold)
     pairs = _ordered_pairs(n)
     arcs = len(pairs)
     assert model.num_variables == 1 + count * (arcs + n)
-    open_ids = [
-        1 + arcs * r + k
-        for r, req in enumerate(reqs)
-        for k, (i, j) in enumerate(pairs)
-        if j != req.sender and i != req.receiver
+    # node k sits at x = k, so an arc costs its squared gap: the direct link
+    # 0->4 (16) is over max_power 10, and the relay route 0-2-4 bounds the cap
+    # at 4; two requests keep max_power, which closes the 16-cost arcs
+    bound = 4.0 if count == 1 else 10.0
+    assert model.variables[0].upper == bound
+    open_arcs = [
+        [(i, j) for i, j in pairs if j != req.sender and i != req.receiver and net.energy_matrix[i, j] <= bound]
+        for req in reqs
     ]
-    open_arcs = arcs - 2 * (n - 1) + 1
-    assert model.binary_ids == open_ids and len(open_ids) == count * open_arcs
+    open_ids = [1 + arcs * r + pairs.index(pair) for r in range(count) for pair in open_arcs[r]]
+    assert [len(live) for live in open_arcs] == {1: [10], 2: [12, 11]}[count]
+    assert model.binary_ids == open_ids
     bounds = [(var.lower, var.upper) for var in model.variables]
     assert all(bounds[v] == (0.0, 0.0) for v in range(1, 1 + count * arcs) if v not in open_ids)
     for r, req in enumerate(reqs):
         base = 1 + count * arcs + n * r
         want = [(0.0, 0.0 if v == req.sender else float(req.hop_bound)) for v in range(n)]
         assert bounds[base:base + n] == want
+    per_request = sum(
+        1 + 2 * len({i for i, _ in live}) + len({j for _, j in live}) + n + len(live) for live in open_arcs
+    )
     fairness_rows = 0 if threshold is None else n
-    assert model.num_constraints == count * (1 + 3 * (n - 1) + n + open_arcs) + n + fairness_rows
+    assert model.num_constraints == per_request + n + fairness_rows
+
+
+@pytest.mark.parametrize(
+    "net, req, threshold, bound",
+    [
+        # the direct link (4) beats the only relay, which sits far off the line
+        (NetworkModel([[0.0, 0.0], [2.0, 0.0], [1.0, 5.0]], max_power=30.0, bandwidth=50.0),
+         Request(0, 1, 1.0, 2), None, 4.0),
+        # relaying through node 1 (1 per hop) beats the direct link (4)
+        (line(3), Request(0, 2, 2.0, 3), None, 1.0),
+        # the relay would carry 2 x 2 over bandwidth 3: only the direct link counts
+        (line(3, bandwidth=3.0), Request(0, 2, 2.0, 3), None, 4.0),
+        # hop bound 1 leaves the direct link alone
+        (line(3), Request(0, 2, 2.0, 1), None, 4.0),
+        # the direct link is over max_power and no relay may be used: no bound
+        (line(3, max_power=3.0), Request(0, 2, 2.0, 1), None, 3.0),
+        # the direct link (9) needs threshold >= 4.5 on an empty two-node
+        # ledger; the margin is 1e-7 x 9, so it counts only with more room
+        (line(2, spacing=3.0), Request(0, 1, 1.0, 1), 4.5 + 2e-6, 9.0),
+        (line(2, spacing=3.0), Request(0, 1, 1.0, 1), 4.5 + 4e-7, 10.0),
+        (line(2, spacing=3.0), Request(0, 1, 1.0, 1), 4.5 - 4e-7, 10.0),
+    ],
+)
+def test_cap_bound_from_one_and_two_hop_routes(net, req, threshold, bound):
+    from qostopo.formulation import _ordered_pairs
+
+    ledger = EnergyLedger.empty(net.node_count)
+    model = build_topology_milp(net, [req], ledger, threshold)
+    assert model.variables[0].upper == bound
+    pairs = _ordered_pairs(net.node_count)
+    for k, (i, j) in enumerate(pairs):
+        var = model.variables[1 + k]
+        usable = j != req.sender and i != req.receiver and net.energy_matrix[i, j] <= bound
+        assert var.is_binary == usable and (usable or var.upper == 0.0)
+    sol = solve_single_request(net, req, ledger, threshold)
+    assert sol.lost or sol.max_energy <= bound
 
 
 def test_solution_lost_property_mixes_requests():
@@ -541,11 +591,12 @@ def test_thresholded_runs_match_simple_path_bruteforce():
     # every request of seeded 7-node runs with hop bound 4, against the
     # ledger its predecessors left: a model that admitted a route plus a
     # cycle could let the cycle's energy carry a cheaper path, or any path at
-    # all, past the fairness row where that path alone fails it
+    # all, past the fairness row where that path alone fails it; without a
+    # threshold (None) every request runs against the cap bound alone
     from qostopo import ScenarioParams, generate_scenario
 
     compared = routed = 0
-    for threshold in (2e3, 5e3, 1e4, 2e4):
+    for threshold in (None, 2e3, 5e3, 1e4, 2e4):
         for seed in range(8):
             p = ScenarioParams(node_count=7, region=(100.0, 100.0), path_loss_exponent=2.0, max_power=20000.0,
                                bandwidth=60.0, request_rate=1.0, mean_demand=10.0, hop_bound=4,

@@ -3,7 +3,8 @@
 1. model building and introspection, including every rejection path
 2. hand-checkable LPs and MILPs hit their known optima exactly
 3. definite statuses: infeasible, unbounded, empty models, empty rows
-4. resource limits surface as RESOURCE_LIMIT, never as an exception
+4. resource limits surface as RESOURCE_LIMIT, never as an exception; the
+   node-limit fixture needs more than one branch-and-bound node
 5. determinism: identical models yield identical value vectors
 6. check_solution accepts solver output and flags planted violations
 7. seeded random models agree with exhaustive enumeration
@@ -12,7 +13,8 @@
    raises SolverError (CLI exit code 3), and HiGHS's console lines stay
    out of stdout
 10. scipy's optimize/sparse modules load on the first solve, not on import,
-    and a stand-in patched onto the module before that solve is kept
+    and a stand-in patched onto the module before that solve is kept;
+    PyYAML loads with the first scenario file, not on import
 """
 
 import json
@@ -87,6 +89,7 @@ def test_minimize_single_variable_lp():
     assert sol.status is Status.OPTIMAL
     assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
     assert sol.value(x) == pytest.approx(3.0, abs=1e-9)
+    assert sol.mip_node_count is None  # linprog does not branch
 
 
 def test_lp_with_equality_row():
@@ -125,6 +128,7 @@ def test_small_knapsack_hits_integer_optimum():
     assert sol.value(a) == pytest.approx(0.0, abs=1e-6)
     assert sol.value(b) == pytest.approx(1.0, abs=1e-6)
     assert sol.value(c) == pytest.approx(1.0, abs=1e-6)
+    assert isinstance(sol.mip_node_count, int) and sol.mip_node_count >= 0
 
 
 def test_binary_equality_row():
@@ -206,8 +210,12 @@ def _market_split():
 def test_node_budget_reports_resource_limit():
     sol = solve(_market_split(), SolveLimits(max_nodes=1))
     assert sol.status is Status.RESOURCE_LIMIT
-    # same model solves fine without the artificial cap
-    assert solve(_market_split()).status is Status.OPTIMAL
+    # same model solves fine without the artificial cap, and only by
+    # branching: a HiGHS that closed it at the root would leave the one-node
+    # budget nothing to bind, and this test nothing to check
+    uncapped = solve(_market_split())
+    assert uncapped.status is Status.OPTIMAL
+    assert uncapped.mip_node_count > 1, f"market split closed in {uncapped.mip_node_count} node(s)"
 
 
 def test_iteration_budget_reports_resource_limit():
@@ -407,11 +415,13 @@ import qostopo.milp
 from qostopo import MilpModel, NetworkModel, Request, Status, generate_scenario, load_scenario, solve, solve_load_lp
 from qostopo.cli import main
 seen["import"] = scipy_loaded()
+seen["yaml_on_import"] = "yaml" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     seen["help_exit"] = main(["--help"])
     seen["usage_exit"] = main([])
 seen["cli"] = scipy_loaded()
 scenario = load_scenario(sys.argv[1])
+seen["yaml_on_load"] = "yaml" in sys.modules
 generate_scenario(scenario.params)
 seen["scenario"] = scipy_loaded()
 
@@ -449,6 +459,7 @@ def test_scipy_loads_on_first_solve_and_keeps_patched_names():
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen["import"] == seen["cli"] == seen["scenario"] == []
+    assert not seen["yaml_on_import"] and seen["yaml_on_load"]
     assert (seen["help_exit"], seen["usage_exit"]) == (0, 1)
     assert seen["load_lp_utilization"] == pytest.approx(0.16, abs=1e-9)
     assert seen["first_solve"] == ["scipy.optimize", "scipy.sparse"]
