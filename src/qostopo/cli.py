@@ -12,6 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -63,30 +64,8 @@ def format_run_table(params: ScenarioParams, report: RunReport) -> str:
 def report_to_json(params: ScenarioParams, report: RunReport) -> str:
     """Machine-readable run report; floats survive a round-trip exactly."""
     doc = {
-        "params": {
-            "node_count": params.node_count,
-            "region": list(params.region),
-            "path_loss_exponent": params.path_loss_exponent,
-            "max_power": params.max_power,
-            "bandwidth": params.bandwidth,
-            "request_rate": params.request_rate,
-            "mean_demand": params.mean_demand,
-            "hop_bound": params.hop_bound,
-            "threshold": params.threshold,
-            "seed": params.seed,
-        },
-        "outcomes": [
-            {
-                "index": row.index,
-                "demand": row.demand,
-                "sender": row.sender,
-                "receiver": row.receiver,
-                "path": row.path,
-                "max_energy": row.max_energy,
-                "resource_limited": row.resource_limited,
-            }
-            for row in report.request_table
-        ],
+        "params": dataclasses.asdict(params),
+        "outcomes": [dataclasses.asdict(row) for row in report.request_table],
         "lost_count": report.lost_count,
         "variance": report.variance,
         "total_energy": report.total_energy,
@@ -96,41 +75,11 @@ def report_to_json(params: ScenarioParams, report: RunReport) -> str:
 
 
 def report_from_json(text: str) -> tuple[ScenarioParams, RunReport]:
-    """Rebuild the parameters and report written by :func:`report_to_json`."""
+    """Rebuild what :func:`report_to_json` wrote; the derived totals are not read back."""
     doc = json.loads(text)
-    p = doc["params"]
-    params = ScenarioParams(
-        node_count=p["node_count"],
-        region=(p["region"][0], p["region"][1]),
-        path_loss_exponent=p["path_loss_exponent"],
-        max_power=p["max_power"],
-        bandwidth=p["bandwidth"],
-        request_rate=p["request_rate"],
-        mean_demand=p["mean_demand"],
-        hop_bound=p["hop_bound"],
-        threshold=p["threshold"],
-        seed=p["seed"],
-    )
-    table = [
-        RequestOutcome(
-            index=o["index"],
-            demand=o["demand"],
-            sender=o["sender"],
-            receiver=o["receiver"],
-            path=o["path"],
-            max_energy=o["max_energy"],
-            resource_limited=o["resource_limited"],
-        )
-        for o in doc["outcomes"]
-    ]
-    report = RunReport(
-        request_table=table,
-        lost_count=doc["lost_count"],
-        variance=doc["variance"],
-        total_energy=doc["total_energy"],
-        final_ledger=EnergyLedger(doc["final_ledger"]),
-    )
-    return params, report
+    params = ScenarioParams(**{**doc["params"], "region": tuple(doc["params"]["region"])})
+    table = [RequestOutcome(**o) for o in doc["outcomes"]]
+    return params, RunReport(table, EnergyLedger(doc["final_ledger"]))
 
 
 def _csv_value(value: float | None) -> str:

@@ -315,14 +315,13 @@ def solve_load_lp(
         raise ValidationError("load LP solution failed re-check: " + "; ".join(problems))
 
     n = net.node_count
-    commodities = _merge_commodities(reqs)
+    m = n * (n - 1)
+    # a row-major boolean mask visits the off-diagonal cells in _ordered_pairs order
+    off_diagonal = ~np.eye(n, dtype=bool)
     flows: dict[tuple[int, int], np.ndarray] = {}
-    offset = 1
-    for s, d, _ in commodities:
+    for c, (s, d, _) in enumerate(_merge_commodities(reqs)):
         mat = np.zeros((n, n))
-        for (i, j) in _ordered_pairs(n):
-            mat[i, j] = sol.values[offset]
-            offset += 1
+        mat[off_diagonal] = sol.values[1 + c * m : 1 + (c + 1) * m]
         flows[(s, d)] = mat
     return LoadLpResult(max_utilization=float(sol.values[0]), flows=flows)
 
@@ -361,13 +360,15 @@ def build_topology_milp(
     (its open outgoing arcs' energies summed stay below the cap) and
     out-degree <= 1, both skipped for a node with no open outgoing arc
     (such as the receiver), in-degree <= 1, skipped for a node with no open
-    incoming arc (such as the sender), and unit route conservation; then
+    incoming arc (such as the sender), and unit route conservation, skipped
+    for a node with no open arc unless it is the request's sender or
+    receiver, whose empty row makes the model infeasible; then
     per open arc (i, j) the order row ``u_j - u_i - (H+1) x_ij >= -H``, so
     that every arc used climbs at least one step and no cycle survives.
-    After the requests: a per-node bandwidth row and, when ``threshold`` is
-    not None, a per-node fairness row keeping cumulative consumption
-    (ledger plus the energy the candidate routes add) within ``threshold``
-    of the network average; both range over open arcs only. The
+    After the requests: a bandwidth row per node with an open arc and, when
+    ``threshold`` is not None, a per-node fairness row keeping cumulative
+    consumption (ledger plus the energy the candidate routes add) within
+    ``threshold`` of the network average; both range over open arcs only. The
     order rows alone imply the hop bound and the degree rows; the hop and
     degree rows stay as cuts that tighten the LP relaxation. Links need no
     variables: their closure never costs more than the costliest arc
@@ -419,12 +420,15 @@ def build_topology_milp(
             if into[v]:
                 model.add_constraint({x[pair]: 1.0 for pair in into[v]}, "<=", 1.0)
             rhs = 1.0 if v == req.sender else -1.0 if v == req.receiver else 0.0
-            model.add_constraint({**{x[pair]: 1.0 for pair in out[v]}, **{x[pair]: -1.0 for pair in into[v]}}, "=", rhs)
+            if out[v] or into[v] or rhs:
+                flow = {**{x[pair]: 1.0 for pair in out[v]}, **{x[pair]: -1.0 for pair in into[v]}}
+                model.add_constraint(flow, "=", rhs)
         for i, j in open_arcs[r]:
             model.add_constraint({u[j]: 1.0, u[i]: -1.0, x[(i, j)]: -(hops + 1.0)}, ">=", -hops)
 
     for coeffs in load:
-        model.add_constraint(coeffs, "<=", net.bandwidth)
+        if coeffs:
+            model.add_constraint(coeffs, "<=", net.bandwidth)
 
     if threshold is not None:
         mean_consumed = ledger.average()

@@ -55,14 +55,12 @@ class NetworkModel:
             raise ValueError("bandwidth must be positive and finite")
         if not (math.isfinite(self.path_loss_exponent) and self.path_loss_exponent > 0):
             raise ValueError("path_loss_exponent must be positive and finite")
-        arr = np.asarray(pts, dtype=float)
-        diff = arr[:, None, :] - arr[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
-        n = len(pts)
-        off_diag = ~np.eye(n, dtype=bool)
-        if np.any(dist[off_diag] == 0.0):
-            i, j = np.argwhere((dist == 0.0) & off_diag)[0]
-            raise ValueError(f"nodes {i} and {j} share identical coordinates")
+        # float equality (and hashing) treats -0.0 as 0.0, as distance does
+        first: dict[tuple[float, float], int] = {}
+        for j, p in enumerate(pts):
+            i = first.setdefault(p, j)
+            if i != j:
+                raise ValueError(f"nodes {i} and {j} share identical coordinates")
 
     @property
     def node_count(self) -> int:

@@ -103,13 +103,25 @@ class RequestOutcome:
 
 @dataclass
 class RunReport:
-    """Outcome of one sequential run over a whole request set."""
+    """Outcome of one sequential run over a whole request set.
+
+    The totals are derived from ``request_table`` and ``final_ledger``.
+    """
 
     request_table: list[RequestOutcome]
-    lost_count: int
-    variance: float
-    total_energy: float
     final_ledger: EnergyLedger
+
+    @property
+    def lost_count(self) -> int:
+        return sum(row.lost for row in self.request_table)
+
+    @property
+    def variance(self) -> float:
+        return variance_of(self.final_ledger)
+
+    @property
+    def total_energy(self) -> float:
+        return self.final_ledger.total()
 
 
 @dataclass(frozen=True)
@@ -231,12 +243,10 @@ def run(
     net, reqs = generate_scenario(params, network=network, requests=requests)
     ledger = EnergyLedger.empty(net.node_count)
     table: list[RequestOutcome] = []
-    lost = 0
     for index, req in enumerate(reqs, start=1):
         sol = solve_single_request(net, req, ledger, params.threshold)
         path = sol.routes[0]
         if path is None:
-            lost += 1
             table.append(
                 RequestOutcome(
                     index, req.demand, req.sender, req.receiver,
@@ -248,13 +258,7 @@ def run(
         table.append(
             RequestOutcome(index, req.demand, req.sender, req.receiver, list(path), sol.max_energy)
         )
-    return RunReport(
-        request_table=table,
-        lost_count=lost,
-        variance=variance_of(ledger),
-        total_energy=ledger.total(),
-        final_ledger=ledger,
-    )
+    return RunReport(request_table=table, final_ledger=ledger)
 
 
 def _axis_key(value: float | None) -> float:

@@ -1,6 +1,6 @@
 """Command-line interface proofs.
 
-1. `run` writes and prints the routing table byte-for-byte, plus a JSON
+1. `run` writes and prints the routing table byte-for-byte, plus a golden JSON
    report that round-trips to the exact in-memory objects; file descriptor 1
    carries the table (and `loadcheck` its summary) and nothing else, both
    against stand-in solvers that write to it and on a thresholded scenario
@@ -38,6 +38,89 @@ LINE3_TABLE = (
     "Req. # | λ_{s,d} | Sender | Receiver | Routing Path\n"
     "1 | 2 | 0 | 2 | 0 → 1 → 2\n"
 )
+
+LINE3_REPORT = """\
+{
+  "final_ledger": [
+    2.0,
+    2.0,
+    0.0
+  ],
+  "lost_count": 0,
+  "outcomes": [
+    {
+      "demand": 2.0,
+      "index": 1,
+      "max_energy": 1.0,
+      "path": [
+        0,
+        1,
+        2
+      ],
+      "receiver": 2,
+      "resource_limited": false,
+      "sender": 0
+    }
+  ],
+  "params": {
+    "bandwidth": 50.0,
+    "hop_bound": 3,
+    "max_power": 10.0,
+    "mean_demand": 2.0,
+    "node_count": 3,
+    "path_loss_exponent": 2.0,
+    "region": [
+      10.0,
+      10.0
+    ],
+    "request_rate": 1.0,
+    "seed": 0,
+    "threshold": null
+  },
+  "total_energy": 4.0,
+  "variance": 0.05555555555555556
+}
+"""
+
+# line3.yaml with `threshold: 0`: the only request is lost
+LINE3_LOST_REPORT = """\
+{
+  "final_ledger": [
+    0.0,
+    0.0,
+    0.0
+  ],
+  "lost_count": 1,
+  "outcomes": [
+    {
+      "demand": 2.0,
+      "index": 1,
+      "max_energy": null,
+      "path": null,
+      "receiver": 2,
+      "resource_limited": false,
+      "sender": 0
+    }
+  ],
+  "params": {
+    "bandwidth": 50.0,
+    "hop_bound": 3,
+    "max_power": 10.0,
+    "mean_demand": 2.0,
+    "node_count": 3,
+    "path_loss_exponent": 2.0,
+    "region": [
+      10.0,
+      10.0
+    ],
+    "request_rate": 1.0,
+    "seed": 0,
+    "threshold": 0.0
+  },
+  "total_energy": 0.0,
+  "variance": 0.0
+}
+"""
 
 LINE3_SWEEP_CSV = (
     "axis_value,variance_mean,lost_mean,total_energy_mean,replications\n"
@@ -121,6 +204,20 @@ def test_run_writes_only_the_table_to_fd_1(tmp_path, capfd, monkeypatch):
     assert capfd.readouterr().out == table
 
 
+def test_run_golden_json_report(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(LINE3), "--out", str(out)]) == 0
+    assert (out / REPORT_FILENAME).read_bytes() == LINE3_REPORT.encode()
+
+    lost = tmp_path / "lost.yaml"
+    lost.write_text(LINE3.read_text().replace("threshold: null", "threshold: 0"))
+    assert main(["run", "--scenario", str(lost), "--out", str(tmp_path / "lost")]) == 0
+    assert (tmp_path / "lost" / REPORT_FILENAME).read_bytes() == LINE3_LOST_REPORT.encode()
+    # the loader keeps every byte, nulls included
+    for golden in (LINE3_REPORT, LINE3_LOST_REPORT):
+        assert report_to_json(*report_from_json(golden)) == golden
+
+
 def test_run_json_report_round_trips(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(LINE3), "--out", str(out)]) == 0
@@ -187,9 +284,12 @@ def test_sweep_lambda_writes_axis_named_file(tmp_path):
         "--axis", "lambda", "--values", "2,1", "--replications", "1",
     ]
     assert main(argv) == 0
-    lines = (out / "sweep_lambda.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "axis_value,variance_mean,lost_mean,total_energy_mean,replications"
-    assert [row.split(",")[0] for row in lines[1:]] == ["1.0", "2.0"]
+    # line3.yaml scripts its request, so only the sorted axis column moves
+    assert (out / "sweep_lambda.csv").read_text(encoding="utf-8") == (
+        "axis_value,variance_mean,lost_mean,total_energy_mean,replications\n"
+        "1.0,0.05555555555555556,0.0,4.0,1\n"
+        "2.0,0.05555555555555556,0.0,4.0,1\n"
+    )
 
 
 def test_sweep_replications_default_comes_from_the_file(tmp_path, capsys):

@@ -7,7 +7,8 @@
    routing, link sets, per-node energy commitments; the model holds the
    cap, route arcs and order variables only, and the cheapest one- or
    two-hop route that meets every row with room to spare bounds the cap
-   and closes every dearer arc
+   and closes every dearer arc; a node with no open arc gets no rows, and
+   the only empty rows kept are unsatisfiable (an isolated endpoint)
 4. infeasible requests come back as lost outcomes, not exceptions
 5. fairness threshold: binding and slack cases, ledger left untouched
 6. decode-time re-verification: a planted violation of each structural rule
@@ -309,9 +310,10 @@ def test_topology_model_holds_route_arcs_only(count, threshold):
     # the sender, leaves the receiver or costs more than the cap's bound),
     # then n order variables per request; per request a hop row, a cap and
     # an out-degree row per node with an open out-arc, an in-degree row per
-    # node with an open in-arc, n conservation rows and one order row per
-    # open arc, then n bandwidth rows and, with a threshold, n fairness
-    # rows -- no link block
+    # node with an open in-arc, a conservation row per endpoint and per node
+    # with an open arc, and one order row per open arc, then a bandwidth row
+    # per node with an open arc of any request and, with a threshold, n
+    # fairness rows -- no link block
     from qostopo.formulation import _ordered_pairs
 
     n = 5
@@ -339,11 +341,58 @@ def test_topology_model_holds_route_arcs_only(count, threshold):
         base = 1 + count * arcs + n * r
         want = [(0.0, 0.0 if v == req.sender else float(req.hop_bound)) for v in range(n)]
         assert bounds[base:base + n] == want
+    tails = [{i for i, _ in live} for live in open_arcs]
+    heads = [{j for _, j in live} for live in open_arcs]
     per_request = sum(
-        1 + 2 * len({i for i, _ in live}) + len({j for _, j in live}) + n + len(live) for live in open_arcs
+        1 + 2 * len(tails[r]) + len(heads[r]) + len(tails[r] | heads[r] | {req.sender, req.receiver})
+        + len(open_arcs[r])
+        for r, req in enumerate(reqs)
     )
+    bandwidth_rows = len(set().union(*tails, *heads))
     fairness_rows = 0 if threshold is None else n
-    assert model.num_constraints == per_request + n + fairness_rows
+    assert model.num_constraints == per_request + bandwidth_rows + fairness_rows
+    assert_empty_rows_unsatisfiable(model)
+
+
+def assert_empty_rows_unsatisfiable(model):
+    # a row with no coefficients reads "0 <sense> rhs"; the builder keeps one
+    # only when that is false, i.e. when it makes the model infeasible
+    for row in model.constraints:
+        if not row.coefficients:
+            assert {"<=": row.rhs < 0, ">=": row.rhs > 0, "=": row.rhs != 0}[row.sense], row
+
+
+def test_topology_model_skips_rows_of_a_node_with_no_open_arc():
+    # node 3 sits 50 units off the line: every arc at it costs over max_power,
+    # so it gets no cap, degree, conservation or bandwidth row
+    net = NetworkModel(
+        np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [50.0, 0.0]]), max_power=10.0, bandwidth=50.0
+    )
+    req = Request(0, 2, 2.0, 3)
+    model = build_topology_milp(net, [req], EnergyLedger.empty(4), None)
+    assert_empty_rows_unsatisfiable(model)
+    # the relay route 0-1-2 bounds the cap at 1, leaving open only 0->1 and
+    # 1->2: a hop row, cap and out-degree rows at 0 and 1, in-degree rows at
+    # 1 and 2, conservation at 0, 1 and 2, two order rows, bandwidth at 0, 1, 2
+    assert model.binary_ids == [1 + formulation._ordered_pairs(4).index(pair) for pair in [(0, 1), (1, 2)]]
+    assert model.num_constraints == 1 + 4 + 2 + 3 + 2 + 3
+    sol = solve_single_request(net, req, EnergyLedger.empty(4), None)
+    assert sol.routes == [[0, 1, 2]]
+    assert sol.node_energy == pytest.approx([2.0, 2.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("sender, receiver", [(0, 2), (2, 0)])
+def test_isolated_endpoint_is_lost(sender, receiver):
+    # node 0 is 10 units from the others and max_power is 10: its arcs are all
+    # closed, and its empty conservation row (right-hand side +-1) is kept
+    net = NetworkModel(np.array([[0.0, 0.0], [10.0, 0.0], [11.0, 0.0]]), max_power=10.0, bandwidth=50.0)
+    req = Request(sender, receiver, 1.0, 2)
+    model = build_topology_milp(net, [req], EnergyLedger.empty(3), None)
+    assert_empty_rows_unsatisfiable(model)
+    assert any(not row.coefficients for row in model.constraints)
+    assert solve(model).status is Status.INFEASIBLE
+    sol = solve_single_request(net, req, EnergyLedger.empty(3), None)
+    assert sol.lost and not sol.resource_limited
 
 
 @pytest.mark.parametrize(

@@ -55,8 +55,11 @@ def test_energy_matrix_matches_pairwise_formula():
 def test_construction_rejections():
     with pytest.raises(ValueError):
         NetworkModel(np.array([[0.0, 0.0]]), max_power=1.0, bandwidth=1.0)
-    with pytest.raises(ValueError):
-        NetworkModel(np.array([[1.0, 2.0], [1.0, 2.0]]), max_power=1.0, bandwidth=1.0)
+    with pytest.raises(ValueError, match="nodes 1 and 3 share identical coordinates"):
+        NetworkModel([(0.0, 0.0), (1.0, 2.0), (5.0, 5.0), (1.0, 2.0)], max_power=1.0, bandwidth=1.0)
+    # -0.0 and 0.0 are one coordinate: the two nodes are zero apart
+    with pytest.raises(ValueError, match="nodes 0 and 1 share identical coordinates"):
+        NetworkModel(np.array([[0.0, 1.0], [-0.0, 1.0]]), max_power=1.0, bandwidth=1.0)
     with pytest.raises(ValueError):
         line3(max_power=0.0)
     with pytest.raises(ValueError):
