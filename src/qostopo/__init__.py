@@ -13,7 +13,6 @@ from .network import NetworkModel, symmetric_closure
 from .milp import (
     FEASIBILITY_TOL,
     INTEGRALITY_TOL,
-    OBJECTIVE_TOL,
     MilpModel,
     ModelError,
     Solution,
@@ -58,7 +57,6 @@ __all__ = [
     "symmetric_closure",
     "FEASIBILITY_TOL",
     "INTEGRALITY_TOL",
-    "OBJECTIVE_TOL",
     "MilpModel",
     "ModelError",
     "Solution",

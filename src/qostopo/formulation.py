@@ -1,27 +1,26 @@
 """Optimization models for load balancing and energy-aware topology control.
 
-Two models over a :class:`~qostopo.network.NetworkModel` and a set of
-traffic requests:
+Two models over a :class:`~qostopo.network.NetworkModel`:
 
-* a load-balancing LP that routes every demand fractionally over all node
-  pairs and minimizes the worst per-node bandwidth utilization (a node's
-  channel is occupied by the flow it forwards in either direction plus the
-  demand it originates or terminates);
-* a topology-control MILP over route arcs that picks one unsplittable
-  route per request and minimizes the maximum per-link transmission energy
-  subject to per-request hop bounds, per-node bandwidth, and — optionally —
-  an energy-fairness cap that keeps every node's cumulative consumption
-  within a threshold of the network average (counting the energy the
-  candidate routes would add). Miller-Tucker-Zemlin order variables forbid
-  cycles, so each request's route is one simple path and the energy the
-  fairness row counts is exactly the energy the route commits. For a single
-  request the direct link and every two-hop route through a relay are
-  checked in closed form first; the cheapest one that meets every row
-  bounds the cap, and arcs dearer than that bound are fixed at 0, which
-  shrinks the model without removing any optimal route. The enabled
-  links are the routes' minimal closure under link symmetry and the
-  broadcast property (reaching a node implies reaching every closer node);
-  it never costs more than the costliest arc, so it cannot move the cap.
+* a load-balancing LP that routes a set of demands fractionally over all
+  node pairs and minimizes the worst per-node bandwidth utilization (a
+  node's channel is occupied by the flow it forwards in either direction
+  plus the demand it originates or terminates);
+* a topology-control MILP over route arcs that admits one request: it
+  picks one unsplittable route and minimizes the maximum per-link
+  transmission energy subject to the hop bound, per-node bandwidth, and —
+  optionally — an energy-fairness cap that keeps every node's cumulative
+  consumption within a threshold of the network average (counting the
+  energy the candidate route would add). Miller-Tucker-Zemlin order
+  variables forbid cycles, so the route is one simple path and the energy
+  the fairness row counts is exactly the energy the route commits. The
+  direct link and every two-hop route through a relay are checked in closed
+  form first; the cheapest one that meets every row bounds the cap, and
+  arcs dearer than that bound are fixed at 0, which shrinks the model
+  without removing any optimal route. The enabled links are the route's
+  minimal closure under link symmetry and the broadcast property (reaching
+  a node implies reaching every closer node); it never costs more than the
+  costliest arc, so it cannot move the cap.
 
 Solver output is decoded into plain topologies and node paths and then
 re-validated from scratch against every constraint; an arc set that is not
@@ -180,10 +179,11 @@ class TopologySolution:
     """Decoded topology MILP output.
 
     ``links`` holds the enabled directed links — the minimal symmetric
-    broadcast closure of the routes' arcs — ``routes`` one node path per
-    request (``None`` when the request is lost), ``node_energy`` the
-    incremental transmission energy each node commits for these routes, and
-    ``max_energy`` the minimized per-link transmission-energy cap.
+    broadcast closure of the route's arcs — ``routes`` a one-element list
+    holding the request's node path (``None`` when the request is lost),
+    ``node_energy`` the incremental transmission energy each node commits
+    for that route, and ``max_energy`` the minimized per-link
+    transmission-energy cap.
     ``resource_limited`` distinguishes a loss forced by a solver budget from
     a genuinely infeasible request.
     """
@@ -218,6 +218,13 @@ def _check_requests(net: NetworkModel, requests: Iterable[Request]) -> list[Requ
         if not (0 <= r.sender < n and 0 <= r.receiver < n):
             raise ModelError(f"request endpoints ({r.sender}, {r.receiver}) outside 0..{n - 1}")
     return reqs
+
+
+def _single_request(net: NetworkModel, requests: Iterable[Request]) -> Request:
+    reqs = _check_requests(net, requests)
+    if len(reqs) != 1:
+        raise ModelError(f"the topology model routes exactly one request, got {len(reqs)}")
+    return reqs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,43 +345,43 @@ def build_topology_milp(
 ) -> MilpModel:
     """Build the MILP minimizing the maximum per-link transmission energy.
 
-    Its only integer points are one simple sender-to-receiver path per
-    request within the hop bound. Variables: the energy cap, continuous in
-    [0, bound]; per request one route-arc indicator per ordered node pair;
-    then per request one Miller-Tucker-Zemlin order variable per node, in
-    [0, H] for hop bound H and fixed at 0 for the sender. The layout is
-    ``1 + R * n(n-1) + R * n``. An arc is open (binary) unless it enters
-    the sender, leaves the receiver or costs more than the bound; closed
-    arcs are continuous and fixed at 0.
+    ``requests`` must hold exactly one request (else :class:`ModelError`);
+    the model's only integer points are its simple sender-to-receiver paths
+    within the hop bound. Variables: the energy cap, continuous in
+    [0, bound]; one route-arc indicator per ordered node pair; then one
+    Miller-Tucker-Zemlin order variable per node, in [0, H] for hop bound H
+    and fixed at 0 for the sender. The layout is ``1 + n(n-1) + n``. An arc
+    is open (binary) unless it enters the sender, leaves the receiver or
+    costs more than the bound; closed arcs are continuous and fixed at 0.
 
-    For a single request the bound is the costliest arc of the cheapest
-    one- or two-hop route (the direct link, or sender-relay-receiver over
-    any relay) that meets every row below by at least the re-check
-    tolerance: the hop bound, ``max_power``, bandwidth (the demand at each
-    endpoint, twice the demand at the relay) and, with a threshold, the
-    fairness row in closed form. Without such a route, and for several
-    requests, the bound is ``max_power``. Such a route is feasible, so the
-    optimal cap is at most the bound and every optimal route survives.
+    The bound is the costliest arc of the cheapest one- or two-hop route
+    (the direct link, or sender-relay-receiver over any relay) that meets
+    every row below by at least the re-check tolerance: the hop bound,
+    ``max_power``, bandwidth (the demand at each endpoint, twice the demand
+    at the relay) and, with a threshold, the fairness row in closed form.
+    Without such a route the bound is ``max_power``. Such a route is
+    feasible, so the optimal cap is at most the bound and every optimal
+    route survives.
 
-    Rows, in order, per request: a hop-count row; then per node a cap row
-    (its open outgoing arcs' energies summed stay below the cap) and
-    out-degree <= 1, both skipped for a node with no open outgoing arc
-    (such as the receiver), in-degree <= 1, skipped for a node with no open
-    incoming arc (such as the sender), and unit route conservation, skipped
-    for a node with no open arc unless it is the request's sender or
-    receiver, whose empty row makes the model infeasible; then
-    per open arc (i, j) the order row ``u_j - u_i - (H+1) x_ij >= -H``, so
-    that every arc used climbs at least one step and no cycle survives.
-    After the requests: a bandwidth row per node with an open arc and, when
-    ``threshold`` is not None, a per-node fairness row keeping cumulative
-    consumption (ledger plus the energy the candidate routes add) within
-    ``threshold`` of the network average; both range over open arcs only. The
-    order rows alone imply the hop bound and the degree rows; the hop and
-    degree rows stay as cuts that tighten the LP relaxation. Links need no
-    variables: their closure never costs more than the costliest arc
+    Rows, in order: a hop-count row; then per node a cap row (its open
+    outgoing arcs' energies summed stay below the cap) and out-degree <= 1,
+    both skipped for a node with no open outgoing arc (such as the
+    receiver), in-degree <= 1, skipped for a node with no open incoming arc
+    (such as the sender), and unit route conservation, skipped for a node
+    with no open arc unless it is the sender or the receiver, whose empty
+    row makes the model infeasible; then per open arc (i, j) the order row
+    ``u_j - u_i - (H+1) x_ij >= -H``, so that every arc used climbs at least
+    one step and no cycle survives; then a bandwidth row per node with an
+    open arc and, when ``threshold`` is not None, a per-node fairness row
+    keeping cumulative consumption (ledger plus the energy the route adds)
+    within ``threshold`` of the network average. Hop and fairness rows range
+    over open arcs only and are left out when no arc is open. The order rows
+    alone imply the hop bound and the degree rows; the hop and degree rows
+    stay as cuts that tighten the LP relaxation. Links need no variables:
+    their closure never costs more than the costliest arc
     (:meth:`NetworkModel.broadcast_closure`).
     """
-    reqs = _check_requests(net, requests)
+    req = _single_request(net, requests)
     n = net.node_count
     if ledger.node_count != n:
         raise ModelError(f"ledger covers {ledger.node_count} nodes, network has {n}")
@@ -383,76 +390,60 @@ def build_topology_milp(
 
     pairs = _ordered_pairs(n)
     energy = net.energy_matrix
-    bound = _cap_bound(net, reqs[0], ledger, threshold) if len(reqs) == 1 else net.max_power
+    bound = _cap_bound(net, req, ledger, threshold)
+    hops = float(req.hop_bound)
 
     model = MilpModel()
     cap = model.add_continuous(0.0, bound)
     model.set_objective({cap: 1.0})
     # No simple path enters its sender or leaves its receiver, and no optimal
     # route uses an arc dearer than a route known to be feasible.
-    open_arcs = [
-        [(i, j) for i, j in pairs if j != req.sender and i != req.receiver and energy[i, j] <= bound]
-        for req in reqs
-    ]
-    arc = [
-        {pair: model.add_binary() if pair in live else model.add_continuous(0.0, 0.0) for pair in pairs}
-        for live in map(set, open_arcs)
-    ]
-    order = [
-        [model.add_continuous(0.0, 0.0 if v == req.sender else float(req.hop_bound)) for v in range(n)]
-        for req in reqs
-    ]
+    open_arcs = [(i, j) for i, j in pairs if j != req.sender and i != req.receiver and energy[i, j] <= bound]
+    live = set(open_arcs)
+    x = {pair: model.add_binary() if pair in live else model.add_continuous(0.0, 0.0) for pair in pairs}
+    u = [model.add_continuous(0.0, 0.0 if v == req.sender else hops) for v in range(n)]
 
-    load: list[dict[int, float]] = [{} for _ in range(n)]
-    for r, req in enumerate(reqs):
-        x, u, hops = arc[r], order[r], float(req.hop_bound)
-        out = [[] for _ in range(n)]
-        into = [[] for _ in range(n)]
-        for i, j in open_arcs[r]:
-            out[i].append((i, j))
-            into[j].append((i, j))
-            load[i][x[(i, j)]] = load[j][x[(i, j)]] = req.demand
-        model.add_constraint({x[pair]: 1.0 for pair in open_arcs[r]}, "<=", hops)
-        for v in range(n):
-            if out[v]:
-                model.add_constraint({**{x[pair]: energy[pair] for pair in out[v]}, cap: -1.0}, "<=", 0.0)
-                model.add_constraint({x[pair]: 1.0 for pair in out[v]}, "<=", 1.0)
-            if into[v]:
-                model.add_constraint({x[pair]: 1.0 for pair in into[v]}, "<=", 1.0)
-            rhs = 1.0 if v == req.sender else -1.0 if v == req.receiver else 0.0
-            if out[v] or into[v] or rhs:
-                flow = {**{x[pair]: 1.0 for pair in out[v]}, **{x[pair]: -1.0 for pair in into[v]}}
-                model.add_constraint(flow, "=", rhs)
-        for i, j in open_arcs[r]:
-            model.add_constraint({u[j]: 1.0, u[i]: -1.0, x[(i, j)]: -(hops + 1.0)}, ">=", -hops)
+    out = [[] for _ in range(n)]
+    into = [[] for _ in range(n)]
+    for i, j in open_arcs:
+        out[i].append((i, j))
+        into[j].append((i, j))
+    if open_arcs:
+        model.add_constraint({x[pair]: 1.0 for pair in open_arcs}, "<=", hops)
+    for v in range(n):
+        if out[v]:
+            model.add_constraint({**{x[pair]: energy[pair] for pair in out[v]}, cap: -1.0}, "<=", 0.0)
+            model.add_constraint({x[pair]: 1.0 for pair in out[v]}, "<=", 1.0)
+        if into[v]:
+            model.add_constraint({x[pair]: 1.0 for pair in into[v]}, "<=", 1.0)
+        rhs = 1.0 if v == req.sender else -1.0 if v == req.receiver else 0.0
+        if out[v] or into[v] or rhs:
+            flow = {**{x[pair]: 1.0 for pair in out[v]}, **{x[pair]: -1.0 for pair in into[v]}}
+            model.add_constraint(flow, "=", rhs)
+    for i, j in open_arcs:
+        model.add_constraint({u[j]: 1.0, u[i]: -1.0, x[(i, j)]: -(hops + 1.0)}, ">=", -hops)
 
-    for coeffs in load:
-        if coeffs:
-            model.add_constraint(coeffs, "<=", net.bandwidth)
+    for v in range(n):
+        if out[v] or into[v]:
+            model.add_constraint({x[pair]: req.demand for pair in sorted(out[v] + into[v])}, "<=", net.bandwidth)
 
-    if threshold is not None:
+    if threshold is not None and open_arcs:
         mean_consumed = ledger.average()
         for v in range(n):
             coeffs = {}
-            for r, req in enumerate(reqs):
-                for (i, j) in open_arcs[r]:
-                    weight = req.demand * energy[i, j]
-                    share = (1.0 if i == v else 0.0) - 1.0 / n
-                    coeffs[arc[r][(i, j)]] = coeffs.get(arc[r][(i, j)], 0.0) + weight * share
-            rhs = threshold - float(ledger.consumed[v]) + mean_consumed
-            model.add_constraint(coeffs, "<=", rhs)
+            for i, j in open_arcs:
+                share = (1.0 if i == v else 0.0) - 1.0 / n
+                coeffs[x[(i, j)]] = req.demand * energy[i, j] * share
+            model.add_constraint(coeffs, "<=", threshold - float(ledger.consumed[v]) + mean_consumed)
 
     return model
 
 
 def _cap_bound(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None) -> float:
-    """Costliest arc of the cheapest one- or two-hop route that meets every
-    row of the model by at least the decoder's tolerance, else ``max_power``.
-
-    The direct link and every two-hop route through a relay are candidates.
-    A counted route stays feasible in the model, so the optimal cap is at
-    most the returned bound and no arc dearer than it lies on an optimal
-    route.
+    """Costliest arc of the cheapest one- or two-hop route for ``req`` that
+    meets every row of its model by at least the decoder's tolerance, else
+    ``max_power``. A counted route stays feasible in the model, so no arc
+    dearer than the bound lies on an optimal route.
     """
     energy = net.energy_matrix
     s, d, demand = req.sender, req.receiver, req.demand
@@ -500,74 +491,66 @@ def decode_and_validate(
     threshold: float | None,
     raw: Solution,
 ) -> TopologySolution:
-    """Turn an optimal solver result into routes and links, then re-verify.
+    """Turn an optimal solver result into a route and links, then re-verify.
 
-    Each request's arcs must form exactly one simple path from its sender
-    to its receiver; anything else (a path plus a cycle, a broken walk) is
-    a violation. Every row is re-checked directly from the decoded arcs and
-    paths (not from solver values): the energy cap, the hop bound, exact
-    unit conservation, bandwidth, and the fairness row on the energy the
-    committed paths add, which is exactly what the ledger is charged. The
-    order variables only serve to exclude cycles and are not read.
-    ``links`` is the minimal symmetric broadcast closure of the route arcs.
-    Raises :class:`ValidationError` with all violations on failure.
+    ``requests`` must hold the one request the model was built for (else
+    :class:`ModelError`). Its route arcs must form exactly one simple path
+    from the sender to the receiver; anything else (a path plus a cycle, a
+    broken walk) is a violation. Every row is re-checked directly from the
+    decoded arcs and path (not from solver values): the energy cap, the hop
+    bound, exact unit conservation, bandwidth, and the fairness row on the
+    energy the committed path adds, which is exactly what the ledger is
+    charged. The order variables only serve to exclude cycles and are not
+    read. ``links`` is the minimal symmetric broadcast closure of the route
+    arcs. Raises :class:`ValidationError` with all violations on failure.
     """
     if raw.status is not Status.OPTIMAL:
         raise ValidationError(f"cannot decode a solution with status {raw.status.value}")
-    reqs = _check_requests(net, requests)
+    req = _single_request(net, requests)
     n = net.node_count
     pairs = _ordered_pairs(n)
     m = len(pairs)
     values = raw.values
-    arc_end = 1 + m * len(reqs)
-    if values is None or values.shape != (arc_end + n * len(reqs),):
+    if values is None or values.shape != (1 + m + n,):
         raise ValidationError("solution vector does not match the model layout")
 
     problems: list[str] = []
-    for idx in range(1, arc_end):
+    for idx in range(1, 1 + m):
         if min(abs(values[idx]), abs(values[idx] - 1.0)) > INTEGRALITY_TOL:
             problems.append(f"indicator variable {idx} = {values[idx]} is not integral")
     if problems:
         raise ValidationError("; ".join(problems))
 
     raw_cap = float(values[0])
-    route_arcs = []
-    for r in range(len(reqs)):
-        base = 1 + m * r
-        route_arcs.append({pair for k, pair in enumerate(pairs) if values[base + k] > 0.5})
-    all_arcs = set().union(*route_arcs)
+    arcs = {pair for k, pair in enumerate(pairs) if values[1 + k] > 0.5}
 
     energy = net.energy_matrix
 
     # Report the energy cap recomputed exactly from the route arcs; the
     # solver's own objective value may sit a rounding error away. Tolerances
     # on re-checks with energy-scaled coefficients are relative to that scale.
-    cap = max((float(energy[i, j]) for i, j in all_arcs), default=0.0)
+    cap = max((float(energy[i, j]) for i, j in arcs), default=0.0)
     if abs(raw_cap - cap) > FEASIBILITY_TOL * max(1.0, cap):
         problems.append(f"solver cap {raw_cap} does not match the route arcs (need {cap})")
     if cap > net.max_power + FEASIBILITY_TOL * max(1.0, net.max_power):
         problems.append(f"energy cap {cap} exceeds the power limit {net.max_power}")
 
-    routes: list[list[int] | None] = []
+    if len(arcs) > req.hop_bound:
+        problems.append(f"{len(arcs)} route arcs exceed the hop bound {req.hop_bound}")
+    balance = np.zeros(n, dtype=int)
+    for i, j in arcs:
+        balance[i] += 1
+        balance[j] -= 1
+    for v in range(n):
+        want = 1 if v == req.sender else -1 if v == req.receiver else 0
+        if balance[v] != want:
+            problems.append(f"node {v} route balance {balance[v]} != {want}")
     increments = np.zeros(n)
     occupancy = np.zeros(n)
-    for r, req in enumerate(reqs):
-        arcs = route_arcs[r]
-        if len(arcs) > req.hop_bound:
-            problems.append(f"request {r}: {len(arcs)} route arcs exceed the hop bound {req.hop_bound}")
-        balance = np.zeros(n, dtype=int)
-        for i, j in arcs:
-            balance[i] += 1
-            balance[j] -= 1
-        for v in range(n):
-            want = 1 if v == req.sender else -1 if v == req.receiver else 0
-            if balance[v] != want:
-                problems.append(f"request {r}: node {v} route balance {balance[v]} != {want}")
-        path = _simple_path(arcs, req.sender, req.receiver)
-        routes.append(path)
-        if path is None:
-            problems.append(f"request {r}: route arcs are not one simple path from {req.sender} to {req.receiver}")
-            continue
+    path = _simple_path(arcs, req.sender, req.receiver)
+    if path is None:
+        problems.append(f"route arcs are not one simple path from {req.sender} to {req.receiver}")
+    else:
         for i, j in zip(path, path[1:]):
             increments[i] += req.demand * energy[i, j]
             occupancy[i] += req.demand
@@ -590,8 +573,8 @@ def decode_and_validate(
         raise ValidationError("; ".join(problems))
     return TopologySolution(
         max_energy=cap,
-        links=net.broadcast_closure(all_arcs),
-        routes=routes,
+        links=net.broadcast_closure(arcs),
+        routes=[path],
         node_energy=increments,
         resource_limited=False,
     )

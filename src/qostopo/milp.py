@@ -47,7 +47,6 @@ Bounds = LinearConstraint = linprog = milp = None
 __all__ = [
     "FEASIBILITY_TOL",
     "INTEGRALITY_TOL",
-    "OBJECTIVE_TOL",
     "Status",
     "ModelError",
     "SolverError",
@@ -63,8 +62,6 @@ __all__ = [
 FEASIBILITY_TOL = 1e-7
 #: How far a binary's value may sit from {0, 1}.
 INTEGRALITY_TOL = 1e-6
-#: Tolerance for comparing objective values.
-OBJECTIVE_TOL = 1e-6
 
 _SENSES = ("<=", ">=", "=")
 
@@ -171,14 +168,6 @@ class MilpModel:
         """Add a 0/1 variable; returns its id."""
         self.variables.append(_Variable(0.0, 1.0, is_binary=True))
         return len(self.variables) - 1
-
-    def add_variable(self, kind: str, lower: float = 0.0, upper: float = math.inf) -> int:
-        """Generic entry point: ``kind`` is "continuous" or "binary"."""
-        if kind == "continuous":
-            return self.add_continuous(lower, upper)
-        if kind == "binary":
-            return self.add_binary()
-        raise ModelError(f"unknown variable kind {kind!r}")
 
     def _check_coefficients(self, coefficients: Mapping[int, float]) -> dict[int, float]:
         out: dict[int, float] = {}
@@ -444,8 +433,8 @@ def check_solution(
 def lp_text(model: MilpModel) -> str:
     """Render the model in LP-file style (objective, rows, bounds, binaries).
 
-    A debugging aid for cross-checking against external tools; not meant to
-    be byte-stable across versions.
+    A debugging aid for cross-checking against external tools. The tests
+    pin its bytes for one topology model, so a format change updates them.
     """
     out = io.StringIO()
 

@@ -8,7 +8,9 @@
    cap, route arcs and order variables only, and the cheapest one- or
    two-hop route that meets every row with room to spare bounds the cap
    and closes every dearer arc; a node with no open arc gets no rows, and
-   the only empty rows kept are unsatisfiable (an isolated endpoint)
+   the only empty rows kept are unsatisfiable (an isolated endpoint, or no
+   open arc at all); one model is pinned byte for byte; the model and its
+   decoder take exactly one request
 4. infeasible requests come back as lost outcomes, not exceptions
 5. fairness threshold: binding and slack cases, ledger left untouched
 6. decode-time re-verification: a planted violation of each structural rule
@@ -302,56 +304,123 @@ def test_zero_threshold_rejects_any_first_route():
 
 
 @pytest.mark.parametrize("threshold", [None, 50.0])
-@pytest.mark.parametrize("count", [1, 2])
-def test_topology_model_holds_route_arcs_only(count, threshold):
-    # the cap, bounded by the cheapest feasible one- or two-hop route of a
-    # single request (max_power otherwise), one indicator per ordered pair
-    # per request (binary when the arc is open, fixed at 0 when it enters
-    # the sender, leaves the receiver or costs more than the cap's bound),
-    # then n order variables per request; per request a hop row, a cap and
-    # an out-degree row per node with an open out-arc, an in-degree row per
-    # node with an open in-arc, a conservation row per endpoint and per node
-    # with an open arc, and one order row per open arc, then a bandwidth row
-    # per node with an open arc of any request and, with a threshold, n
-    # fairness rows -- no link block
+def test_topology_model_holds_route_arcs_only(threshold):
+    # the cap, bounded by the cheapest feasible one- or two-hop route, one
+    # indicator per ordered pair (binary when the arc is open, fixed at 0
+    # when it enters the sender, leaves the receiver or costs more than the
+    # cap's bound), then n order variables; a hop row, a cap and an
+    # out-degree row per node with an open out-arc, an in-degree row per node
+    # with an open in-arc, a conservation row per endpoint and per node with
+    # an open arc, one order row per open arc, a bandwidth row per node with
+    # an open arc and, with a threshold, n fairness rows -- no link block
     from qostopo.formulation import _ordered_pairs
 
     n = 5
     net = line(n)
-    reqs = [Request(0, 4, 1.0, 3), Request(1, 3, 2.0, 2)][:count]
-    model = build_topology_milp(net, reqs, EnergyLedger.empty(n), threshold)
+    req = Request(0, 4, 1.0, 3)
+    model = build_topology_milp(net, [req], EnergyLedger.empty(n), threshold)
     pairs = _ordered_pairs(n)
     arcs = len(pairs)
-    assert model.num_variables == 1 + count * (arcs + n)
+    assert model.num_variables == 1 + arcs + n
     # node k sits at x = k, so an arc costs its squared gap: the direct link
     # 0->4 (16) is over max_power 10, and the relay route 0-2-4 bounds the cap
-    # at 4; two requests keep max_power, which closes the 16-cost arcs
-    bound = 4.0 if count == 1 else 10.0
-    assert model.variables[0].upper == bound
-    open_arcs = [
-        [(i, j) for i, j in pairs if j != req.sender and i != req.receiver and net.energy_matrix[i, j] <= bound]
-        for req in reqs
-    ]
-    open_ids = [1 + arcs * r + pairs.index(pair) for r in range(count) for pair in open_arcs[r]]
-    assert [len(live) for live in open_arcs] == {1: [10], 2: [12, 11]}[count]
+    # at 4
+    assert model.variables[0].upper == 4.0
+    open_arcs = [(i, j) for i, j in pairs if j != 0 and i != 4 and net.energy_matrix[i, j] <= 4.0]
+    open_ids = [1 + pairs.index(pair) for pair in open_arcs]
+    assert len(open_arcs) == 10
     assert model.binary_ids == open_ids
     bounds = [(var.lower, var.upper) for var in model.variables]
-    assert all(bounds[v] == (0.0, 0.0) for v in range(1, 1 + count * arcs) if v not in open_ids)
-    for r, req in enumerate(reqs):
-        base = 1 + count * arcs + n * r
-        want = [(0.0, 0.0 if v == req.sender else float(req.hop_bound)) for v in range(n)]
-        assert bounds[base:base + n] == want
-    tails = [{i for i, _ in live} for live in open_arcs]
-    heads = [{j for _, j in live} for live in open_arcs]
-    per_request = sum(
-        1 + 2 * len(tails[r]) + len(heads[r]) + len(tails[r] | heads[r] | {req.sender, req.receiver})
-        + len(open_arcs[r])
-        for r, req in enumerate(reqs)
-    )
-    bandwidth_rows = len(set().union(*tails, *heads))
+    assert all(bounds[v] == (0.0, 0.0) for v in range(1, 1 + arcs) if v not in open_ids)
+    assert bounds[1 + arcs:] == [(0.0, 0.0)] + [(0.0, 3.0)] * (n - 1)
+    tails = {i for i, _ in open_arcs}
+    heads = {j for _, j in open_arcs}
+    touched = tails | heads
     fairness_rows = 0 if threshold is None else n
-    assert model.num_constraints == per_request + bandwidth_rows + fairness_rows
+    rows = 1 + 2 * len(tails) + len(heads) + len(touched | {0, 4}) + len(open_arcs) + len(touched) + fairness_rows
+    assert model.num_constraints == rows
     assert_empty_rows_unsatisfiable(model)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_topology_model_and_decoder_take_exactly_one_request(count):
+    from qostopo import ModelError
+
+    net = line(3)
+    reqs = [Request(0, 2, 1.0, 3), Request(1, 2, 1.0, 3)][:count]
+    with pytest.raises(ModelError, match="exactly one request"):
+        build_topology_milp(net, reqs, EnergyLedger.empty(3), None)
+    raw = _relay_layout(net, {(0, 1), (1, 2)}, 1.0)
+    with pytest.raises(ModelError, match="exactly one request"):
+        decode_and_validate(net, reqs, EnergyLedger.empty(3), None, raw)
+
+
+GOLDEN_LP = """\
+Minimize
+ obj: 1 x0
+Subject To
+ c0: 1 x1 + 1 x5 + 1 x6 + 1 x8 + 1 x9 <= 3
+ c1: -1 x0 + 1 x1 <= 0
+ c2: 1 x1 <= 1
+ c3: 1 x1 = 1
+ c4: -1 x0 + 1.25 x5 + 4 x6 <= 0
+ c5: 1 x5 + 1 x6 <= 1
+ c6: 1 x1 + 1 x8 <= 1
+ c7: -1 x1 + 1 x5 + 1 x6 - 1 x8 = 0
+ c8: -1 x0 + 1.25 x8 + 1.25 x9 <= 0
+ c9: 1 x8 + 1 x9 <= 1
+ c10: 1 x5 <= 1
+ c11: -1 x5 + 1 x8 + 1 x9 = 0
+ c12: 1 x6 + 1 x9 <= 1
+ c13: -1 x6 - 1 x9 = -1
+ c14: -4 x1 - 1 x13 + 1 x14 >= -3
+ c15: -4 x5 - 1 x14 + 1 x15 >= -3
+ c16: -4 x6 - 1 x14 + 1 x16 >= -3
+ c17: -4 x8 + 1 x14 - 1 x15 >= -3
+ c18: -4 x9 - 1 x15 + 1 x16 >= -3
+ c19: 2 x1 <= 5
+ c20: 2 x1 + 2 x5 + 2 x6 + 2 x8 <= 5
+ c21: 2 x5 + 2 x8 + 2 x9 <= 5
+ c22: 2 x6 + 2 x9 <= 5
+ c23: 1.5 x1 - 0.625 x5 - 2 x6 - 0.625 x8 - 0.625 x9 <= 21
+ c24: -0.5 x1 + 1.875 x5 + 6 x6 - 0.625 x8 - 0.625 x9 <= 18
+ c25: -0.5 x1 - 0.625 x5 - 2 x6 + 1.875 x8 + 1.875 x9 <= 20
+ c26: -0.5 x1 - 0.625 x5 - 2 x6 - 0.625 x8 - 0.625 x9 <= 21
+Bounds
+ 0 <= x0 <= 4
+ 0 <= x2 <= 0
+ 0 <= x3 <= 0
+ 0 <= x4 <= 0
+ 0 <= x7 <= 0
+ 0 <= x10 <= 0
+ 0 <= x11 <= 0
+ 0 <= x12 <= 0
+ 0 <= x13 <= 0
+ 0 <= x14 <= 3
+ 0 <= x15 <= 3
+ 0 <= x16 <= 3
+Binary
+ x1
+ x5
+ x6
+ x8
+ x9
+End
+"""
+
+
+def test_topology_model_golden():
+    # the whole model, byte for byte: a hop row, then cap, degree and
+    # conservation rows node by node, order rows, bandwidth and fairness rows.
+    # Node 2 sits off the line, half a unit from nodes 1 and 3; the route
+    # 0-1-3 (costliest arc 4) bounds the cap at 4, which closes the direct
+    # link (9) and 0->2 (4.25) and leaves 5 arcs open. Every coefficient is
+    # an exact binary fraction
+    from qostopo import lp_text
+
+    net = NetworkModel([[0, 0], [1, 0], [2, 0.5], [3, 0]], max_power=10.0, bandwidth=5.0)
+    model = build_topology_milp(net, [Request(0, 3, 2.0, 3)], EnergyLedger([0, 3, 1, 0]), 20)
+    assert lp_text(model) == GOLDEN_LP
 
 
 def assert_empty_rows_unsatisfiable(model):
@@ -392,6 +461,20 @@ def test_isolated_endpoint_is_lost(sender, receiver):
     assert any(not row.coefficients for row in model.constraints)
     assert solve(model).status is Status.INFEASIBLE
     sol = solve_single_request(net, req, EnergyLedger.empty(3), None)
+    assert sol.lost and not sol.resource_limited
+
+
+def test_model_with_no_open_arc_keeps_only_unsatisfiable_rows():
+    # the receiver is out of reach, so no arc is open: the hop row and the
+    # fairness rows would be empty and satisfiable, and only the endpoints'
+    # conservation rows stay
+    net = NetworkModel([(0, 0), (10, 0)], max_power=10.0, bandwidth=50.0)
+    req = Request(0, 1, 1.0, 1)
+    model = build_topology_milp(net, [req], EnergyLedger.empty(2), 5.0)
+    assert model.binary_ids == []
+    assert_empty_rows_unsatisfiable(model)
+    assert model.num_constraints == 2
+    sol = solve_single_request(net, req, EnergyLedger.empty(2), 5.0)
     assert sol.lost and not sol.resource_limited
 
 
@@ -445,30 +528,28 @@ def test_solution_lost_property_mixes_requests():
 # -- decode-time re-verification ---------------------------------------------
 
 
-def _relay_layout(net, reqs, route_arcs, cap):
+def _relay_layout(net, route_arcs, cap):
     """Assemble a raw solver vector for the standard variable layout.
 
-    The order variables after the arc blocks stay 0: the decoder judges the
+    The order variables after the arc block stay 0: the decoder judges the
     arcs alone.
     """
     from qostopo.formulation import _ordered_pairs
 
     n = net.node_count
     pairs = _ordered_pairs(n)
-    values = np.zeros(1 + (len(pairs) + n) * len(reqs))
+    values = np.zeros(1 + len(pairs) + n)
     values[0] = cap
-    for r, arcs in enumerate(route_arcs):
-        base = 1 + len(pairs) * r
-        for k, pair in enumerate(pairs):
-            if pair in arcs:
-                values[base + k] = 1.0
+    for k, pair in enumerate(pairs):
+        if pair in route_arcs:
+            values[1 + k] = 1.0
     return Solution(Status.OPTIMAL, values=values, objective_value=float(cap))
 
 
 def test_decode_accepts_hand_built_relay():
     net = line(3)
     req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 1.0)
+    raw = _relay_layout(net, {(0, 1), (1, 2)}, 1.0)
     sol = decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
     assert sol.routes == [[0, 1, 2]]
     assert sol.max_energy == pytest.approx(1.0)
@@ -477,7 +558,7 @@ def test_decode_accepts_hand_built_relay():
 def test_decode_rejects_cap_mismatch():
     net = line(3)
     req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 0.25)
+    raw = _relay_layout(net, {(0, 1), (1, 2)}, 0.25)
     with pytest.raises(ValidationError, match="does not match"):
         decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
 
@@ -485,7 +566,7 @@ def test_decode_rejects_cap_mismatch():
 def test_decode_rejects_broken_conservation():
     net = line(3)
     req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1)}], 1.0)
+    raw = _relay_layout(net, {(0, 1)}, 1.0)
     with pytest.raises(ValidationError, match="balance"):
         decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
 
@@ -493,7 +574,7 @@ def test_decode_rejects_broken_conservation():
 def test_decode_rejects_fractional_indicator():
     net = line(3)
     req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 1.0)
+    raw = _relay_layout(net, {(0, 1), (1, 2)}, 1.0)
     values = raw.values.copy()
     values[1] = 0.4
     with pytest.raises(ValidationError, match="not integral"):
@@ -516,7 +597,7 @@ def test_decode_rejects_wrong_layout_and_status():
 def test_decode_rejects_bandwidth_violation():
     net = line(3, bandwidth=3.0)
     req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 1.0)
+    raw = _relay_layout(net, {(0, 1), (1, 2)}, 1.0)
     with pytest.raises(ValidationError, match="bandwidth"):
         decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
 
@@ -524,7 +605,7 @@ def test_decode_rejects_bandwidth_violation():
 def test_decode_rejects_threshold_violation():
     net = line(3)
     req = Request(0, 2, 2.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 1.0)
+    raw = _relay_layout(net, {(0, 1), (1, 2)}, 1.0)
     led = EnergyLedger(np.array([0.0, 100.0, 0.0]))
     with pytest.raises(ValidationError, match="above average"):
         decode_and_validate(net, [req], led, 0.0, raw)
@@ -533,7 +614,7 @@ def test_decode_rejects_threshold_violation():
 def test_decode_rejects_path_over_the_hop_bound():
     net = line(3)
     req = Request(0, 2, 2.0, 1)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 1.0)
+    raw = _relay_layout(net, {(0, 1), (1, 2)}, 1.0)
     with pytest.raises(ValidationError, match="hop bound"):
         decode_and_validate(net, [req], EnergyLedger.empty(3), None, raw)
 
@@ -545,7 +626,7 @@ def test_decode_rejects_path_plus_cycle():
     # would leave above average + threshold
     net = line(4)
     req = Request(0, 2, 1.0, 3)
-    raw = _relay_layout(net, [req], [{(0, 2), (1, 2), (2, 1)}], 4.0)
+    raw = _relay_layout(net, {(0, 2), (1, 2), (2, 1)}, 4.0)
     led = EnergyLedger(np.array([0.0, 0.0, 0.0, 12.0]))
     with pytest.raises(ValidationError, match="not one simple path"):
         decode_and_validate(net, [req], led, 7.7, raw)
@@ -553,7 +634,7 @@ def test_decode_rejects_path_plus_cycle():
         decode_and_validate(net, [req], led, None, raw)
     # a cycle through the sender: node 0 leaves by two arcs
     wide = Request(0, 2, 2.0, 4)
-    raw = _relay_layout(net, [wide], [{(0, 1), (1, 2), (0, 3), (3, 0)}], 9.0)
+    raw = _relay_layout(net, {(0, 1), (1, 2), (0, 3), (3, 0)}, 9.0)
     with pytest.raises(ValidationError, match="not one simple path"):
         decode_and_validate(net, [wide], EnergyLedger.empty(4), None, raw)
 
@@ -562,11 +643,11 @@ def test_decode_rejects_path_plus_disjoint_cycle():
     # the path 0 -> 1 -> 2 plus a 3 <-> 4 cycle that shares no node with it
     net = line(5)
     req = Request(0, 2, 2.0, 4)
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2), (3, 4), (4, 3)}], 1.0)
+    raw = _relay_layout(net, {(0, 1), (1, 2), (3, 4), (4, 3)}, 1.0)
     with pytest.raises(ValidationError, match="not one simple path"):
         decode_and_validate(net, [req], EnergyLedger.empty(5), None, raw)
     # the same path alone is accepted and commits its own energy
-    raw = _relay_layout(net, [req], [{(0, 1), (1, 2)}], 1.0)
+    raw = _relay_layout(net, {(0, 1), (1, 2)}, 1.0)
     sol = decode_and_validate(net, [req], EnergyLedger.empty(5), None, raw)
     assert sol.routes == [[0, 1, 2]]
     assert sol.node_energy == pytest.approx([2.0, 2.0, 0.0, 0.0, 0.0])

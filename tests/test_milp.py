@@ -48,8 +48,8 @@ def test_variable_ids_are_dense_and_kinds_tracked():
     m = MilpModel()
     a = m.add_continuous(lower=-1.0, upper=4.0)
     b = m.add_binary()
-    c = m.add_variable("continuous", upper=9.0)
-    d = m.add_variable("binary")
+    c = m.add_continuous(upper=9.0)
+    d = m.add_binary()
     assert [a, b, c, d] == [0, 1, 2, 3]
     assert m.num_variables == 4
     assert m.binary_ids == [1, 3]
@@ -60,8 +60,6 @@ def test_variable_ids_are_dense_and_kinds_tracked():
 def test_building_rejections():
     m = MilpModel()
     x = m.add_continuous()
-    with pytest.raises(ModelError):
-        m.add_variable("integer")
     with pytest.raises(ModelError):
         m.add_continuous(lower=2.0, upper=1.0)
     with pytest.raises(ModelError):
