@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -154,17 +154,67 @@ class EnergyLedger:
         return f"EnergyLedger({self.consumed.tolist()!r})"
 
 
+class _FlowMatrices(Mapping):
+    """Per-commodity n-by-n flow matrices, stored as their nonzero cells.
+
+    Entry e is the flow ``values[e]`` in flat row-major cell ``cells[e]`` of
+    the matrix of the ``commodity[e]``-th key; entries come grouped by
+    commodity in key order. Keys iterate in the order given; each lookup
+    builds the dense matrix anew and marks it read-only.
+    """
+
+    def __init__(self, n: int, keys, commodity: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
+        self._n = n
+        self._slot = {key: c for c, key in enumerate(keys)}
+        self._offsets = np.searchsorted(commodity, np.arange(len(self._slot) + 1))
+        self._cells = cells
+        self._values = values
+
+    @classmethod
+    def from_dense(cls, flows: Mapping[tuple[int, int], np.ndarray]) -> "_FlowMatrices":
+        """Keep the nonzero cells of equally sized square matrices, keys sorted."""
+        keys = sorted(flows)
+        mats = [np.asarray(flows[key], dtype=float) for key in keys]
+        n = mats[0].shape[0] if mats else 0
+        if any(mat.shape != (n, n) for mat in mats):
+            raise ValueError("flow matrices must all be n-by-n for one n")
+        stack = np.array(mats).reshape(len(mats), n * n)
+        commodity, cells = np.nonzero(stack)
+        return cls(n, keys, commodity, cells, stack[commodity, cells])
+
+    def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
+        c = self._slot[key]
+        lo, hi = self._offsets[c], self._offsets[c + 1]
+        mat = np.zeros((self._n, self._n))
+        mat.put(self._cells[lo:hi], self._values[lo:hi])
+        mat.flags.writeable = False
+        return mat
+
+    def __iter__(self):
+        return iter(self._slot)
+
+    def __len__(self) -> int:
+        return len(self._slot)
+
+
 @dataclass(eq=False)
 class LoadLpResult:
     """Solved load LP: worst utilization plus the optimal flow assignment.
 
-    ``flows`` maps each commodity (sender, receiver) to an n-by-n matrix of
-    per-arc flow. ``max_utilization`` > 1 means some node needs more channel
-    capacity than it has.
+    ``flows`` is a read-only mapping from each commodity (sender, receiver),
+    in sorted order, to its n-by-n matrix of per-arc flow. Only the nonzero
+    flows are stored; each lookup returns a fresh read-only dense matrix.
+    A plain dict of matrices passed in is stored the same way.
+    ``max_utilization`` > 1 means some node needs more channel capacity
+    than it has.
     """
 
     max_utilization: float
-    flows: dict[tuple[int, int], np.ndarray]
+    flows: Mapping[tuple[int, int], np.ndarray]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.flows, _FlowMatrices):
+            self.flows = _FlowMatrices.from_dense(self.flows)
 
     @property
     def overloaded(self) -> bool:
@@ -196,7 +246,7 @@ class TopologySolution:
 
     @property
     def lost(self) -> bool:
-        return any(r is None for r in self.routes)
+        return self.routes[0] is None
 
 
 # ---------------------------------------------------------------------------
@@ -250,51 +300,67 @@ def build_load_lp(net: NetworkModel, requests: list[Request]) -> MilpModel:
     conservation (net outflow = +demand at the sender, -demand at the
     receiver, 0 elsewhere) per commodity and node, then one load row per
     node: forwarded flow in both directions plus originated/terminated
-    demand, at most bandwidth times the utilization bound.
+    demand, at most bandwidth times the utilization bound. A conservation
+    row lists node v's arcs to and from each other node j in turn; a load
+    row does so commodity by commodity and ends with the bound. The rows
+    are built as index arrays and added in one :meth:`MilpModel.add_block`.
     """
     reqs = _check_requests(net, requests)
     n = net.node_count
-    pairs = _ordered_pairs(n)
+    m = n * (n - 1)
     commodities = _merge_commodities(reqs)
+    senders = np.array([s for s, _, _ in commodities], dtype=np.int64)
+    receivers = np.array([d for _, d, _ in commodities], dtype=np.int64)
+    rates = np.array([lam for _, _, lam in commodities], dtype=float)
+    count = len(commodities)
 
     model = MilpModel()
     util = model.add_continuous(0.0, math.inf)
     model.set_objective({util: 1.0})
 
-    flow_id: dict[tuple[int, int, int, int], int] = {}
-    for s, d, _ in commodities:
-        for i, j in pairs:
-            blocked = j == s or i == d
-            var = model.add_continuous(0.0, 0.0 if blocked else math.inf)
-            flow_id[(s, d, i, j)] = var
+    # Flow (c, i, j) is variable 1 + c*m + k, where k = i*(n-1) + j - (j > i)
+    # is the position of (i, j) in _ordered_pairs. Node v's t-th other node
+    # j gives the arcs (v, j) at k = v*(n-1) + t and (j, v).
+    nodes = np.arange(n)[:, None]
+    others = np.arange(n - 1) + (np.arange(n - 1) >= nodes)
+    arc_out = nodes * (n - 1) + np.arange(n - 1)
+    arc_in = others * (n - 1) + nodes - (nodes > others)
+    # per node, its arcs as (out, in) pairs over t: shape (n, 2(n-1))
+    arcs = np.stack([arc_out, arc_in], axis=-1).reshape(n, 2 * (n - 1))
+    flow = 1 + np.arange(count)[:, None, None] * m + arcs  # (commodity, node, term)
 
-    for s, d, lam in commodities:
-        for v in range(n):
-            coeffs: dict[int, float] = {}
-            for j in range(n):
-                if j == v:
-                    continue
-                coeffs[flow_id[(s, d, v, j)]] = 1.0
-                coeffs[flow_id[(s, d, j, v)]] = -1.0
-            rhs = lam if v == s else -lam if v == d else 0.0
-            model.add_constraint(coeffs, "=", rhs)
+    # arc_out enumerates k = 0..m-1, so arc k runs from node k // (n-1) to others.ravel()[k]
+    tails, heads = np.repeat(np.arange(n), n - 1), others.ravel()
+    blocked = (heads == senders[:, None]) | (tails == receivers[:, None])
+    upper = np.where(blocked, 0.0, math.inf).ravel()
 
-    for v in range(n):
-        coeffs = {}
-        endpoint_demand = 0.0
-        for s, d, lam in commodities:
-            for j in range(n):
-                if j == v:
-                    continue
-                coeffs[flow_id[(s, d, v, j)]] = 1.0
-                coeffs[flow_id[(s, d, j, v)]] = 1.0
-            if v == s:
-                endpoint_demand += lam
-            if v == d:
-                endpoint_demand += lam
-        coeffs[util] = -net.bandwidth
-        model.add_constraint(coeffs, "<=", -endpoint_demand)
+    conservation_rhs = np.zeros((count, n))
+    conservation_rhs[np.arange(count), senders] = rates
+    conservation_rhs[np.arange(count), receivers] = -rates
+    conservation_coeffs = np.tile([1.0, -1.0], (count, n, n - 1))
 
+    # load row v: its arcs commodity by commodity, then the bound
+    load_cols = np.concatenate([flow.transpose(1, 0, 2).reshape(n, -1), np.full((n, 1), util)], axis=1)
+    load_coeffs = np.ones(load_cols.shape)
+    load_coeffs[:, -1] = -net.bandwidth
+    # sequential sums in commodity order, each commodity adding at its
+    # sender and then at its receiver (bincount gives integers when empty)
+    endpoint_demand = np.bincount(
+        np.column_stack([senders, receivers]).ravel(), weights=np.repeat(rates, 2), minlength=n
+    ).astype(float)
+
+    model.add_block(
+        lower=np.zeros(count * m),
+        upper=upper,
+        rows=np.concatenate([
+            np.repeat(np.arange(count * n), 2 * (n - 1)),
+            np.repeat(np.arange(count * n, count * n + n), load_cols.shape[1]),
+        ]),
+        cols=np.concatenate([flow.ravel(), load_cols.ravel()]),
+        coeffs=np.concatenate([conservation_coeffs.ravel(), load_coeffs.ravel()]),
+        senses=["="] * (count * n) + ["<="] * n,
+        rhs=np.concatenate([conservation_rhs.ravel(), -endpoint_demand]),
+    )
     return model
 
 
@@ -306,9 +372,10 @@ def solve_load_lp(
     """Solve the load LP and decode per-commodity flow matrices.
 
     The solution is re-checked against every row before being returned.
-    Raises :class:`SolverLimitError` if the iteration budget runs out and
-    :class:`ValidationError` on any internal inconsistency (the LP is
-    feasible and bounded for every valid input).
+    Only the nonzero flows are kept (an optimal vertex has at most one per
+    basic variable). Raises :class:`SolverLimitError` if the iteration
+    budget runs out and :class:`ValidationError` on any internal
+    inconsistency (the LP is feasible and bounded for every valid input).
     """
     reqs = _check_requests(net, requests)
     model = build_load_lp(net, reqs)
@@ -323,13 +390,13 @@ def solve_load_lp(
 
     n = net.node_count
     m = n * (n - 1)
-    # a row-major boolean mask visits the off-diagonal cells in _ordered_pairs order
-    off_diagonal = ~np.eye(n, dtype=bool)
-    flows: dict[tuple[int, int], np.ndarray] = {}
-    for c, (s, d, _) in enumerate(_merge_commodities(reqs)):
-        mat = np.zeros((n, n))
-        mat[off_diagonal] = sol.values[1 + c * m : 1 + (c + 1) * m]
-        flows[(s, d)] = mat
+    keys = [(s, d) for s, d, _ in _merge_commodities(reqs)]
+    # flow variable 1 + c*m + k is commodity c's k-th ordered pair, and a
+    # row-major walk of the off-diagonal cells visits the pairs in that order
+    nonzero = np.flatnonzero(sol.values[1:])
+    commodity, k = divmod(nonzero, m)
+    cells = np.flatnonzero(~np.eye(n, dtype=bool))[k]
+    flows = _FlowMatrices(n, keys, commodity, cells, sol.values[1 + nonzero])
     return LoadLpResult(max_utilization=float(sol.values[0]), flows=flows)
 
 

@@ -1,17 +1,21 @@
 """Exact solver for small mixed binary/continuous linear programs.
 
-Models are assembled row by row through :class:`MilpModel` and solved to
-proven optimality (zero MIP gap) via scipy.optimize's HiGHS backend —
-``milp`` when binaries are present, ``linprog`` for purely continuous
-models. Solutions carry an explicit status (Optimal / Infeasible /
-Unbounded / ResourceLimit); hitting a node or iteration limit is a status,
-never a silently wrong answer, and solving the same model twice yields the
-same solution. HiGHS's presolve occasionally gives up on a small model with
-"Solve error" (scipy status 4 without a limit message); such a solve is
-retried once with presolve off, and if that attempt fails too,
-:class:`SolverError` is raised. HiGHS writes some diagnostics straight to
-file descriptor 1, bypassing its own output options, so fd 1 is pointed at
-the null device for the duration of each backend call.
+Models are assembled through :class:`MilpModel`, one variable or row at a
+time or in array blocks, and kept as arrays: column bounds and binary
+flags, coefficient triplets, row senses and right-hand sides. :func:`solve`
+hands those triplets to HiGHS as one sparse matrix, with no Python loop per
+coefficient, and solves to proven optimality (zero MIP gap) via
+scipy.optimize's HiGHS backend — ``milp`` when binaries are present,
+``linprog`` for purely continuous models. Solutions carry an explicit
+status (Optimal / Infeasible / Unbounded / ResourceLimit); hitting a node
+or iteration limit is a status, never a silently wrong answer, and solving
+the same model twice yields the same solution. HiGHS's presolve
+occasionally gives up on a small model with "Solve error" (scipy status 4
+without a limit message); such a solve is retried once with presolve off,
+and if that attempt fails too, :class:`SolverError` is raised. HiGHS writes
+some diagnostics straight to file descriptor 1, bypassing its own output
+options, so fd 1 is pointed at the null device for the duration of each
+backend call.
 
 scipy's ``sparse`` and ``optimize`` (HiGHS) modules are imported on the
 first solve that reaches the backend, not when this module is imported, so
@@ -22,9 +26,10 @@ this module and stay patchable: the loader only fills names that are still
 ``None``, so a stand-in set before the first solve is the one called.
 
 The module also ships two solver-independent companions used to cross-check
-results: :func:`check_solution`, a plain-Python constraint re-checker that
-shares no code with the solve path, and :func:`lp_text`, an LP-file-style
-dump of the model for eyeballing or feeding external tools.
+results: :func:`check_solution`, a numpy re-evaluation of every bound and
+row on the model's own triplets that shares no code with the solve path
+(and no scipy), and :func:`lp_text`, an LP-file-style dump of the model for
+eyeballing or feeding external tools.
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ import io
 import math
 import os
 import warnings
+from array import array
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -64,6 +71,8 @@ FEASIBILITY_TOL = 1e-7
 INTEGRALITY_TOL = 1e-6
 
 _SENSES = ("<=", ">=", "=")
+# rows store their sense as its position in _SENSES
+_LE, _GE = _SENSES.index("<="), _SENSES.index(">=")
 
 
 class Status(enum.Enum):
@@ -123,16 +132,16 @@ class Solution:
         return float(self.values[var])
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Variable:
     lower: float
     upper: float
     is_binary: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Constraint:
-    coefficients: dict[int, float]
+    coefficients: Mapping[int, float]
     sense: str
     rhs: float
 
@@ -144,12 +153,46 @@ def _require_finite(value: float, what: str) -> float:
     return v
 
 
+def _append(buf: array, values: np.ndarray) -> None:
+    # one copy of the raw bytes, with no Python object per item
+    buf.frombytes(memoryview(np.ascontiguousarray(values, dtype=buf.typecode)).cast("B"))
+
+
+def _integers(values, what: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ModelError(f"{what} must be a 1-d sequence of integers")
+    return arr.astype(np.int64)
+
+
+def _reals(values, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ModelError(f"{what} must be a 1-d sequence of numbers")
+    return arr
+
+
 class MilpModel:
-    """Builder for a minimization model over continuous and binary variables."""
+    """Builder for a minimization model over continuous and binary variables.
+
+    Storage is columnar: per variable a lower bound, an upper bound and a
+    binary flag; per coefficient a (row, variable, value) triplet; per row a
+    sense code and a right-hand side. :meth:`add_continuous`,
+    :meth:`add_binary` and :meth:`add_constraint` append one item at a time,
+    :meth:`add_block` appends whole arrays with the same input checks.
+    ``variables`` and ``constraints`` are read-only views rebuilt from that
+    storage on each access.
+    """
 
     def __init__(self) -> None:
-        self.variables: list[_Variable] = []
-        self.constraints: list[_Constraint] = []
+        self._lower = array("d")
+        self._upper = array("d")
+        self._binary = array("b")
+        self._row = array("q")
+        self._col = array("q")
+        self._coeff = array("d")
+        self._sense = array("b")
+        self._rhs = array("d")
         self.objective: dict[int, float] = {}
 
     # -- building ---------------------------------------------------------
@@ -161,19 +204,24 @@ class MilpModel:
             raise ModelError("variable bounds must not be NaN")
         if lo > up:
             raise ModelError(f"lower bound {lo} exceeds upper bound {up}")
-        self.variables.append(_Variable(lo, up, is_binary=False))
-        return len(self.variables) - 1
+        self._lower.append(lo)
+        self._upper.append(up)
+        self._binary.append(0)
+        return len(self._binary) - 1
 
     def add_binary(self) -> int:
         """Add a 0/1 variable; returns its id."""
-        self.variables.append(_Variable(0.0, 1.0, is_binary=True))
-        return len(self.variables) - 1
+        self._lower.append(0.0)
+        self._upper.append(1.0)
+        self._binary.append(1)
+        return len(self._binary) - 1
 
     def _check_coefficients(self, coefficients: Mapping[int, float]) -> dict[int, float]:
         out: dict[int, float] = {}
+        n = len(self._lower)
         for var, coeff in coefficients.items():
             v = int(var)
-            if not 0 <= v < len(self.variables):
+            if not 0 <= v < n:
                 raise ModelError(f"unknown variable id {var}")
             out[v] = _require_finite(coeff, f"coefficient of variable {var}")
         return out
@@ -188,8 +236,71 @@ class MilpModel:
         if sense not in _SENSES:
             raise ModelError(f"sense must be one of {_SENSES}, got {sense!r}")
         coeffs = self._check_coefficients(coefficients)
-        self.constraints.append(_Constraint(coeffs, sense, _require_finite(rhs, "rhs")))
-        return len(self.constraints) - 1
+        value = _require_finite(rhs, "rhs")
+        r = self.num_constraints
+        self._row.extend([r] * len(coeffs))
+        self._col.extend(coeffs)
+        self._coeff.extend(coeffs.values())
+        self._sense.append(_SENSES.index(sense))
+        self._rhs.append(value)
+        return r
+
+    def add_block(self, *, lower=(), upper=(), rows=(), cols=(), coeffs=(), senses=(), rhs=()) -> tuple[int, int]:
+        """Append continuous variables and rows in bulk.
+
+        ``lower[k]``/``upper[k]`` bound the k-th new variable. ``rhs[k]`` and
+        ``senses[k]`` (one of ``"<="``, ``">="``, ``"="``) close the k-th new
+        row, and the row's terms are the triplets with ``rows == k``: the
+        variable ``cols`` (an existing id or one added here) and its
+        coefficient ``coeffs``. A variable appears at most once per row.
+        Every input is checked as :meth:`add_continuous` and
+        :meth:`add_constraint` check theirs, before anything is appended.
+        Returns the id of the first new variable and the index of the first
+        new row.
+        """
+        lo, up = _reals(lower, "lower"), _reals(upper, "upper")
+        rows_, cols_ = _integers(rows, "rows"), _integers(cols, "cols")
+        coeffs_, rhs_ = _reals(coeffs, "coeffs"), _reals(rhs, "rhs")
+        if lo.shape != up.shape:
+            raise ModelError(f"{lo.size} lower bounds for {up.size} upper bounds")
+        if not rows_.size == cols_.size == coeffs_.size:
+            raise ModelError(f"{rows_.size} rows, {cols_.size} cols and {coeffs_.size} coeffs differ in length")
+        if len(senses) != rhs_.size:
+            raise ModelError(f"{len(senses)} senses for {rhs_.size} right-hand sides")
+        if np.isnan(lo).any() or np.isnan(up).any():
+            raise ModelError("variable bounds must not be NaN")
+        if (lo > up).any():
+            k = int(np.argmax(lo > up))
+            raise ModelError(f"lower bound {lo[k]} exceeds upper bound {up[k]}")
+        codes = np.empty(rhs_.size, dtype=np.int8)
+        for k, sense in enumerate(senses):
+            if sense not in _SENSES:
+                raise ModelError(f"sense must be one of {_SENSES}, got {sense!r}")
+            codes[k] = _SENSES.index(sense)
+        if not np.isfinite(rhs_).all():
+            raise ModelError(f"rhs must be finite, got {float(rhs_[~np.isfinite(rhs_)][0])!r}")
+        if ((rows_ < 0) | (rows_ >= rhs_.size)).any():
+            raise ModelError(f"row index outside the block's {rhs_.size} rows")
+        width = self.num_variables + lo.size
+        if ((cols_ < 0) | (cols_ >= width)).any():
+            raise ModelError(f"unknown variable id {cols_[(cols_ < 0) | (cols_ >= width)][0]}")
+        if not np.isfinite(coeffs_).all():
+            k = int(np.argmin(np.isfinite(coeffs_)))
+            raise ModelError(f"coefficient of variable {cols_[k]} must be finite, got {float(coeffs_[k])!r}")
+        cells = np.sort(rows_ * width + cols_)
+        if (cells[1:] == cells[:-1]).any():
+            raise ModelError("a variable appears twice in one row")
+
+        first_var, first_row = self.num_variables, self.num_constraints
+        _append(self._lower, lo)
+        _append(self._upper, up)
+        _append(self._binary, np.zeros(lo.size))
+        _append(self._row, rows_ + first_row)
+        _append(self._col, cols_)
+        _append(self._coeff, coeffs_)
+        _append(self._sense, codes)
+        _append(self._rhs, rhs_)
+        return first_var, first_row
 
     def set_objective(self, coefficients: Mapping[int, float]) -> None:
         """Set the (minimized) objective; omitted variables have coefficient 0."""
@@ -199,24 +310,46 @@ class MilpModel:
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self._lower)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._rhs)
 
     @property
     def binary_ids(self) -> list[int]:
-        return [i for i, v in enumerate(self.variables) if v.is_binary]
+        return np.flatnonzero(np.array(self._binary)).tolist()
 
+    @property
+    def variables(self) -> tuple[_Variable, ...]:
+        """Every variable's bounds and kind, in id order."""
+        return tuple(map(_Variable, self._lower.tolist(), self._upper.tolist(), map(bool, self._binary)))
 
-def _empty_row_feasible(sense: str, rhs: float) -> bool:
-    # An empty row reads "0 <sense> rhs".
-    if sense == "<=":
-        return 0.0 <= rhs
-    if sense == ">=":
-        return 0.0 >= rhs
-    return rhs == 0.0
+    @property
+    def constraints(self) -> tuple[_Constraint, ...]:
+        """Every row in index order; a row's terms keep their insertion order."""
+        rows = np.array(self._row)
+        order = np.argsort(rows, kind="stable")
+        cols = np.array(self._col)[order].tolist()
+        coeffs = np.array(self._coeff)[order].tolist()
+        ends = np.cumsum(np.bincount(rows, minlength=self.num_constraints)).tolist()
+        out, start = [], 0
+        for end, sense, rhs in zip(ends, self._sense, self._rhs):
+            terms = MappingProxyType(dict(zip(cols[start:end], coeffs[start:end])))
+            out.append(_Constraint(terms, _SENSES[sense], rhs))
+            start = end
+        return tuple(out)
+
+    def _column_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the lower bounds, upper bounds and binary flags."""
+        return np.array(self._lower), np.array(self._upper), np.array(self._binary).astype(bool)
+
+    def _row_arrays(self) -> tuple[np.ndarray, ...]:
+        """Copies of the triplets (row, variable, coefficient), then of the
+        per-row sense codes and right-hand sides."""
+        return (np.array(self._row), np.array(self._col), np.array(self._coeff),
+                np.array(self._sense), np.array(self._rhs))
+
 
 
 def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
@@ -231,40 +364,30 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     limits = limits or SolveLimits()
     n = model.num_variables
 
-    rows = [c for c in model.constraints if c.coefficients]
-    for c in model.constraints:
-        if not c.coefficients and not _empty_row_feasible(c.sense, c.rhs):
-            return Solution(Status.INFEASIBLE)
+    row, col, coeff, sense, rhs = model._row_arrays()
+    filled = np.bincount(row, minlength=rhs.size) > 0
+    # An empty row reads "0 <sense> rhs".
+    holds = np.where(sense == _LE, 0.0 <= rhs, np.where(sense == _GE, 0.0 >= rhs, rhs == 0.0))
+    if (~filled & ~holds).any():
+        return Solution(Status.INFEASIBLE)
     if n == 0:
         return Solution(Status.OPTIMAL, values=np.zeros(0), objective_value=0.0)
 
     c_vec = np.zeros(n)
-    for var, coeff in model.objective.items():
-        c_vec[var] = coeff
-    lower = np.array([v.lower for v in model.variables])
-    upper = np.array([v.upper for v in model.variables])
-    integrality = np.array([1 if v.is_binary else 0 for v in model.variables])
+    for var, value in model.objective.items():
+        c_vec[var] = value
+    lower, upper, binary = model._column_arrays()
+    integrality = binary.astype(int)
 
-    data, row_idx, col_idx, row_lb, row_ub = [], [], [], [], []
-    for r, con in enumerate(rows):
-        for var, coeff in con.coefficients.items():
-            row_idx.append(r)
-            col_idx.append(var)
-            data.append(coeff)
-        if con.sense == "<=":
-            row_lb.append(-np.inf)
-            row_ub.append(con.rhs)
-        elif con.sense == ">=":
-            row_lb.append(con.rhs)
-            row_ub.append(np.inf)
-        else:
-            row_lb.append(con.rhs)
-            row_ub.append(con.rhs)
+    # Empty rows are dropped and the rest renumbered in order.
+    kept = np.flatnonzero(filled)
+    row_lb = np.where(sense[kept] == _LE, -np.inf, rhs[kept])
+    row_ub = np.where(sense[kept] == _GE, np.inf, rhs[kept])
     _load_scipy()
-    a_mat = sparse.csc_array((data, (row_idx, col_idx)), shape=(len(rows), n))
+    a_mat = sparse.csc_array((coeff, (np.cumsum(filled)[row] - 1, col)), shape=(kept.size, n))
 
     if integrality.any():
-        constraints = [LinearConstraint(a_mat, np.array(row_lb), np.array(row_ub))] if rows else []
+        constraints = [LinearConstraint(a_mat, row_lb, row_ub)] if kept.size else []
 
         def backend(presolve: bool):
             with warnings.catch_warnings():
@@ -288,8 +411,7 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
                     },
                 )
     else:
-        lb = np.array(row_lb)
-        ub = np.array(row_ub)
+        lb, ub = row_lb, row_ub
         eq = np.isfinite(lb) & np.isfinite(ub) & (lb == ub)
         ge = np.isfinite(lb) & ~eq
         le = np.isfinite(ub) & ~eq
@@ -400,33 +522,43 @@ def check_solution(
 ) -> list[str]:
     """Independently re-check ``values`` against every bound and constraint.
 
-    Pure-Python re-evaluation sharing nothing with :func:`solve`. Returns a
-    list of human-readable violation descriptions; an empty list means the
-    assignment is feasible (within the tolerances) and integral on binaries.
+    A numpy re-evaluation of the model's own bounds and triplets that shares
+    nothing with :func:`solve` (no scipy, no matrix assembly). Each row's
+    left-hand side is summed over its terms in insertion order. Returns a
+    list of human-readable violation descriptions, variables first, then
+    rows, each in index order; an empty list means the assignment is
+    feasible (within the tolerances) and integral on binaries.
     """
     vals = np.asarray(values, dtype=float)
     problems: list[str] = []
     if vals.shape != (model.num_variables,):
         return [f"expected {model.num_variables} values, got shape {vals.shape}"]
-    for i, var in enumerate(model.variables):
+    lower, upper, binary = model._column_arrays()
+    finite = np.isfinite(vals)
+    with np.errstate(invalid="ignore"):
+        outside = finite & ((vals < lower - feasibility_tol) | (vals > upper + feasibility_tol))
+        fractional = finite & binary & (np.minimum(np.abs(vals), np.abs(vals - 1.0)) > integrality_tol)
+    for i in np.flatnonzero(~finite | outside | fractional):
         v = vals[i]
-        if not math.isfinite(v):
+        if not finite[i]:
             problems.append(f"variable {i} has non-finite value {v}")
             continue
-        if v < var.lower - feasibility_tol or v > var.upper + feasibility_tol:
-            problems.append(f"variable {i} = {v} outside [{var.lower}, {var.upper}]")
-        if var.is_binary and min(abs(v - 0.0), abs(v - 1.0)) > integrality_tol:
+        if outside[i]:
+            problems.append(f"variable {i} = {v} outside [{float(lower[i])}, {float(upper[i])}]")
+        if fractional[i]:
             problems.append(f"binary variable {i} = {v} is not integral")
-    for r, con in enumerate(model.constraints):
-        lhs = 0.0
-        for var, coeff in con.coefficients.items():
-            lhs += coeff * vals[var]
-        if con.sense == "<=" and lhs > con.rhs + feasibility_tol:
-            problems.append(f"constraint {r}: {lhs} <= {con.rhs} violated")
-        elif con.sense == ">=" and lhs < con.rhs - feasibility_tol:
-            problems.append(f"constraint {r}: {lhs} >= {con.rhs} violated")
-        elif con.sense == "=" and abs(lhs - con.rhs) > feasibility_tol:
-            problems.append(f"constraint {r}: {lhs} = {con.rhs} violated")
+
+    row, col, coeff, sense, rhs = model._row_arrays()
+    # bincount adds each row's terms one by one in triplet order, like a loop
+    with np.errstate(all="ignore"):
+        lhs = np.bincount(row, weights=coeff * vals[col], minlength=rhs.size)
+    violated = np.where(
+        sense == _LE,
+        lhs > rhs + feasibility_tol,
+        np.where(sense == _GE, lhs < rhs - feasibility_tol, np.abs(lhs - rhs) > feasibility_tol),
+    )
+    for r in np.flatnonzero(violated):
+        problems.append(f"constraint {r}: {lhs[r]} {_SENSES[sense[r]]} {float(rhs[r])} violated")
     return problems
 
 

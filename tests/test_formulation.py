@@ -2,7 +2,10 @@
 
 1. request and ledger construction, including every rejection path
 2. load relaxation on hand-checkable instances: utilization values, the
-   strict overload rule, flow conservation, commodity merging
+   strict overload rule, flow conservation, commodity merging; one model is
+   pinned byte for byte, and the array-built model equals a row-by-row
+   reference bit for bit; flows keep only their nonzero entries and come
+   back read-only, in sorted commodity order, equal to the dense decode
 3. topology optimization on hand-checkable instances: direct vs relayed
    routing, link sets, per-node energy commitments; the model holds the
    cap, route arcs and order variables only, and the cheapest one- or
@@ -210,6 +213,175 @@ def test_load_build_rejects_bad_endpoints():
         build_load_lp(net, [Request(0, 7, 1.0, 3)])
     with pytest.raises(ModelError):
         solve_load_lp(net, [Request(5, 1, 1.0, 3)])
+
+
+GOLDEN_LOAD_LP = """\
+Minimize
+ obj: 1 x0
+Subject To
+ c0: 1 x1 + 1 x2 + 1 x3 - 1 x4 - 1 x7 - 1 x10 = 1.25
+ c1: -1 x1 + 1 x4 + 1 x5 + 1 x6 - 1 x8 - 1 x11 = 0
+ c2: -1 x2 - 1 x5 + 1 x7 + 1 x8 + 1 x9 - 1 x12 = -1.25
+ c3: -1 x3 - 1 x6 - 1 x9 + 1 x10 + 1 x11 + 1 x12 = 0
+ c4: 1 x13 + 1 x14 + 1 x15 - 1 x16 - 1 x19 - 1 x22 = 2
+ c5: -1 x13 + 1 x16 + 1 x17 + 1 x18 - 1 x20 - 1 x23 = 0
+ c6: -1 x14 - 1 x17 + 1 x19 + 1 x20 + 1 x21 - 1 x24 = 0
+ c7: -1 x15 - 1 x18 - 1 x21 + 1 x22 + 1 x23 + 1 x24 = -2
+ c8: -8 x0 + 1 x1 + 1 x2 + 1 x3 + 1 x4 + 1 x7 + 1 x10 + 1 x13 + 1 x14 + 1 x15 + 1 x16 + 1 x19 + 1 x22 <= -3.25
+ c9: -8 x0 + 1 x1 + 1 x4 + 1 x5 + 1 x6 + 1 x8 + 1 x11 + 1 x13 + 1 x16 + 1 x17 + 1 x18 + 1 x20 + 1 x23 <= -0
+ c10: -8 x0 + 1 x2 + 1 x5 + 1 x7 + 1 x8 + 1 x9 + 1 x12 + 1 x14 + 1 x17 + 1 x19 + 1 x20 + 1 x21 + 1 x24 <= -1.25
+ c11: -8 x0 + 1 x3 + 1 x6 + 1 x9 + 1 x10 + 1 x11 + 1 x12 + 1 x15 + 1 x18 + 1 x21 + 1 x22 + 1 x23 + 1 x24 <= -2
+Bounds
+ 0 <= x0 <= +inf
+ 0 <= x1 <= +inf
+ 0 <= x2 <= +inf
+ 0 <= x3 <= +inf
+ 0 <= x4 <= 0
+ 0 <= x5 <= +inf
+ 0 <= x6 <= +inf
+ 0 <= x7 <= 0
+ 0 <= x8 <= 0
+ 0 <= x9 <= 0
+ 0 <= x10 <= 0
+ 0 <= x11 <= +inf
+ 0 <= x12 <= +inf
+ 0 <= x13 <= +inf
+ 0 <= x14 <= +inf
+ 0 <= x15 <= +inf
+ 0 <= x16 <= 0
+ 0 <= x17 <= +inf
+ 0 <= x18 <= +inf
+ 0 <= x19 <= 0
+ 0 <= x20 <= +inf
+ 0 <= x21 <= +inf
+ 0 <= x22 <= 0
+ 0 <= x23 <= 0
+ 0 <= x24 <= 0
+End
+"""
+
+
+def test_load_model_golden():
+    # the whole load LP, byte for byte: the utilization bound, then per
+    # commodity in sorted endpoint order one flow per ordered node pair,
+    # conservation rows commodity by commodity, then one load row per node.
+    # The two 0->3 requests merge into one commodity of demand 2; node 1
+    # originates and terminates nothing, so its load row reads "<= -0"
+    from qostopo import lp_text
+
+    net = NetworkModel([[0, 0], [1, 0], [2, 0.5], [3, 0]], max_power=10.0, bandwidth=8.0)
+    reqs = [Request(0, 3, 1.5, 2), Request(0, 2, 1.25, 3), Request(0, 3, 0.5, 3)]
+    assert lp_text(build_load_lp(net, reqs)) == GOLDEN_LOAD_LP
+
+
+def _field20(seed):
+    from qostopo import ScenarioParams, generate_scenario
+
+    return generate_scenario(ScenarioParams(
+        node_count=20, region=(180.0, 180.0), path_loss_exponent=2.0, max_power=65000.0, bandwidth=200.0,
+        request_rate=1.5, mean_demand=10.0, hop_bound=3, threshold=None, seed=seed,
+    ))
+
+
+def _load_lp_by_rows(net, reqs):
+    """The load LP built row by row through add_constraint, as a reference."""
+    from qostopo import MilpModel
+    from qostopo.formulation import _merge_commodities, _ordered_pairs
+
+    n = net.node_count
+    commodities = _merge_commodities(reqs)
+    model = MilpModel()
+    util = model.add_continuous(0.0, np.inf)
+    model.set_objective({util: 1.0})
+    flow_id = {}
+    for s, d, _ in commodities:
+        for i, j in _ordered_pairs(n):
+            flow_id[(s, d, i, j)] = model.add_continuous(0.0, 0.0 if j == s or i == d else np.inf)
+    for s, d, lam in commodities:
+        for v in range(n):
+            coeffs = {}
+            for j in range(n):
+                if j != v:
+                    coeffs[flow_id[(s, d, v, j)]] = 1.0
+                    coeffs[flow_id[(s, d, j, v)]] = -1.0
+            model.add_constraint(coeffs, "=", lam if v == s else -lam if v == d else 0.0)
+    for v in range(n):
+        coeffs, endpoint_demand = {}, 0.0
+        for s, d, lam in commodities:
+            for j in range(n):
+                if j != v:
+                    coeffs[flow_id[(s, d, v, j)]] = 1.0
+                    coeffs[flow_id[(s, d, j, v)]] = 1.0
+            endpoint_demand += lam if v in (s, d) else 0.0
+        coeffs[util] = -net.bandwidth
+        model.add_constraint(coeffs, "<=", -endpoint_demand)
+    return model
+
+
+def _same_floats(a, b):
+    # bit for bit, so that -0.0 and 0.0 differ
+    return np.array_equal(np.array(a, dtype=float).view(np.int64), np.array(b, dtype=float).view(np.int64))
+
+
+def test_load_model_matches_row_by_row_reference():
+    rng = np.random.default_rng(11)
+    cases = [_field20(9_100_000)]
+    for _ in range(8):
+        n = int(rng.integers(2, 8))
+        reqs = []
+        for _ in range(int(rng.integers(0, 6))):
+            s, d = rng.choice(n, size=2, replace=False)
+            reqs.append(Request(int(s), int(d), float(rng.choice([0.1, 0.7, 1.25, 3.0])), 3))
+        cases.append((random_net(rng, n), reqs + reqs[:1]))
+    for net, reqs in cases:
+        got, want = build_load_lp(net, reqs), _load_lp_by_rows(net, reqs)
+        assert got.objective == want.objective
+        assert got.variables == want.variables
+        rows, ref = got.constraints, want.constraints
+        assert [(r.sense, list(r.coefficients)) for r in rows] == [(r.sense, list(r.coefficients)) for r in ref]
+        assert _same_floats([r.rhs for r in rows], [r.rhs for r in ref])
+        for r, w in zip(rows, ref):
+            assert _same_floats(list(r.coefficients.values()), list(w.coefficients.values()))
+
+
+def test_load_flows_are_sparse_read_only_and_sorted():
+    from qostopo import LoadLpResult, check_solution
+    from qostopo.formulation import _merge_commodities
+
+    for seed in (9_100_001, 9_100_002):
+        net, reqs = _field20(seed)
+        res = solve_load_lp(net, reqs)
+        # the dense decode of the raw solution, as a traced caller does it
+        model = build_load_lp(net, reqs)
+        sol = solve(model)
+        assert check_solution(model, sol.values) == []
+        n, m = net.node_count, net.node_count * (net.node_count - 1)
+        keys = [(s, d) for s, d, _ in _merge_commodities(reqs)]
+        assert list(res.flows) == keys == sorted(keys) and len(res.flows) == len(keys)
+        assert res.max_utilization == float(sol.values[0])
+        dense = {}
+        for c, key in enumerate(keys):
+            mat = np.zeros((n, n))
+            mat[~np.eye(n, dtype=bool)] = sol.values[1 + c * m: 1 + (c + 1) * m]
+            dense[key] = mat
+            assert np.array_equal(res.flows[key], mat)
+            assert not res.flows[key].flags.writeable
+            with pytest.raises(ValueError):
+                res.flows[key][0, 1] = 1.0
+        # far fewer flows are kept than the LP has flow variables
+        assert sum(np.count_nonzero(res.flows[key]) for key in keys) < m
+        with pytest.raises(KeyError):
+            res.flows[(0, 0)]
+
+        # a caller's dense dict is kept the same way, in sorted order
+        rebuilt = LoadLpResult(res.max_utilization, flows=dict(reversed(list(dense.items()))))
+        assert list(rebuilt.flows) == keys
+        assert all(np.array_equal(rebuilt.flows[key], dense[key]) for key in keys)
+        assert not rebuilt.flows[keys[0]].flags.writeable
+        assert LoadLpResult(res.max_utilization, res.flows).flows is res.flows
+
+    empty = solve_load_lp(_field20(9_100_003)[0], [])
+    assert empty.flows == {} and list(empty.flows) == [] and LoadLpResult(0.0, {}).flows == {}
 
 
 def test_load_iteration_budget_raises_limit_error():
@@ -514,15 +686,11 @@ def test_cap_bound_from_one_and_two_hop_routes(net, req, threshold, bound):
     assert sol.lost or sol.max_energy <= bound
 
 
-def test_solution_lost_property_mixes_requests():
-    sol = TopologySolution(
-        max_energy=1.0,
-        links=set(),
-        routes=[[0, 1], None],
-        node_energy=np.zeros(2),
-        resource_limited=False,
-    )
-    assert sol.lost
+def test_solution_lost_reads_its_one_route():
+    routed = TopologySolution(1.0, {(0, 1), (1, 0)}, [[0, 1]], np.array([1.0, 0.0]))
+    assert not routed.lost
+    assert TopologySolution(0.0, set(), [None], np.zeros(2)).lost
+    assert TopologySolution(0.0, set(), [None], np.zeros(2), resource_limited=True).lost
 
 
 # -- decode-time re-verification ---------------------------------------------

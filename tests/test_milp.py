@@ -1,6 +1,7 @@
 """Solver wrapper proofs.
 
-1. model building and introspection, including every rejection path
+1. model building and introspection, row by row and in bulk blocks,
+   including every rejection path
 2. hand-checkable LPs and MILPs hit their known optima exactly
 3. definite statuses: infeasible, unbounded, empty models, empty rows
 4. resource limits surface as RESOURCE_LIMIT, never as an exception; the
@@ -76,6 +77,65 @@ def test_building_rejections():
         m.add_constraint({x: 1.0}, "<=", math.inf)
     with pytest.raises(ModelError):
         m.set_objective({99: 1.0})
+
+
+def _rows_of(model):
+    return [(dict(r.coefficients), r.sense, r.rhs) for r in model.constraints]
+
+
+def test_bulk_block_equals_row_by_row_build():
+    one = MilpModel()
+    x = one.add_binary()
+    y = one.add_continuous(-1.0, 2.0)
+    z = one.add_continuous()
+    one.add_constraint({y: 1.5, x: -2.0}, "<=", 3.0)
+    one.add_constraint({}, ">=", -1.0)
+    one.add_constraint({z: 1.0, x: 1.0, y: -0.5}, "=", 0.0)
+
+    bulk = MilpModel()
+    bulk.add_binary()
+    assert bulk.add_block(
+        lower=[-1.0, 0.0], upper=[2.0, np.inf],
+        rows=[0, 0, 2, 2, 2], cols=[1, 0, 2, 0, 1], coeffs=[1.5, -2.0, 1.0, 1.0, -0.5],
+        senses=["<=", ">=", "="], rhs=[3.0, -1.0, 0.0],
+    ) == (1, 0)
+    assert bulk.variables == one.variables and bulk.binary_ids == one.binary_ids == [0]
+    assert _rows_of(bulk) == _rows_of(one)
+    assert lp_text(bulk) == lp_text(one)
+    # the views are read-only
+    with pytest.raises(TypeError):
+        bulk.constraints[0].coefficients[1] = 9.0
+    # rows keep numbering on from what is there, in either order of use
+    assert bulk.add_constraint({x: 1.0}, "<=", 1.0) == 3
+    assert bulk.add_block(rows=[0], cols=[2], coeffs=[1.0], senses=["<="], rhs=[1.0]) == (3, 4)
+    assert bulk.num_constraints == 5
+
+
+def test_bulk_building_rejections():
+    m = MilpModel()
+    m.add_continuous()
+    good = dict(lower=[0.0], upper=[1.0], rows=[0, 0], cols=[0, 1], coeffs=[1.0, 2.0], senses=["<="], rhs=[1.0])
+    bad_inputs = [
+        dict(coeffs=[1.0, math.nan]),
+        dict(coeffs=[math.inf, 2.0]),
+        dict(coeffs=[1.0, -math.inf]),
+        dict(cols=[0, 2]),  # the block adds only variable 1
+        dict(cols=[-1, 1]),
+        dict(senses=["<"]),
+        dict(senses=["<=", "="]),
+        dict(rhs=[math.inf]),
+        dict(rows=[0, 1]),  # the block has one row
+        dict(cols=[1, 1]),  # one variable twice in a row
+        dict(lower=[math.nan]),
+        dict(lower=[2.0]),
+        dict(cols=[0.0, 1.0]),
+    ]
+    for change in bad_inputs:
+        with pytest.raises(ModelError):
+            m.add_block(**{**good, **change})
+        # nothing of a rejected block is kept
+        assert (m.num_variables, m.num_constraints) == (1, 0), change
+    assert m.add_block(**good) == (1, 0)
 
 
 def test_minimize_single_variable_lp():
@@ -303,6 +363,21 @@ def test_check_solution_accepts_and_rejects():
     assert check_solution(m, [1.0, math.nan]) != []
     # loose tolerances make the fractional value acceptable
     assert check_solution(m, [0.5, 1.0], integrality_tol=0.5) == []
+
+    # 300 rows of every sense, all met but row 217 (a ">=" row); the message
+    # names that row in the usual format. Values and coefficients are binary
+    # fractions, so every left-hand side is exact
+    big = MilpModel()
+    xs = [big.add_continuous(upper=10.0) for _ in range(30)]
+    point = np.arange(30) / 8.0
+    for r in range(300):
+        a, b = r % 30, (7 * r + 3) % 30
+        sense = ("<=", ">=", "=")[r % 3]
+        rhs = point[a] + 0.5 * point[b] + {"<=": 0.25, ">=": -0.25, "=": 0.0}[sense]
+        big.add_constraint({xs[a]: 1.0, xs[b]: 0.5}, sense, rhs + (1.0 if r == 217 else 0.0))
+    assert check_solution(big, point) == ["constraint 217: 2.25 >= 3.0 violated"]
+    point[29] = 10.5
+    assert check_solution(big, point)[0] == "variable 29 = 10.5 outside [0.0, 10.0]"
 
 
 def test_lp_text_sections():
