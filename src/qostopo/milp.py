@@ -3,27 +3,30 @@
 Models are assembled through :class:`MilpModel`, one variable or row at a
 time or in array blocks, and kept as arrays: column bounds and binary
 flags, coefficient triplets, row senses and right-hand sides. :func:`solve`
-hands those triplets to HiGHS as one sparse matrix, with no Python loop per
-coefficient, and solves to proven optimality (zero MIP gap) via
-scipy.optimize's HiGHS backend — ``milp`` when binaries are present,
-``linprog`` for purely continuous models. Solutions carry an explicit
-status (Optimal / Infeasible / Unbounded / ResourceLimit); hitting a node
-or iteration limit is a status, never a silently wrong answer, and solving
+hands those triplets to HiGHS as one column-wise sparse matrix, with no
+Python loop per coefficient, through the HiGHS bindings that scipy ships,
+and solves to proven optimality (zero MIP gap). HiGHS gets the layout and
+options that scipy's ``milp`` gave it for models with binaries and that
+``linprog`` gave it for continuous ones, so answers match those wrappers
+bit for bit; only the model status, the column values, the objective and
+the node count are read back. Solutions carry an explicit status
+(Optimal / Infeasible / Unbounded / ResourceLimit); hitting a node or
+iteration limit is a status, never a silently wrong answer, and solving
 the same model twice yields the same solution. HiGHS's presolve
-occasionally gives up on a small model with "Solve error" (scipy status 4
-without a limit message); such a solve is retried once with presolve off,
-and if that attempt fails too, :class:`SolverError` is raised. HiGHS writes
+occasionally gives up on a small model with "Solve error"; a solve that
+ends on any status but those four is retried once with presolve off, and
+if that attempt fails too, :class:`SolverError` is raised. HiGHS writes
 some diagnostics straight to file descriptor 1, bypassing its own output
 options, so fd 1 is pointed at the null device for the duration of each
-backend call.
+HiGHS run.
 
-scipy's ``sparse`` and ``optimize`` (HiGHS) modules are imported on the
-first solve that reaches the backend, not when this module is imported, so
-code that never solves (scenario parsing, geometry, the command line's help
-and usage errors) never pays for them. The loaded names (``sparse``,
-``Bounds``, ``LinearConstraint``, ``linprog``, ``milp``) are attributes of
-this module and stay patchable: the loader only fills names that are still
-``None``, so a stand-in set before the first solve is the one called.
+The HiGHS bindings (``scipy.optimize._highspy._core``, scipy 1.15 and
+later) are imported on the first solve that reaches HiGHS, not when this
+module is imported, so code that never solves (scenario parsing, geometry,
+the command line's help and usage errors) never pays for scipy. They are
+bound to this module's ``highs`` name, which the loader fills only while
+it is ``None``; every HiGHS run goes through :func:`_highs`, the one place
+a test substitutes a stand-in for the solver.
 
 The module also ships two solver-independent companions used to cross-check
 results: :func:`check_solution`, a numpy re-evaluation of every bound and
@@ -39,7 +42,6 @@ import enum
 import io
 import math
 import os
-import warnings
 from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -47,9 +49,8 @@ from typing import Mapping
 
 import numpy as np
 
-# Filled on the first solve by _load_scipy.
-sparse = None
-Bounds = LinearConstraint = linprog = milp = None
+# The HiGHS bindings scipy ships, bound on the first solve by _load_scipy.
+highs = None
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -72,7 +73,7 @@ INTEGRALITY_TOL = 1e-6
 
 _SENSES = ("<=", ">=", "=")
 # rows store their sense as its position in _SENSES
-_LE, _GE = _SENSES.index("<="), _SENSES.index(">=")
+_LE, _GE, _EQ = range(len(_SENSES))
 
 
 class Status(enum.Enum):
@@ -117,8 +118,8 @@ class Solution:
     it is present for Optimal solutions and for ResourceLimit outcomes that
     produced an incumbent. ``objective_value`` is present iff Optimal.
     ``mip_node_count`` is the number of branch-and-bound nodes HiGHS
-    explored; it is ``None`` for purely continuous models, which ``linprog``
-    solves without branching.
+    explored; it is ``None`` for purely continuous models, which HiGHS
+    solves without branching, and for outcomes without values.
     """
 
     status: Status
@@ -357,9 +358,10 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
 
     Deterministic: identical models produce identical solutions. Returns
     ``Status.RESOURCE_LIMIT`` (with the best incumbent, if any) when the
-    node/iteration caps in ``limits`` are hit. A HiGHS "Solve error" is
+    node/iteration caps in ``limits`` are hit. Any other status HiGHS ends
+    on besides optimal, infeasible and unbounded (such as "Solve error") is
     retried once without presolve; :class:`SolverError` is raised if the
-    retry fails as well.
+    retry ends on one too.
     """
     limits = limits or SolveLimits()
     n = model.num_variables
@@ -377,97 +379,97 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     for var, value in model.objective.items():
         c_vec[var] = value
     lower, upper, binary = model._column_arrays()
-    integrality = binary.astype(int)
+    mip = bool(binary.any())
 
     # Empty rows are dropped and the rest renumbered in order.
-    kept = np.flatnonzero(filled)
-    row_lb = np.where(sense[kept] == _LE, -np.inf, rhs[kept])
-    row_ub = np.where(sense[kept] == _GE, np.inf, rhs[kept])
-    _load_scipy()
-    a_mat = sparse.csc_array((coeff, (np.cumsum(filled)[row] - 1, col)), shape=(kept.size, n))
-
-    if integrality.any():
-        constraints = [LinearConstraint(a_mat, row_lb, row_ub)] if kept.size else []
-
-        def backend(presolve: bool):
-            with warnings.catch_warnings():
-                # The tolerance options below are forwarded to HiGHS verbatim;
-                # scipy flags them as unrecognized. They keep row violations well
-                # under the 1e-7 re-check tolerance even when coefficients are
-                # large (HiGHS's stock MIP feasibility tolerance is only 1e-6).
-                warnings.filterwarnings("ignore", message="Unrecognized options detected")
-                return milp(
-                    c_vec,
-                    constraints=constraints,
-                    integrality=integrality,
-                    bounds=Bounds(lower, upper),
-                    options={
-                        "mip_rel_gap": 0.0,
-                        "node_limit": limits.max_nodes,
-                        "presolve": presolve,
-                        "mip_feasibility_tolerance": 1e-9,
-                        "primal_feasibility_tolerance": 1e-9,
-                        "dual_feasibility_tolerance": 1e-9,
-                    },
-                )
+    row = (np.cumsum(filled) - 1)[row]
+    sense, rhs = sense[filled], rhs[filled]
+    if mip:
+        # The layout scipy's milp gave HiGHS: the model's rows, lo <= Ax <= up.
+        row_lower = np.where(sense == _LE, -np.inf, rhs)
+        row_upper = np.where(sense == _GE, np.inf, rhs)
+        options = dict(log_to_console=False, mip_max_nodes=limits.max_nodes, mip_rel_gap=0.0,
+                       mip_feasibility_tolerance=1e-9)
     else:
-        lb, ub = row_lb, row_ub
-        eq = np.isfinite(lb) & np.isfinite(ub) & (lb == ub)
-        ge = np.isfinite(lb) & ~eq
-        le = np.isfinite(ub) & ~eq
-        a_csr = a_mat.tocsr()
-        a_ub_parts, b_ub_parts = [], []
-        if le.any():
-            a_ub_parts.append(a_csr[np.flatnonzero(le)])
-            b_ub_parts.append(ub[le])
-        if ge.any():
-            a_ub_parts.append(-a_csr[np.flatnonzero(ge)])
-            b_ub_parts.append(-lb[ge])
+        # The layout scipy's linprog gave HiGHS: "<=" rows, then ">=" rows
+        # negated into "<=" rows, then "=" rows, each group in model order.
+        # The sense codes sort in that order.
+        order = np.argsort(sense, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        coeff = np.where(sense[row] == _GE, -coeff, coeff)
+        row = position[row]
+        row_upper = np.where(sense == _GE, -rhs, rhs)[order]
+        row_lower = np.where(sense[order] == _EQ, row_upper, -np.inf)
+        options = dict(highs_debug_level=0, output_flag=False, log_to_console=False, simplex_strategy=1,
+                       simplex_iteration_limit=limits.max_lp_iterations,
+                       ipm_iteration_limit=limits.max_lp_iterations)
+    # Tolerances of 1e-9 keep row violations well under the 1e-7 re-check
+    # tolerance even with large coefficients (HiGHS's stock is 1e-6 or 1e-7).
+    options.update(primal_feasibility_tolerance=1e-9, dual_feasibility_tolerance=1e-9)
+    # Column-wise, rows ascending within each column: the canonical CSC form
+    # scipy.sparse handed on. No (row, column) pair repeats in a model.
+    by_column = np.lexsort((row, col))
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=n), out=start[1:])
+    matrix = (start, row[by_column].astype(np.int32), coeff[by_column])
 
-        def backend(presolve: bool):
-            return linprog(
-                c_vec,
-                A_ub=sparse.vstack(a_ub_parts, format="csr") if a_ub_parts else None,
-                b_ub=np.concatenate(b_ub_parts) if b_ub_parts else None,
-                A_eq=a_csr[np.flatnonzero(eq)] if eq.any() else None,
-                b_eq=lb[eq] if eq.any() else None,
-                bounds=np.column_stack([lower, upper]),
-                method="highs",
-                options={
-                    "maxiter": limits.max_lp_iterations,
-                    "presolve": presolve,
-                    "primal_feasibility_tolerance": 1e-9,
-                    "dual_feasibility_tolerance": 1e-9,
-                },
-            )
-
+    _load_scipy()
     with _stdout_silenced():
-        res = backend(presolve=True)
-        if res.status == 4 and not _is_limit_stop(res):
-            res = backend(presolve=False)
-    # linprog may report a node count too (0); only milp branches
-    nodes = getattr(res, "mip_node_count", None) if integrality.any() else None
-    return _interpret(res, None if nodes is None else int(nodes))
+        for presolve in ("on", "off"):
+            status, values, objective, nodes = _highs(
+                c_vec, (lower, upper), matrix, (row_lower, row_upper), binary if mip else None,
+                dict(options, presolve=presolve),
+            )
+            solution = _interpret(status, values, objective, nodes, mip)
+            if solution is not None:
+                return solution
+        raise SolverError(f"HiGHS ended with model status {highs._Highs().modelStatusToString(status)!r}")
+
+
+def _highs(cost, bounds, matrix, row_bounds, integrality, options: dict):
+    """Run HiGHS once on ``min cost @ x`` s.t. ``row_bounds`` bound ``A @ x``
+    and ``bounds`` bound ``x``; ``matrix`` is ``A`` as CSC (start, index,
+    value) and ``integrality`` flags integer columns (``None``: continuous).
+    Returns the model status, column values, objective and node count.
+    """
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = cost.size, row_bounds[0].size
+    lp.col_cost_ = cost
+    lp.col_lower_, lp.col_upper_ = bounds
+    lp.row_lower_, lp.row_upper_ = row_bounds
+    a_matrix = lp.a_matrix_
+    a_matrix.num_col_, a_matrix.num_row_ = lp.num_col_, lp.num_row_
+    a_matrix.format_ = highs.MatrixFormat.kColwise
+    # the bindings copy Python lists into these vectors faster than arrays
+    a_matrix.start_, a_matrix.index_, a_matrix.value_ = (part.tolist() for part in matrix)
+    if integrality is not None:
+        lp.integrality_ = [highs.HighsVarType(int(flag)) for flag in integrality]
+
+    solver = highs._Highs()
+    highs_options = highs.HighsOptions()
+    for name, value in options.items():
+        setattr(highs_options, name, value)
+    solver.passOptions(highs_options)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        return highs.HighsModelStatus.kModelError, None, math.inf, 0
+    solver.run()
+    info = solver.getInfo()
+    return solver.getModelStatus(), solver.getSolution().col_value, info.objective_function_value, info.mip_node_count
 
 
 def _load_scipy() -> None:
-    """Bind the scipy names this module solves with, leaving any already set."""
-    if None not in (sparse, Bounds, LinearConstraint, linprog, milp):
+    """Bind the HiGHS bindings that scipy ships, unless a stand-in is set."""
+    global highs
+    if highs is not None:
         return
-    from scipy import optimize
-    from scipy import sparse as scipy_sparse
-
-    loaded = {
-        "sparse": scipy_sparse,
-        "Bounds": optimize.Bounds,
-        "LinearConstraint": optimize.LinearConstraint,
-        "linprog": optimize.linprog,
-        "milp": optimize.milp,
-    }
-    namespace = globals()
-    for name, value in loaded.items():
-        if namespace[name] is None:
-            namespace[name] = value
+    try:
+        import scipy.optimize._highspy._core as core
+    except ImportError as exc:
+        import scipy
+        raise ImportError(f"solving needs scipy.optimize._highspy._core, shipped since scipy 1.15; "
+                          f"the installed scipy is {scipy.__version__}") from exc
+    highs = core
 
 
 @contextlib.contextmanager
@@ -492,26 +494,22 @@ def _stdout_silenced():
         os.close(null)
 
 
-def _is_limit_stop(res) -> bool:
-    # scipy reports some HiGHS outcomes (e.g. node-limit stops, which HiGHS
-    # words "Solution limit reached") as status 4 with an explanatory
-    # message; anything limit-like is a resource stop.
-    return "limit" in str(res.message).lower()
-
-
-def _interpret(res, nodes: int | None) -> Solution:
-    values = None if res.x is None else np.asarray(res.x, dtype=float)
-    if res.status == 0:
-        return Solution(Status.OPTIMAL, values=values, objective_value=float(res.fun), mip_node_count=nodes)
-    if res.status == 1:
-        return Solution(Status.RESOURCE_LIMIT, values=values, mip_node_count=nodes)
-    if res.status == 2:
-        return Solution(Status.INFEASIBLE, mip_node_count=nodes)
-    if res.status == 3:
-        return Solution(Status.UNBOUNDED, mip_node_count=nodes)
-    if _is_limit_stop(res):
-        return Solution(Status.RESOURCE_LIMIT, values=values, mip_node_count=nodes)
-    raise SolverError(f"solver returned an unexpected result: {res.message}")
+def _interpret(status, values, objective: float, nodes: int, mip: bool) -> Solution | None:
+    """The solution a HiGHS model status stands for; ``None`` for a status
+    that is neither optimal, infeasible, unbounded nor a budget stop."""
+    kind = highs.HighsModelStatus
+    if status == kind.kOptimal:
+        return Solution(Status.OPTIMAL, np.array(values, dtype=float), float(objective), int(nodes) if mip else None)
+    if status == kind.kInfeasible:
+        return Solution(Status.INFEASIBLE)
+    if status == kind.kUnbounded:
+        return Solution(Status.UNBOUNDED)
+    if status in (kind.kTimeLimit, kind.kIterationLimit, kind.kSolutionLimit):
+        # Only a MIP incumbent with a finite objective has values worth keeping.
+        if mip and objective < math.inf:
+            return Solution(Status.RESOURCE_LIMIT, np.array(values, dtype=float), mip_node_count=int(nodes))
+        return Solution(Status.RESOURCE_LIMIT)
+    return None
 
 
 def check_solution(

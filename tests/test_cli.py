@@ -18,7 +18,6 @@ import os
 from pathlib import Path
 
 import pytest
-from scipy import optimize
 
 import qostopo.cli as cli
 import qostopo.milp
@@ -149,24 +148,23 @@ def test_run_golden_table(tmp_path, capsys):
 
 
 def test_run_and_loadcheck_write_only_their_output_to_fd_1(tmp_path, capfd, monkeypatch):
-    # stand-ins that write to file descriptor 1, as HiGHS does, before each
-    # real backend call: whatever the solver prints, fd 1 carries the output
+    # a stand-in that writes to file descriptor 1, as HiGHS does, before each
+    # real HiGHS run: whatever the solver prints, fd 1 carries the output
     calls = []
+    real = qostopo.milp._highs
 
-    def noisy(name, real):
-        def call(*args, **kwargs):
-            calls.append(name)
-            os.write(1, f"{name} chatter on fd 1\n".encode())
-            return real(*args, **kwargs)
-        return call
+    def noisy(cost, bounds, matrix, row_bounds, integrality, options):
+        name = "continuous" if integrality is None else "binary"
+        calls.append(name)
+        os.write(1, f"{name} chatter on fd 1\n".encode())
+        return real(cost, bounds, matrix, row_bounds, integrality, options)
 
-    monkeypatch.setattr(qostopo.milp, "milp", noisy("milp", optimize.milp))
-    monkeypatch.setattr(qostopo.milp, "linprog", noisy("linprog", optimize.linprog))
+    monkeypatch.setattr(qostopo.milp, "_highs", noisy)
     assert main(["run", "--scenario", str(LINE3), "--out", str(tmp_path / "out")]) == 0
     assert capfd.readouterr().out == LINE3_TABLE
     assert main(["loadcheck", "--scenario", str(LINE3)]) == 0
     assert capfd.readouterr().out == "L_max = 0.08\nOVERLOADED: no\n"
-    assert calls == ["milp", "linprog"]
+    assert calls == ["binary", "continuous"]
 
 
 # Thresholded, so every admission solves the topology MILP. On the HiGHS in

@@ -12,10 +12,12 @@
 8. lp_text renders every section of the model
 9. a HiGHS "Solve error" is retried without presolve, a second failure
    raises SolverError (CLI exit code 3), and HiGHS's console lines stay
-   out of stdout
-10. scipy's optimize/sparse modules load on the first solve, not on import,
-    and a stand-in patched onto the module before that solve is kept;
+   out of stdout; missing HiGHS bindings name the installed scipy
+10. scipy loads on the first solve, not on import, and a stand-in for the
+    HiGHS run patched onto the module before that solve is the one called;
     PyYAML loads with the first scenario file, not on import
+11. the direct HiGHS call hands HiGHS exactly the options and model that
+    scipy's milp/linprog wrappers did, and gets the same answers back
 """
 
 import json
@@ -23,11 +25,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize._highspy import _core as highs
 
 import qostopo.cli
 import qostopo.milp
@@ -147,7 +152,7 @@ def test_minimize_single_variable_lp():
     assert sol.status is Status.OPTIMAL
     assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
     assert sol.value(x) == pytest.approx(3.0, abs=1e-9)
-    assert sol.mip_node_count is None  # linprog does not branch
+    assert sol.mip_node_count is None  # a continuous model does not branch
 
 
 def test_lp_with_equality_row():
@@ -219,6 +224,13 @@ def test_unbounded_model():
     sol = solve(m)
     assert sol.status is Status.UNBOUNDED
 
+    m = MilpModel()
+    x, y = m.add_binary(), m.add_continuous()
+    m.add_constraint({x: 1.0, y: -1.0}, "<=", 0.5)
+    m.set_objective({x: 1.0, y: -1.0})
+    sol = solve(m)
+    assert sol.status is Status.UNBOUNDED and sol.values is None
+
 
 def test_empty_model_is_trivially_optimal():
     sol = solve(MilpModel())
@@ -284,7 +296,8 @@ def test_iteration_budget_reports_resource_limit():
         row = rng.uniform(-1.0, 1.0, size=80)
         m.add_constraint({xs[i]: float(row[i]) for i in range(80)}, "<=", 5.0)
     m.set_objective({xs[i]: float(rng.uniform(-1.0, 1.0)) for i in range(80)})
-    assert solve(m, SolveLimits(max_lp_iterations=3)).status is Status.RESOURCE_LIMIT
+    capped = solve(m, SolveLimits(max_lp_iterations=3))
+    assert capped.status is Status.RESOURCE_LIMIT and capped.values is None
     assert solve(m).status is Status.OPTIMAL
 
 
@@ -442,28 +455,157 @@ def test_presolve_solve_error_is_retried_to_a_definite_status(capfd):
     assert capfd.readouterr().out == ""
 
 
-def _fake_milp(message, calls):
-    def fake(*args, options, **kwargs):
-        calls.append(options["presolve"])
-        return OptimizeResult(status=4, message=message, x=None, fun=None)
+def _fake_highs(status, calls):
+    """A stand-in for one HiGHS run that ends on ``status`` with no solution."""
+
+    def fake(cost, bounds, matrix, row_bounds, integrality, options):
+        calls.append(options["presolve"] == "on")
+        return status, [], math.inf, 0
 
     return fake
 
 
 def test_repeated_solve_error_raises_solver_error(monkeypatch):
     calls = []
-    monkeypatch.setattr(qostopo.milp, "milp", _fake_milp("(HiGHS Status 4: Solve error)", calls))
+    monkeypatch.setattr(qostopo.milp, "_highs", _fake_highs(highs.HighsModelStatus.kSolveError, calls))
     with pytest.raises(SolverError, match="Solve error"):
         solve(_presolve_fault_model())
     assert calls == [True, False]
     assert issubclass(SolverError, RuntimeError)
+    monkeypatch.undo()
+
+    # HiGHS refuses a coefficient of 1e20 whether or not it presolves; the
+    # model is feasible (y = 1e-20), so no status but an error is true of it
+    m = MilpModel()
+    y, z = m.add_continuous(), m.add_binary()
+    m.add_constraint({y: 1e20, z: 1.0}, ">=", 1.0)
+    m.set_objective({y: 1.0})
+    with pytest.raises(SolverError, match="Model error"):
+        solve(m)
 
 
 def test_limit_stop_is_not_retried(monkeypatch):
     calls = []
-    monkeypatch.setattr(qostopo.milp, "milp", _fake_milp("Solution limit reached", calls))
+    monkeypatch.setattr(qostopo.milp, "_highs", _fake_highs(highs.HighsModelStatus.kSolutionLimit, calls))
     assert solve(_presolve_fault_model()).status is Status.RESOURCE_LIMIT
     assert calls == [True]
+
+
+def test_missing_highs_bindings_name_the_installed_scipy(monkeypatch):
+    import scipy
+
+    monkeypatch.setattr(qostopo.milp, "highs", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    with pytest.raises(ImportError, match=f"installed scipy is {scipy.__version__}"):
+        solve(_presolve_fault_model())
+
+
+def _wrapper_solve(model, limits):
+    """The solve as it ran through scipy's milp and linprog wrappers, kept as
+    the reference for the direct HiGHS call. Returns the status, values and
+    node count."""
+    n = model.num_variables
+    row, col, coeff, sense, rhs = model._row_arrays()
+    filled = np.bincount(row, minlength=rhs.size) > 0
+    holds = np.where(sense == 0, 0.0 <= rhs, np.where(sense == 1, 0.0 >= rhs, rhs == 0.0))
+    if (~filled & ~holds).any():
+        return "infeasible", None, None
+    c_vec = np.zeros(n)
+    for var, value in model.objective.items():
+        c_vec[var] = value
+    lower, upper, binary = model._column_arrays()
+    sense, rhs = sense[filled], rhs[filled]
+    row_lb, row_ub = np.where(sense == 0, -np.inf, rhs), np.where(sense == 1, np.inf, rhs)
+    a_mat = sparse.csc_array((coeff, (np.cumsum(filled)[row] - 1, col)), shape=(rhs.size, n))
+    tolerances = {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
+    if binary.any():
+        def backend(presolve):
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", message="Unrecognized options detected")
+                return milp(
+                    c_vec, integrality=binary.astype(int), bounds=Bounds(lower, upper),
+                    constraints=[LinearConstraint(a_mat, row_lb, row_ub)] if rhs.size else [],
+                    options={"mip_rel_gap": 0.0, "node_limit": limits.max_nodes, "presolve": presolve,
+                             "mip_feasibility_tolerance": 1e-9, **tolerances},
+                )
+    else:
+        a_csr = a_mat.tocsr()
+        le, ge, eq = (np.flatnonzero(sense == k) for k in range(3))
+
+        def backend(presolve):
+            return linprog(
+                c_vec, A_ub=sparse.vstack([a_csr[le], -a_csr[ge]], format="csr"),
+                b_ub=np.concatenate([rhs[le], -rhs[ge]]), A_eq=a_csr[eq], b_eq=rhs[eq],
+                bounds=np.column_stack([lower, upper]), method="highs",
+                options={"maxiter": limits.max_lp_iterations, "presolve": presolve, **tolerances},
+            )
+
+    res = backend(True)
+    limit = "limit" in res.message.lower()
+    if res.status == 4 and not limit:
+        res = backend(False)
+        limit = "limit" in res.message.lower()
+    status = {0: "optimal", 1: "resource_limit", 2: "infeasible", 3: "unbounded"}.get(res.status)
+    status = status or ("resource_limit" if limit else "error")
+    nodes = getattr(res, "mip_node_count", None) if binary.any() else None
+    return status, res.x, None if nodes is None else int(nodes)
+
+
+def test_direct_highs_call_matches_scipy_wrappers(monkeypatch):
+    from qostopo import ScenarioParams, build_load_lp, formulation, generate_scenario, simulate
+
+    option_names = [name for name in dir(highs.HighsOptions()) if not name.startswith("_")]
+    inputs = []
+
+    class Recording(highs._Highs):
+        """Records every option and the whole model that HiGHS is handed."""
+
+        def passOptions(self, options):
+            inputs.append({name: repr(getattr(options, name)) for name in option_names})
+            return super().passOptions(options)
+
+        def passModel(self, lp):
+            a = lp.a_matrix_
+            arrays = (lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_,
+                      a.start_, a.index_, a.value_, [int(kind) for kind in lp.integrality_])
+            sizes = (lp.num_col_, lp.num_row_, a.num_col_, a.num_row_, a.format_, lp.sense_, lp.offset_)
+            inputs.append((sizes, [np.asarray(v).tobytes() for v in arrays]))
+            return super().passModel(lp)
+
+    monkeypatch.setattr(highs, "_Highs", Recording)
+
+    def compared(model, limits=None):
+        got = solve(model, limits)
+        direct = inputs.copy()
+        inputs.clear()
+        status, values, nodes = _wrapper_solve(model, limits or SolveLimits())
+        assert inputs == direct and direct
+        inputs.clear()
+        assert got.status.value == status
+        assert values is None if got.values is None else np.array_equal(got.values, values)
+        assert got.mip_node_count == nodes
+        solved.append((model.binary_ids != [], got.status))
+        return got
+
+    # field15's demand and hop bound on the benchmark's fields: load LPs on
+    # 5 to 20 nodes, then every admission of 8-node runs with no fairness
+    # threshold (all admitted) and a tight one (most lost)
+    field = dict(path_loss_exponent=2.0, max_power=65000.0, bandwidth=200.0, request_rate=1.5,
+                 mean_demand=10.0, hop_bound=3)
+    solved = []
+    for node_count, seed in [(5, 1), (8, 2), (12, 3), (20, 4)]:
+        net, reqs = generate_scenario(ScenarioParams(node_count=node_count, region=(180.0, 180.0), seed=seed, **field))
+        compared(build_load_lp(net, reqs))
+    assert solved == [(False, Status.OPTIMAL)] * 4
+
+    monkeypatch.setattr(formulation, "solve", compared)
+    field8 = dict(field, node_count=8, region=(100.0, 100.0), max_power=20000.0, bandwidth=60.0, request_rate=1.0)
+    for threshold in (None, 2e3):
+        for seed in range(6):
+            simulate.run(ScenarioParams(threshold=threshold, seed=9_200_000 + seed, **field8))
+    statuses = [status for binary, status in solved[4:] if binary]
+    assert len(statuses) == len(solved) - 4 >= 50
+    assert {Status.OPTIMAL, Status.INFEASIBLE} <= set(statuses)
 
 
 def test_cli_maps_solver_error_to_exit_code_3(monkeypatch, tmp_path, capsys):
@@ -477,7 +619,7 @@ def test_cli_maps_solver_error_to_exit_code_3(monkeypatch, tmp_path, capsys):
 
 
 _IMPORT_BOUNDARY_SCRIPT = """
-import contextlib, io, json, sys, types
+import contextlib, io, json, sys
 
 def scipy_loaded():
     return sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules)
@@ -498,26 +640,29 @@ seen["yaml_on_load"] = "yaml" in sys.modules
 generate_scenario(scenario.params)
 seen["scenario"] = scipy_loaded()
 
-calls = []
-def fake_milp(*args, **kwargs):
-    calls.append(kwargs["options"]["presolve"])
-    return types.SimpleNamespace(status=2, message="fake", x=None, fun=None)
-qostopo.milp.milp = fake_milp
-
-net = NetworkModel([[0.0, 0.0], [1.0, 0.0]], max_power=10.0, bandwidth=50.0)
-seen["load_lp_utilization"] = solve_load_lp(net, [Request(0, 1, 4.0, 1)]).max_utilization
-seen["first_solve"] = scipy_loaded()
-
 m = MilpModel()
 x = m.add_binary()
 m.add_constraint({x: 1.0}, ">=", 0.5)
 m.set_objective({x: 1.0})
+
+calls = []
+def fake_highs(cost, bounds, matrix, row_bounds, integrality, options):
+    calls.append(options["presolve"] == "on")
+    return qostopo.milp.highs.HighsModelStatus.kInfeasible, [], float("inf"), 0
+real_highs = qostopo.milp._highs
+qostopo.milp._highs = fake_highs
+seen["unbound"] = qostopo.milp.highs is None
 seen["fake_status"] = solve(m).status.value
+seen["first_solve"] = scipy_loaded()
 seen["fake_calls"] = calls
-seen["fake_kept"] = qostopo.milp.milp is fake_milp
-qostopo.milp.milp = None
+seen["fake_kept"] = qostopo.milp._highs is fake_highs
+
+qostopo.milp._highs = real_highs
+qostopo.milp.highs = None
+net = NetworkModel([[0.0, 0.0], [1.0, 0.0]], max_power=10.0, bandwidth=50.0)
+seen["load_lp_utilization"] = solve_load_lp(net, [Request(0, 1, 4.0, 1)]).max_utilization
 seen["reloaded_status"] = solve(m).status.value
-seen["reloaded_is_scipy"] = qostopo.milp.milp.__module__.startswith("scipy.optimize")
+seen["reloaded_is_scipy"] = qostopo.milp.highs.__name__.startswith("scipy.optimize")
 print(json.dumps(seen))
 """
 
@@ -534,8 +679,8 @@ def test_scipy_loads_on_first_solve_and_keeps_patched_names():
     assert seen["import"] == seen["cli"] == seen["scenario"] == []
     assert not seen["yaml_on_import"] and seen["yaml_on_load"]
     assert (seen["help_exit"], seen["usage_exit"]) == (0, 1)
-    assert seen["load_lp_utilization"] == pytest.approx(0.16, abs=1e-9)
-    assert seen["first_solve"] == ["scipy.optimize", "scipy.sparse"]
+    assert seen["unbound"] and seen["first_solve"] == ["scipy.optimize", "scipy.sparse"]
     assert seen["fake_status"] == "infeasible" and seen["fake_calls"] == [True]
+    assert seen["load_lp_utilization"] == pytest.approx(0.16, abs=1e-9)
     assert seen["fake_kept"]
     assert seen["reloaded_status"] == "optimal" and seen["reloaded_is_scipy"]
