@@ -2,31 +2,32 @@
 
 Models are assembled through :class:`MilpModel`, one variable or row at a
 time or in array blocks, and kept as arrays: column bounds and binary
-flags, coefficient triplets, row senses and right-hand sides. :func:`solve`
-hands those triplets to HiGHS as one column-wise sparse matrix, with no
-Python loop per coefficient, through the HiGHS bindings that scipy ships,
-and solves to proven optimality (zero MIP gap). HiGHS gets the layout and
-options that scipy's ``milp`` gave it for models with binaries and that
-``linprog`` gave it for continuous ones, so answers match those wrappers
-bit for bit; only the model status, the column values, the objective and
-the node count are read back. Solutions carry an explicit status
-(Optimal / Infeasible / Unbounded / ResourceLimit); hitting a node or
-iteration limit is a status, never a silently wrong answer, and solving
-the same model twice yields the same solution. HiGHS's presolve
-occasionally gives up on a small model with "Solve error"; a solve that
-ends on any status but those four is retried once with presolve off, and
-if that attempt fails too, :class:`SolverError` is raised. HiGHS writes
-some diagnostics straight to file descriptor 1, bypassing its own output
-options, so fd 1 is pointed at the null device for the duration of each
-HiGHS run.
+flags, coefficient triplets, row senses and right-hand sides. The builder
+refuses what HiGHS would refuse or read as infinite: a matrix coefficient
+of magnitude 1e15 or more, a finite bound, right-hand side or cost of
+magnitude 1e20 or more. :func:`solve` hands HiGHS numpy arrays, the rows in
+model order as ``lo <= Ax <= up`` and the triplets as one column-wise
+sparse matrix, and solves to proven optimality (zero MIP gap) or an
+explicit status; a node or iteration limit is a status, never a silently
+wrong answer. Only the model status, the column values, the objective and
+the node count are read back. Models with binaries get scipy ``milp``'s
+layout, options and presolve, so their answers match it bit for bit;
+continuous ones are solved without presolve, which on the load LP costs
+several times what it saves. HiGHS occasionally gives up on a small model
+with "Solve error"; a solve that ends on such a status is retried once
+with the other presolve setting, and if that attempt fails too,
+:class:`SolverError` is raised. HiGHS writes some diagnostics straight to
+file descriptor 1, so fd 1 is pointed at the null device for each run.
 
 The HiGHS bindings (``scipy.optimize._highspy._core``, scipy 1.15 and
-later) are imported on the first solve that reaches HiGHS, not when this
-module is imported, so code that never solves (scenario parsing, geometry,
-the command line's help and usage errors) never pays for scipy. They are
-bound to this module's ``highs`` name, which the loader fills only while
-it is ``None``; every HiGHS run goes through :func:`_highs`, the one place
-a test substitutes a stand-in for the solver.
+later) load on the first solve that reaches HiGHS, not on import, so code
+that never solves (scenario parsing, geometry, the command line's help and
+usage errors) never pays for them. The compiled file is loaded under its
+own name without running ``scipy.optimize``'s package code, and kept in
+``sys.modules``, where a later ``import scipy.optimize`` reuses it. It is
+bound to this module's ``highs`` name, which the loader fills only while it
+is ``None``; every HiGHS run goes through :func:`_highs`, the one place a
+test substitutes a stand-in for the solver.
 
 The module also ships two solver-independent companions used to cross-check
 results: :func:`check_solution`, a numpy re-evaluation of every bound and
@@ -39,11 +40,14 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import importlib.util
 import io
 import math
 import os
+import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from importlib.machinery import PathFinder
 from types import MappingProxyType
 from typing import Mapping
 
@@ -74,6 +78,10 @@ INTEGRALITY_TOL = 1e-6
 _SENSES = ("<=", ">=", "=")
 # rows store their sense as its position in _SENSES
 _LE, _GE, _EQ = range(len(_SENSES))
+# HiGHS refuses a matrix coefficient of magnitude _LARGE_COEFFICIENT or more
+# (its large_matrix_value) and reads a bound, right-hand side or cost of
+# magnitude _INFINITE or more as infinite (infinite_bound, infinite_cost).
+_LARGE_COEFFICIENT, _INFINITE = 1e15, 1e20
 
 
 class Status(enum.Enum):
@@ -147,11 +155,28 @@ class _Constraint:
     rhs: float
 
 
-def _require_finite(value: float, what: str) -> float:
+def _magnitude_error(what: str, value: float, limit: float) -> ModelError:
+    return ModelError(f"{what} must be finite and below {limit:g} in magnitude, got {value!r}")
+
+
+def _require_below(value: float, limit: float, what: str) -> float:
     v = float(value)
-    if math.isnan(v) or math.isinf(v):
-        raise ModelError(f"{what} must be finite, got {value!r}")
+    if not abs(v) < limit:  # NaN fails too
+        raise _magnitude_error(what, v, limit)
     return v
+
+
+def _bounds_ok(lower, upper):
+    """Whether lower <= upper and HiGHS takes both as given: each below
+    _INFINITE in magnitude or infinite on its own side. Elementwise on
+    arrays; NaN fails."""
+    finite = ((abs(lower) < _INFINITE) | (lower == -math.inf)) & ((abs(upper) < _INFINITE) | (upper == math.inf))
+    return finite & (lower <= upper)
+
+
+def _bounds_error(lower: float, upper: float) -> ModelError:
+    return ModelError(f"lower bound {lower} exceeds upper bound {upper}" if lower > upper else
+                      f"bounds [{lower}, {upper}] must be below {_INFINITE:g} in magnitude, or -inf and +inf")
 
 
 def _append(buf: array, values: np.ndarray) -> None:
@@ -201,10 +226,8 @@ class MilpModel:
     def add_continuous(self, lower: float = 0.0, upper: float = math.inf) -> int:
         """Add a continuous variable with bounds [lower, upper]; returns its id."""
         lo, up = float(lower), float(upper)
-        if math.isnan(lo) or math.isnan(up):
-            raise ModelError("variable bounds must not be NaN")
-        if lo > up:
-            raise ModelError(f"lower bound {lo} exceeds upper bound {up}")
+        if not _bounds_ok(lo, up):
+            raise _bounds_error(lo, up)
         self._lower.append(lo)
         self._upper.append(up)
         self._binary.append(0)
@@ -217,14 +240,14 @@ class MilpModel:
         self._binary.append(1)
         return len(self._binary) - 1
 
-    def _check_coefficients(self, coefficients: Mapping[int, float]) -> dict[int, float]:
+    def _check_coefficients(self, coefficients: Mapping[int, float], limit: float) -> dict[int, float]:
         out: dict[int, float] = {}
         n = len(self._lower)
         for var, coeff in coefficients.items():
             v = int(var)
             if not 0 <= v < n:
                 raise ModelError(f"unknown variable id {var}")
-            out[v] = _require_finite(coeff, f"coefficient of variable {var}")
+            out[v] = _require_below(coeff, limit, f"coefficient of variable {var}")
         return out
 
     def add_constraint(self, coefficients: Mapping[int, float], sense: str, rhs: float) -> int:
@@ -236,8 +259,8 @@ class MilpModel:
         """
         if sense not in _SENSES:
             raise ModelError(f"sense must be one of {_SENSES}, got {sense!r}")
-        coeffs = self._check_coefficients(coefficients)
-        value = _require_finite(rhs, "rhs")
+        coeffs = self._check_coefficients(coefficients, _LARGE_COEFFICIENT)
+        value = _require_below(rhs, _INFINITE, "rhs")
         r = self.num_constraints
         self._row.extend([r] * len(coeffs))
         self._col.extend(coeffs)
@@ -268,26 +291,27 @@ class MilpModel:
             raise ModelError(f"{rows_.size} rows, {cols_.size} cols and {coeffs_.size} coeffs differ in length")
         if len(senses) != rhs_.size:
             raise ModelError(f"{len(senses)} senses for {rhs_.size} right-hand sides")
-        if np.isnan(lo).any() or np.isnan(up).any():
-            raise ModelError("variable bounds must not be NaN")
-        if (lo > up).any():
-            k = int(np.argmax(lo > up))
-            raise ModelError(f"lower bound {lo[k]} exceeds upper bound {up[k]}")
+        bad = ~_bounds_ok(lo, up)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise _bounds_error(float(lo[k]), float(up[k]))
         codes = np.empty(rhs_.size, dtype=np.int8)
         for k, sense in enumerate(senses):
             if sense not in _SENSES:
                 raise ModelError(f"sense must be one of {_SENSES}, got {sense!r}")
             codes[k] = _SENSES.index(sense)
-        if not np.isfinite(rhs_).all():
-            raise ModelError(f"rhs must be finite, got {float(rhs_[~np.isfinite(rhs_)][0])!r}")
+        small = abs(rhs_) < _INFINITE
+        if not small.all():
+            raise _magnitude_error("rhs", float(rhs_[np.argmin(small)]), _INFINITE)
         if ((rows_ < 0) | (rows_ >= rhs_.size)).any():
             raise ModelError(f"row index outside the block's {rhs_.size} rows")
         width = self.num_variables + lo.size
         if ((cols_ < 0) | (cols_ >= width)).any():
             raise ModelError(f"unknown variable id {cols_[(cols_ < 0) | (cols_ >= width)][0]}")
-        if not np.isfinite(coeffs_).all():
-            k = int(np.argmin(np.isfinite(coeffs_)))
-            raise ModelError(f"coefficient of variable {cols_[k]} must be finite, got {float(coeffs_[k])!r}")
+        small = abs(coeffs_) < _LARGE_COEFFICIENT
+        if not small.all():
+            k = int(np.argmin(small))
+            raise _magnitude_error(f"coefficient of variable {cols_[k]}", float(coeffs_[k]), _LARGE_COEFFICIENT)
         cells = np.sort(rows_ * width + cols_)
         if (cells[1:] == cells[:-1]).any():
             raise ModelError("a variable appears twice in one row")
@@ -305,7 +329,7 @@ class MilpModel:
 
     def set_objective(self, coefficients: Mapping[int, float]) -> None:
         """Set the (minimized) objective; omitted variables have coefficient 0."""
-        self.objective = self._check_coefficients(coefficients)
+        self.objective = self._check_coefficients(coefficients, _INFINITE)
 
     # -- introspection ----------------------------------------------------
 
@@ -358,10 +382,11 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
 
     Deterministic: identical models produce identical solutions. Returns
     ``Status.RESOURCE_LIMIT`` (with the best incumbent, if any) when the
-    node/iteration caps in ``limits`` are hit. Any other status HiGHS ends
-    on besides optimal, infeasible and unbounded (such as "Solve error") is
-    retried once without presolve; :class:`SolverError` is raised if the
-    retry ends on one too.
+    node/iteration caps in ``limits`` are hit. Models with binaries are
+    solved with presolve on, continuous ones with presolve off. Any other
+    status HiGHS ends on besides optimal, infeasible and unbounded (such as
+    "Solve error") is retried once with the other presolve setting;
+    :class:`SolverError` is raised if the retry ends on one too.
     """
     limits = limits or SolveLimits()
     n = model.num_variables
@@ -381,34 +406,28 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     lower, upper, binary = model._column_arrays()
     mip = bool(binary.any())
 
-    # Empty rows are dropped and the rest renumbered in order.
+    # Empty rows are dropped and the rest renumbered in order; HiGHS takes
+    # each row as lo <= Ax <= up.
     row = (np.cumsum(filled) - 1)[row]
     sense, rhs = sense[filled], rhs[filled]
+    row_bounds = (np.where(sense == _LE, -np.inf, rhs), np.where(sense == _GE, np.inf, rhs))
     if mip:
-        # The layout scipy's milp gave HiGHS: the model's rows, lo <= Ax <= up.
-        row_lower = np.where(sense == _LE, -np.inf, rhs)
-        row_upper = np.where(sense == _GE, np.inf, rhs)
+        # the options scipy's milp gave HiGHS
         options = dict(log_to_console=False, mip_max_nodes=limits.max_nodes, mip_rel_gap=0.0,
                        mip_feasibility_tolerance=1e-9)
+        presolves = ("on", "off")
     else:
-        # The layout scipy's linprog gave HiGHS: "<=" rows, then ">=" rows
-        # negated into "<=" rows, then "=" rows, each group in model order.
-        # The sense codes sort in that order.
-        order = np.argsort(sense, kind="stable")
-        position = np.empty_like(order)
-        position[order] = np.arange(order.size)
-        coeff = np.where(sense[row] == _GE, -coeff, coeff)
-        row = position[row]
-        row_upper = np.where(sense == _GE, -rhs, rhs)[order]
-        row_lower = np.where(sense[order] == _EQ, row_upper, -np.inf)
+        # the options scipy's linprog gave HiGHS, but presolve off first: on
+        # a load LP it costs several times what it saves
         options = dict(highs_debug_level=0, output_flag=False, log_to_console=False, simplex_strategy=1,
                        simplex_iteration_limit=limits.max_lp_iterations,
                        ipm_iteration_limit=limits.max_lp_iterations)
+        presolves = ("off", "on")
     # Tolerances of 1e-9 keep row violations well under the 1e-7 re-check
     # tolerance even with large coefficients (HiGHS's stock is 1e-6 or 1e-7).
     options.update(primal_feasibility_tolerance=1e-9, dual_feasibility_tolerance=1e-9)
     # Column-wise, rows ascending within each column: the canonical CSC form
-    # scipy.sparse handed on. No (row, column) pair repeats in a model.
+    # scipy's wrappers handed on. No (row, column) pair repeats in a model.
     by_column = np.lexsort((row, col))
     start = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=n), out=start[1:])
@@ -416,10 +435,9 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
 
     _load_scipy()
     with _stdout_silenced():
-        for presolve in ("on", "off"):
+        for presolve in presolves:
             status, values, objective, nodes = _highs(
-                c_vec, (lower, upper), matrix, (row_lower, row_upper), binary if mip else None,
-                dict(options, presolve=presolve),
+                c_vec, (lower, upper), matrix, row_bounds, binary if mip else None, dict(options, presolve=presolve)
             )
             solution = _interpret(status, values, objective, nodes, mip)
             if solution is not None:
@@ -432,44 +450,56 @@ def _highs(cost, bounds, matrix, row_bounds, integrality, options: dict):
     and ``bounds`` bound ``x``; ``matrix`` is ``A`` as CSC (start, index,
     value) and ``integrality`` flags integer columns (``None``: continuous).
     Returns the model status, column values, objective and node count.
+    HiGHS copies each array in one go (``passModel``'s array overload) and
+    reads as many items as the sizes say, so those are checked first.
     """
-    lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = cost.size, row_bounds[0].size
-    lp.col_cost_ = cost
-    lp.col_lower_, lp.col_upper_ = bounds
-    lp.row_lower_, lp.row_upper_ = row_bounds
-    a_matrix = lp.a_matrix_
-    a_matrix.num_col_, a_matrix.num_row_ = lp.num_col_, lp.num_row_
-    a_matrix.format_ = highs.MatrixFormat.kColwise
-    # the bindings copy Python lists into these vectors faster than arrays
-    a_matrix.start_, a_matrix.index_, a_matrix.value_ = (part.tolist() for part in matrix)
-    if integrality is not None:
-        lp.integrality_ = [highs.HighsVarType(int(flag)) for flag in integrality]
-
+    kinds = np.zeros(cost.size, dtype=np.int32) if integrality is None else integrality.astype(np.int32)
+    columns = {cost.size, bounds[0].size, bounds[1].size, kinds.size, matrix[0].size - 1}
+    if len(columns) != 1 or row_bounds[0].size != row_bounds[1].size or matrix[1].size != matrix[2].size:
+        raise ValueError("HiGHS model arrays disagree in size")
     solver = highs._Highs()
     highs_options = highs.HighsOptions()
     for name, value in options.items():
         setattr(highs_options, name, value)
     solver.passOptions(highs_options)
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    status = solver.passModel(cost.size, row_bounds[0].size, matrix[2].size, int(highs.MatrixFormat.kColwise),
+                              int(highs.ObjSense.kMinimize), 0.0, cost, *bounds, *row_bounds, *matrix, kinds)
+    if status == highs.HighsStatus.kError:
         return highs.HighsModelStatus.kModelError, None, math.inf, 0
     solver.run()
     info = solver.getInfo()
     return solver.getModelStatus(), solver.getSolution().col_value, info.objective_function_value, info.mip_node_count
 
 
+_CORE = "scipy.optimize._highspy._core"
+
+
 def _load_scipy() -> None:
-    """Bind the HiGHS bindings that scipy ships, unless a stand-in is set."""
+    """Bind the HiGHS bindings that scipy ships, unless a stand-in is set.
+
+    The module in ``sys.modules`` is reused; a ``None`` entry there blocks
+    the load as it blocks an import.
+    """
     global highs
     if highs is not None:
         return
     try:
-        import scipy.optimize._highspy._core as core
+        if _CORE not in sys.modules:
+            package = importlib.util.find_spec("scipy")  # found, not imported
+            folders = [os.path.join(package.submodule_search_locations[0], "optimize", "_highspy")] if package else []
+            spec = PathFinder.find_spec(_CORE, folders)
+            if spec is None:
+                raise ModuleNotFoundError(f"no {_CORE} in {folders}")
+            core = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(core)
+            sys.modules[_CORE] = core
+        if sys.modules[_CORE] is None:
+            raise ModuleNotFoundError(f"import of {_CORE} halted; None in sys.modules")
     except ImportError as exc:
         import scipy
-        raise ImportError(f"solving needs scipy.optimize._highspy._core, shipped since scipy 1.15; "
+        raise ImportError(f"solving needs {_CORE}, shipped since scipy 1.15; "
                           f"the installed scipy is {scipy.__version__}") from exc
-    highs = core
+    highs = sys.modules[_CORE]
 
 
 @contextlib.contextmanager

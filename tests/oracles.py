@@ -6,10 +6,13 @@ calls for any continuous remainder), and single-request routing is settled
 by brute force over every per-node power assignment crossed with every
 simple path inside the hop budget, or over the simple paths alone priced by
 their costliest arc. All are exponential and only meant for the small
-instances the tests generate.
+instances the tests generate. The load LP's optimum is settled by one
+scipy ``linprog`` call on a formulation written out here, one commodity
+per request and no arc closed.
 """
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 
@@ -128,6 +131,42 @@ def enumerate_milp(model, feasibility_tol=1e-9):
         if best is None or total < best:
             best = total
     return best
+
+
+def load_lp_linprog(net, requests):
+    """Smallest worst-node utilization ``L`` over fractional routings.
+
+    Each request is its own commodity with a flow on every ordered node
+    pair. Flow is conserved per commodity and node, and node v's load (the
+    flow on its arcs in both directions plus the demand of each request it
+    sends or receives) is at most ``bandwidth * L``. A flow that enters its
+    sender or leaves its receiver only adds load, so closing those arcs, as
+    the solver's model does, leaves the optimum as it is.
+    """
+    n, k = net.node_count, len(requests)
+    arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    width = 1 + k * len(arcs)
+    # variable 0 is L; the flow of request r on arc a is variable 1 + r * len(arcs) + a
+    eq, ub = [], [(v, 0, -net.bandwidth) for v in range(n)]
+    b_eq, b_ub = np.zeros(k * n), np.zeros(n)
+    for r, req in enumerate(requests):
+        for a, (i, j) in enumerate(arcs):
+            var = 1 + r * len(arcs) + a
+            eq += [(r * n + i, var, 1.0), (r * n + j, var, -1.0)]
+            ub += [(i, var, 1.0), (j, var, 1.0)]
+        b_eq[r * n + req.sender] += req.demand
+        b_eq[r * n + req.receiver] -= req.demand
+        b_ub[[req.sender, req.receiver]] -= req.demand
+
+    def matrix(triplets, height):
+        rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+        return sparse.csr_array((vals, (rows, cols)), shape=(height, width))
+
+    res = linprog(np.eye(1, width).ravel(), A_ub=matrix(ub, n), b_ub=b_ub, A_eq=matrix(eq, k * n), b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise AssertionError(f"unexpected linprog status {res.status}: {res.message}")
+    return float(res.fun)
 
 
 def simple_paths(n, start, goal, max_hops):

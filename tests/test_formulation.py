@@ -5,7 +5,9 @@
    strict overload rule, flow conservation, commodity merging; one model is
    pinned byte for byte, and the array-built model equals a row-by-row
    reference bit for bit; flows keep only their nonzero entries and come
-   back read-only, in sorted commodity order, equal to the dense decode
+   back read-only, in sorted commodity order, equal to the dense decode;
+   on seeded fields of 5-20 nodes, some tuned to a utilization within 1e-6
+   of 1, the utilization and overload verdict equal a linprog reference
 3. topology optimization on hand-checkable instances: direct vs relayed
    routing, link sets, per-node energy commitments; the model holds the
    cap, route arcs and order variables only, and the cheapest one- or
@@ -30,7 +32,7 @@ import numpy as np
 import pytest
 
 import qostopo.formulation as formulation
-from oracles import simple_path_bruteforce, single_request_bruteforce
+from oracles import load_lp_linprog, simple_path_bruteforce, single_request_bruteforce
 from qostopo import (
     EnergyLedger,
     NetworkModel,
@@ -382,6 +384,34 @@ def test_load_flows_are_sparse_read_only_and_sorted():
 
     empty = solve_load_lp(_field20(9_100_003)[0], [])
     assert empty.flows == {} and list(empty.flows) == [] and LoadLpResult(0.0, {}).flows == {}
+
+
+def test_load_utilization_matches_linprog_reference():
+    import dataclasses
+
+    from qostopo import ScenarioParams, generate_scenario
+
+    field = dict(region=(180.0, 180.0), path_loss_exponent=2.0, max_power=65000.0, bandwidth=200.0,
+                 request_rate=1.5, mean_demand=10.0, hop_bound=3, threshold=None)
+    cases = []
+    for k in range(32):
+        node_count = 5 + k % 16
+        cases.append(generate_scenario(ScenarioParams(node_count=node_count, seed=9_300_000 + k, **field)))
+    # fields whose bandwidth puts the utilization just under or just over 1,
+    # where a verdict could flip
+    for k, offset in enumerate([-5e-7, 5e-7, -1e-7, 1e-7, -5e-7, 5e-7, -1e-7, 1e-7, -5e-7, 5e-7]):
+        net, reqs = cases[3 * k + 1]
+        scaled = dataclasses.replace(net, bandwidth=net.bandwidth * load_lp_linprog(net, reqs) / (1.0 + offset))
+        assert abs(load_lp_linprog(scaled, reqs) - (1.0 + offset)) < 1e-9
+        cases.append((scaled, reqs))
+    verdicts = []
+    for net, reqs in cases:
+        want = load_lp_linprog(net, reqs)
+        got = solve_load_lp(net, reqs)
+        assert got.max_utilization == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert got.overloaded == (want > 1.0)
+        verdicts.append(got.overloaded)
+    assert len(cases) == 42 and sum(verdicts[32:]) == 5
 
 
 def test_load_iteration_budget_raises_limit_error():

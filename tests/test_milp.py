@@ -1,7 +1,8 @@
 """Solver wrapper proofs.
 
 1. model building and introspection, row by row and in bulk blocks,
-   including every rejection path
+   including every rejection path; each builder refuses what HiGHS would
+   refuse or read as infinite, and a refused call leaves the model as it was
 2. hand-checkable LPs and MILPs hit their known optima exactly
 3. definite statuses: infeasible, unbounded, empty models, empty rows
 4. resource limits surface as RESOURCE_LIMIT, never as an exception; the
@@ -10,14 +11,17 @@
 6. check_solution accepts solver output and flags planted violations
 7. seeded random models agree with exhaustive enumeration
 8. lp_text renders every section of the model
-9. a HiGHS "Solve error" is retried without presolve, a second failure
-   raises SolverError (CLI exit code 3), and HiGHS's console lines stay
-   out of stdout; missing HiGHS bindings name the installed scipy
-10. scipy loads on the first solve, not on import, and a stand-in for the
-    HiGHS run patched onto the module before that solve is the one called;
-    PyYAML loads with the first scenario file, not on import
+9. a HiGHS "Solve error" is retried with the other presolve setting
+   (MILPs presolve first, LPs last), a second failure raises SolverError
+   (CLI exit code 3), a limit stop is never retried, and HiGHS's console
+   lines stay out of stdout; missing HiGHS bindings name the installed scipy
+10. HiGHS's bindings load on the first solve, not on import, without
+    scipy.optimize, which imports later in the same process and reuses
+    them; a stand-in for the HiGHS run patched onto the module before that
+    solve is the one called; PyYAML loads with the first scenario file
 11. the direct HiGHS call hands HiGHS exactly the options and model that
-    scipy's milp/linprog wrappers did, and gets the same answers back
+    scipy's milp wrapper did for MILPs and gets the same answers back; LPs
+    reach linprog's status and objective
 """
 
 import json
@@ -82,6 +86,60 @@ def test_building_rejections():
         m.add_constraint({x: 1.0}, "<=", math.inf)
     with pytest.raises(ModelError):
         m.set_objective({99: 1.0})
+
+
+def test_add_continuous_refuses_bounds_highs_reads_otherwise():
+    m = MilpModel()
+    for lower, upper in [(0.0, 1e20), (-1e20, 0.0), (2e20, 3e20), (-3e20, -2e20),
+                         (math.inf, math.inf), (-math.inf, -math.inf), (0.0, -math.inf)]:
+        with pytest.raises(ModelError):
+            m.add_continuous(lower, upper)
+    assert m.num_variables == 0
+    # the largest finite bounds HiGHS takes as given, and infinite ones on their own side
+    x = m.add_continuous(-9.99e19, 9.99e19)
+    m.add_continuous(-math.inf, math.inf)
+    m.set_objective({x: -1.0})
+    sol = solve(m)
+    assert sol.status is Status.OPTIMAL and sol.objective_value == -9.99e19
+
+
+def test_add_constraint_refuses_coefficients_and_rhs_highs_cannot_take():
+    m = MilpModel()
+    x, y = m.add_continuous(), m.add_binary()
+    for coefficients, rhs in [({x: 1e15}, 1.0), ({y: 1.0, x: -2e15}, 1.0), ({x: 1.0}, 1e20), ({x: 1.0}, -5e20)]:
+        with pytest.raises(ModelError):
+            m.add_constraint(coefficients, ">=", rhs)
+    assert m.num_constraints == 0 and m._row_arrays()[0].size == 0
+    m.add_constraint({x: 9.99e14, y: 1.0}, ">=", 9.99e19)
+    m.set_objective({x: 1.0})
+    sol = solve(m)
+    assert sol.status is Status.OPTIMAL and check_solution(m, sol.values) == []
+
+
+def test_add_block_refuses_what_highs_cannot_take_and_keeps_nothing():
+    m = MilpModel()
+    m.add_continuous()
+    good = dict(lower=[0.0], upper=[1.0], rows=[0, 0], cols=[0, 1], coeffs=[1.0, 2.0], senses=["<="], rhs=[1.0])
+    for change in [dict(coeffs=[1.0, 1e15]), dict(coeffs=[-1e16, 2.0]), dict(rhs=[1e20]), dict(rhs=[-1e21]),
+                   dict(lower=[1e20], upper=[2e20]), dict(lower=[-1e20]), dict(upper=[1e20]),
+                   dict(lower=[math.inf], upper=[math.inf]), dict(lower=[-math.inf], upper=[-math.inf])]:
+        with pytest.raises(ModelError):
+            m.add_block(**{**good, **change})
+        assert (m.num_variables, m.num_constraints) == (1, 0), change
+    assert m.add_block(**{**good, "coeffs": [9.99e14, -9.99e14], "rhs": [-9.99e19], "upper": [math.inf]}) == (1, 0)
+
+
+def test_set_objective_refuses_costs_highs_reads_as_infinite():
+    m = MilpModel()
+    x = m.add_continuous(0.0, 1.0)
+    m.set_objective({x: 2.0})
+    for cost in (1e20, -1e20, math.inf, math.nan):
+        with pytest.raises(ModelError):
+            m.set_objective({x: cost})
+    assert m.objective == {x: 2.0}
+    # a cost may exceed the largest matrix coefficient
+    m.set_objective({x: -9.99e19})
+    assert solve(m).objective_value == -9.99e19
 
 
 def _rows_of(model):
@@ -474,14 +532,12 @@ def test_repeated_solve_error_raises_solver_error(monkeypatch):
     assert issubclass(SolverError, RuntimeError)
     monkeypatch.undo()
 
-    # HiGHS refuses a coefficient of 1e20 whether or not it presolves; the
-    # model is feasible (y = 1e-20), so no status but an error is true of it
+    # HiGHS refuses a coefficient of 1e20 whether or not it presolves, and
+    # the model would be feasible (y = 1e-20), so the builder refuses it
     m = MilpModel()
     y, z = m.add_continuous(), m.add_binary()
-    m.add_constraint({y: 1e20, z: 1.0}, ">=", 1.0)
-    m.set_objective({y: 1.0})
-    with pytest.raises(SolverError, match="Model error"):
-        solve(m)
+    with pytest.raises(ModelError, match="coefficient of variable 0"):
+        m.add_constraint({y: 1e20, z: 1.0}, ">=", 1.0)
 
 
 def test_limit_stop_is_not_retried(monkeypatch):
@@ -489,6 +545,29 @@ def test_limit_stop_is_not_retried(monkeypatch):
     monkeypatch.setattr(qostopo.milp, "_highs", _fake_highs(highs.HighsModelStatus.kSolutionLimit, calls))
     assert solve(_presolve_fault_model()).status is Status.RESOURCE_LIMIT
     assert calls == [True]
+
+
+def _small_lp():
+    m = MilpModel()
+    x = m.add_continuous()
+    m.add_constraint({x: 1.0}, ">=", 1.0)
+    m.set_objective({x: 1.0})
+    return m
+
+
+def test_lp_solve_error_is_retried_with_presolve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qostopo.milp, "_highs", _fake_highs(highs.HighsModelStatus.kSolveError, calls))
+    with pytest.raises(SolverError, match="Solve error"):
+        solve(_small_lp())
+    assert calls == [False, True]
+
+
+def test_lp_limit_stop_is_not_retried(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qostopo.milp, "_highs", _fake_highs(highs.HighsModelStatus.kIterationLimit, calls))
+    assert solve(_small_lp()).status is Status.RESOURCE_LIMIT
+    assert calls == [False]
 
 
 def test_missing_highs_bindings_name_the_installed_scipy(monkeypatch):
@@ -502,14 +581,14 @@ def test_missing_highs_bindings_name_the_installed_scipy(monkeypatch):
 
 def _wrapper_solve(model, limits):
     """The solve as it ran through scipy's milp and linprog wrappers, kept as
-    the reference for the direct HiGHS call. Returns the status, values and
-    node count."""
+    the reference for the direct HiGHS call. Returns the status, values,
+    objective and node count."""
     n = model.num_variables
     row, col, coeff, sense, rhs = model._row_arrays()
     filled = np.bincount(row, minlength=rhs.size) > 0
     holds = np.where(sense == 0, 0.0 <= rhs, np.where(sense == 1, 0.0 >= rhs, rhs == 0.0))
     if (~filled & ~holds).any():
-        return "infeasible", None, None
+        return "infeasible", None, None, None
     c_vec = np.zeros(n)
     for var, value in model.objective.items():
         c_vec[var] = value
@@ -548,7 +627,7 @@ def _wrapper_solve(model, limits):
     status = {0: "optimal", 1: "resource_limit", 2: "infeasible", 3: "unbounded"}.get(res.status)
     status = status or ("resource_limit" if limit else "error")
     nodes = getattr(res, "mip_node_count", None) if binary.any() else None
-    return status, res.x, None if nodes is None else int(nodes)
+    return status, res.x, res.fun, None if nodes is None else int(nodes)
 
 
 def test_direct_highs_call_matches_scipy_wrappers(monkeypatch):
@@ -564,13 +643,19 @@ def test_direct_highs_call_matches_scipy_wrappers(monkeypatch):
             inputs.append({name: repr(getattr(options, name)) for name in option_names})
             return super().passOptions(options)
 
-        def passModel(self, lp):
-            a = lp.a_matrix_
-            arrays = (lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_,
-                      a.start_, a.index_, a.value_, [int(kind) for kind in lp.integrality_])
-            sizes = (lp.num_col_, lp.num_row_, a.num_col_, a.num_row_, a.format_, lp.sense_, lp.offset_)
-            inputs.append((sizes, [np.asarray(v).tobytes() for v in arrays]))
-            return super().passModel(lp)
+        def passModel(self, *model):
+            # scipy's wrappers pass a HighsLp, solve passes the array overload's
+            # sizes and arrays; both are recorded in the overload's order
+            if len(model) == 1:
+                lp = model[0]
+                a = lp.a_matrix_
+                sizes = (lp.num_col_, lp.num_row_, len(a.value_), int(a.format_), int(lp.sense_), lp.offset_)
+                arrays = (lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_,
+                          a.start_, a.index_, a.value_, [int(kind) for kind in lp.integrality_])
+            else:
+                sizes, arrays = model[:6], model[6:]
+            inputs.append((sizes, [np.asarray(v, dtype=float).tobytes() for v in arrays]))
+            return super().passModel(*model)
 
     monkeypatch.setattr(highs, "_Highs", Recording)
 
@@ -578,12 +663,20 @@ def test_direct_highs_call_matches_scipy_wrappers(monkeypatch):
         got = solve(model, limits)
         direct = inputs.copy()
         inputs.clear()
-        status, values, nodes = _wrapper_solve(model, limits or SolveLimits())
-        assert inputs == direct and direct
+        status, values, objective, nodes = _wrapper_solve(model, limits or SolveLimits())
+        wrapped = inputs.copy()
         inputs.clear()
-        assert got.status.value == status
-        assert values is None if got.values is None else np.array_equal(got.values, values)
-        assert got.mip_node_count == nodes
+        assert got.status.value == status and direct
+        if model.binary_ids:
+            assert wrapped == direct
+            assert values is None if got.values is None else np.array_equal(got.values, values)
+            assert got.mip_node_count == nodes
+        else:
+            # LPs run presolve off first and keep the model's row layout, so
+            # HiGHS's input differs from linprog's, and a degenerate LP may
+            # end on another optimal vertex of the same objective
+            assert got.objective_value == objective
+            assert check_solution(model, got.values) == []
         solved.append((model.binary_ids != [], got.status))
         return got
 
@@ -663,6 +756,14 @@ net = NetworkModel([[0.0, 0.0], [1.0, 0.0]], max_power=10.0, bandwidth=50.0)
 seen["load_lp_utilization"] = solve_load_lp(net, [Request(0, 1, 4.0, 1)]).max_utilization
 seen["reloaded_status"] = solve(m).status.value
 seen["reloaded_is_scipy"] = qostopo.milp.highs.__name__.startswith("scipy.optimize")
+seen["real_solves"] = scipy_loaded()
+
+from scipy.optimize import Bounds, linprog, milp
+from scipy.optimize._highspy import _core
+seen["scipy_reuses_bindings"] = _core is qostopo.milp.highs
+seen["linprog_x"] = linprog([1.0], bounds=[(2.0, 3.0)], method="highs").x.tolist()
+seen["milp_x"] = milp([1.0], integrality=[1], bounds=Bounds(0.5, 3.0)).x.tolist()
+seen["solve_after_scipy"] = solve_load_lp(net, [Request(0, 1, 4.0, 1)]).max_utilization
 print(json.dumps(seen))
 """
 
@@ -679,8 +780,12 @@ def test_scipy_loads_on_first_solve_and_keeps_patched_names():
     assert seen["import"] == seen["cli"] == seen["scenario"] == []
     assert not seen["yaml_on_import"] and seen["yaml_on_load"]
     assert (seen["help_exit"], seen["usage_exit"]) == (0, 1)
-    assert seen["unbound"] and seen["first_solve"] == ["scipy.optimize", "scipy.sparse"]
+    assert seen["unbound"] and seen["first_solve"] == seen["real_solves"] == []
     assert seen["fake_status"] == "infeasible" and seen["fake_calls"] == [True]
     assert seen["load_lp_utilization"] == pytest.approx(0.16, abs=1e-9)
     assert seen["fake_kept"]
     assert seen["reloaded_status"] == "optimal" and seen["reloaded_is_scipy"]
+    # scipy.optimize imports after the bindings, reuses them and still solves
+    assert seen["scipy_reuses_bindings"]
+    assert seen["linprog_x"] == [2.0] and seen["milp_x"] == [1.0]
+    assert seen["solve_after_scipy"] == seen["load_lp_utilization"]
