@@ -14,20 +14,20 @@ Two models over a :class:`~qostopo.network.NetworkModel`:
   energy the candidate route would add). Miller-Tucker-Zemlin order
   variables forbid cycles, so the route is one simple path and the energy
   the fairness row counts is exactly the energy the route commits. The
-  direct link and every two-hop route through a relay are checked in closed
-  form first; the cheapest one that meets every row bounds the cap, and
-  arcs dearer than that bound are fixed at 0, which shrinks the model
-  without removing any optimal route. The enabled links are the route's
-  minimal closure under link symmetry and the broadcast property (reaching
-  a node implies reaching every closer node); it never costs more than the
-  costliest arc, so it cannot move the cap.
+  cheapest one- or two-hop route that the route judge (below) passes
+  bounds the cap, and arcs dearer than that bound are fixed at 0, which
+  shrinks the model without removing any optimal route. The enabled links
+  are the route's minimal closure under link symmetry and the broadcast
+  property (reaching a node implies reaching every closer node); it never
+  costs more than the costliest arc, so it cannot move the cap.
 
 Solver output is decoded into plain topologies and node paths and then
-re-validated from scratch against every constraint; an arc set that is not
-exactly one simple path, or any other failed re-check, is reported as
-:class:`ValidationError`, signalling a bug rather than an infeasible
-instance. Requests that admit no feasible route are "lost": reported as
-such with zero energy committed.
+re-validated from scratch; one route judge, ``_route_problems``, holds the
+QoS rows and their tolerance for both the cap bound and this re-check. An
+arc set that is not exactly one simple path, or any other failed re-check,
+is reported as :class:`ValidationError`, signalling a bug rather than an
+infeasible instance. Requests that admit no feasible route are "lost":
+reported as such with zero energy committed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -420,15 +420,8 @@ def build_topology_milp(
     and fixed at 0 for the sender. The layout is ``1 + n(n-1) + n``. An arc
     is open (binary) unless it enters the sender, leaves the receiver or
     costs more than the bound; closed arcs are continuous and fixed at 0.
-
-    The bound is the costliest arc of the cheapest one- or two-hop route
-    (the direct link, or sender-relay-receiver over any relay) that meets
-    every row below by at least the re-check tolerance: the hop bound,
-    ``max_power``, bandwidth (the demand at each endpoint, twice the demand
-    at the relay) and, with a threshold, the fairness row in closed form.
-    Without such a route the bound is ``max_power``. Such a route is
-    feasible, so the optimal cap is at most the bound and every optimal
-    route survives.
+    The bound comes from a feasible route (:func:`_cap_bound`), so every
+    optimal route survives.
 
     Rows, in order: a hop-count row; then per node a cap row (its open
     outgoing arcs' energies summed stay below the cap) and out-degree <= 1,
@@ -506,36 +499,62 @@ def build_topology_milp(
     return model
 
 
-def _cap_bound(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None) -> float:
-    """Costliest arc of the cheapest one- or two-hop route for ``req`` that
-    meets every row of its model by at least the decoder's tolerance, else
-    ``max_power``. A counted route stays feasible in the model, so no arc
-    dearer than the bound lies on an optimal route.
+def _route_problems(
+    net: NetworkModel,
+    req: Request,
+    ledger: EnergyLedger,
+    threshold: float | None,
+    arcs: Collection[tuple[int, int]],
+    sign: float,
+) -> tuple[float, np.ndarray, list[str]]:
+    """Cap (costliest arc, 0 for none) of the route ``arcs``, the energy each
+    node adds, and one message per QoS row of ``req`` it breaks: ``max_power``,
+    the hop bound, per-node bandwidth (the demand at both ends of every arc)
+    and, with a threshold, per-node fairness on the ledger plus increments.
+    Each row's tolerance is ``FEASIBILITY_TOL`` times that row's scale: slack
+    for ``sign=+1`` (the decoder), margin for ``sign=-1`` (the cap bound).
     """
     energy = net.energy_matrix
-    s, d, demand = req.sender, req.receiver, req.demand
-    routes = [(s, d)]
-    if req.hop_bound >= 2:
-        routes += [(s, v, d) for v in range(net.node_count) if v not in (s, d)]
-    power_room = net.max_power - FEASIBILITY_TOL * max(1.0, net.max_power)
-    bandwidth_room = net.bandwidth - FEASIBILITY_TOL * max(1.0, net.bandwidth)
-    best = net.max_power
-    for route in routes:
-        arcs = list(zip(route, route[1:]))
-        top = max(float(energy[arc]) for arc in arcs)
-        # a relay's channel carries the demand both in and out
-        occupancy = demand * (2.0 if len(arcs) == 2 else 1.0)
-        if top >= best or top > power_room or occupancy > bandwidth_room:
-            continue
-        if threshold is not None:
-            combined = ledger.consumed.copy()
-            for i, j in arcs:
-                combined[i] += demand * energy[i, j]
-            margin = FEASIBILITY_TOL * max(1.0, abs(threshold), float(combined.max()))
-            if combined.max() > combined.mean() + threshold - margin:
-                continue
-        best = top
-    return best
+    cap = max((float(energy[i, j]) for i, j in arcs), default=0.0)
+    increments = np.zeros(net.node_count)
+    occupancy = np.zeros(net.node_count)
+    for i, j in arcs:
+        increments[i] += req.demand * energy[i, j]
+        occupancy[i] += req.demand
+        occupancy[j] += req.demand
+
+    problems: list[str] = []
+    if cap > net.max_power + sign * FEASIBILITY_TOL * max(1.0, net.max_power):
+        problems.append(f"energy cap {cap} exceeds the power limit {net.max_power}")
+    if len(arcs) > req.hop_bound:
+        problems.append(f"{len(arcs)} route arcs exceed the hop bound {req.hop_bound}")
+    room = net.bandwidth + sign * FEASIBILITY_TOL * max(1.0, net.bandwidth)
+    for v in range(net.node_count):
+        if occupancy[v] > room:
+            problems.append(f"node {v} route occupancy {occupancy[v]} exceeds bandwidth {net.bandwidth}")
+    if threshold is not None:
+        combined = ledger.consumed + increments
+        tolerance = FEASIBILITY_TOL * max(1.0, abs(threshold), float(combined.max()))
+        allowed = combined.mean() + threshold + sign * tolerance
+        for v in range(net.node_count):
+            if combined[v] > allowed:
+                problems.append(f"node {v} consumption {combined[v]} above average + threshold")
+    return cap, increments, problems
+
+
+def _cap_bound(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None) -> float:
+    """Cap of the cheapest one- or two-hop route for ``req`` that the route
+    judge passes with its margin, else ``max_power``. A passed route stays
+    feasible in the model, so no optimal route has an arc dearer than that.
+    """
+    energy = net.energy_matrix
+    s, d = req.sender, req.receiver
+    routes = [[(s, d)]] + [[(s, v), (v, d)] for v in range(net.node_count) if v not in (s, d)]
+    for arcs in sorted(routes, key=lambda arcs: max(energy[arc] for arc in arcs)):
+        cap, _, problems = _route_problems(net, req, ledger, threshold, arcs, -1.0)
+        if not problems:
+            return cap
+    return net.max_power
 
 
 def _simple_path(arcs: set[tuple[int, int]], start: int, goal: int) -> list[int] | None:
@@ -564,12 +583,12 @@ def decode_and_validate(
     :class:`ModelError`). Its route arcs must form exactly one simple path
     from the sender to the receiver; anything else (a path plus a cycle, a
     broken walk) is a violation. Every row is re-checked directly from the
-    decoded arcs and path (not from solver values): the energy cap, the hop
-    bound, exact unit conservation, bandwidth, and the fairness row on the
-    energy the committed path adds, which is exactly what the ledger is
-    charged. The order variables only serve to exclude cycles and are not
-    read. ``links`` is the minimal symmetric broadcast closure of the route
-    arcs. Raises :class:`ValidationError` with all violations on failure.
+    decoded arcs (not from solver values): the solver's cap, exact unit
+    conservation, and the route judge's rows with slack, whose increments are
+    exactly what the ledger is charged. The order variables only serve to
+    exclude cycles and are not read. ``links`` is the minimal symmetric
+    broadcast closure of the route arcs. Raises :class:`ValidationError`
+    with all violations on failure.
     """
     if raw.status is not Status.OPTIMAL:
         raise ValidationError(f"cannot decode a solution with status {raw.status.value}")
@@ -591,19 +610,11 @@ def decode_and_validate(
     raw_cap = float(values[0])
     arcs = {pair for k, pair in enumerate(pairs) if values[1 + k] > 0.5}
 
-    energy = net.energy_matrix
-
     # Report the energy cap recomputed exactly from the route arcs; the
-    # solver's own objective value may sit a rounding error away. Tolerances
-    # on re-checks with energy-scaled coefficients are relative to that scale.
-    cap = max((float(energy[i, j]) for i, j in arcs), default=0.0)
+    # solver's own objective value may sit a rounding error away.
+    cap, increments, route_problems = _route_problems(net, req, ledger, threshold, arcs, 1.0)
     if abs(raw_cap - cap) > FEASIBILITY_TOL * max(1.0, cap):
         problems.append(f"solver cap {raw_cap} does not match the route arcs (need {cap})")
-    if cap > net.max_power + FEASIBILITY_TOL * max(1.0, net.max_power):
-        problems.append(f"energy cap {cap} exceeds the power limit {net.max_power}")
-
-    if len(arcs) > req.hop_bound:
-        problems.append(f"{len(arcs)} route arcs exceed the hop bound {req.hop_bound}")
     balance = np.zeros(n, dtype=int)
     for i, j in arcs:
         balance[i] += 1
@@ -612,29 +623,10 @@ def decode_and_validate(
         want = 1 if v == req.sender else -1 if v == req.receiver else 0
         if balance[v] != want:
             problems.append(f"node {v} route balance {balance[v]} != {want}")
-    increments = np.zeros(n)
-    occupancy = np.zeros(n)
     path = _simple_path(arcs, req.sender, req.receiver)
     if path is None:
         problems.append(f"route arcs are not one simple path from {req.sender} to {req.receiver}")
-    else:
-        for i, j in zip(path, path[1:]):
-            increments[i] += req.demand * energy[i, j]
-            occupancy[i] += req.demand
-            occupancy[j] += req.demand
-
-    slack = FEASIBILITY_TOL * max(1.0, net.bandwidth)
-    for v in range(n):
-        if occupancy[v] > net.bandwidth + slack:
-            problems.append(f"node {v} route occupancy {occupancy[v]} exceeds bandwidth {net.bandwidth}")
-
-    if threshold is not None:
-        combined = ledger.consumed + increments
-        slack = FEASIBILITY_TOL * max(1.0, abs(threshold), float(combined.max()))
-        allowed = combined.mean() + threshold + slack
-        for v in range(n):
-            if combined[v] > allowed:
-                problems.append(f"node {v} consumption {combined[v]} above average + threshold")
+    problems += route_problems
 
     if problems:
         raise ValidationError("; ".join(problems))

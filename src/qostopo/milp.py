@@ -613,9 +613,8 @@ def lp_text(model: MilpModel) -> str:
     out.write("Minimize\n")
     out.write(f" obj: {term_string(model.objective)}\n")
     out.write("Subject To\n")
-    sense_map = {"<=": "<=", ">=": ">=", "=": "="}
     for r, con in enumerate(model.constraints):
-        out.write(f" c{r}: {term_string(con.coefficients)} {sense_map[con.sense]} {con.rhs:.12g}\n")
+        out.write(f" c{r}: {term_string(con.coefficients)} {con.sense} {con.rhs:.12g}\n")
     out.write("Bounds\n")
     for i, var in enumerate(model.variables):
         if var.is_binary:

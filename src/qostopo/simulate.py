@@ -246,17 +246,15 @@ def run(
     for index, req in enumerate(reqs, start=1):
         sol = solve_single_request(net, req, ledger, params.threshold)
         path = sol.routes[0]
-        if path is None:
-            table.append(
-                RequestOutcome(
-                    index, req.demand, req.sender, req.receiver,
-                    None, None, sol.resource_limited,
-                )
-            )
-            continue
-        ledger.charge(sol.node_energy)
+        if path is not None:
+            ledger.charge(sol.node_energy)
         table.append(
-            RequestOutcome(index, req.demand, req.sender, req.receiver, list(path), sol.max_energy)
+            RequestOutcome(
+                index, req.demand, req.sender, req.receiver,
+                None if path is None else list(path),
+                None if path is None else sol.max_energy,
+                sol.resource_limited,
+            )
         )
     return RunReport(request_table=table, final_ledger=ledger)
 

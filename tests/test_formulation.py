@@ -699,6 +699,10 @@ def test_model_with_no_open_arc_keeps_only_unsatisfiable_rows():
         (line(2, spacing=3.0), Request(0, 1, 1.0, 1), 4.5 + 2e-6, 9.0),
         (line(2, spacing=3.0), Request(0, 1, 1.0, 1), 4.5 + 4e-7, 10.0),
         (line(2, spacing=3.0), Request(0, 1, 1.0, 1), 4.5 - 4e-7, 10.0),
+        # the relay carries 2 x 1; the margin is 1e-7 x 2, so the relay counts
+        # only with bandwidth above 2 + 2e-7, and 2 - 5e-8 leaves the direct link
+        (line(3, bandwidth=2 - 5e-8), Request(0, 2, 1.0, 3), None, 4.0),
+        (line(3, bandwidth=2 + 5e-7), Request(0, 2, 1.0, 3), None, 1.0),
     ],
 )
 def test_cap_bound_from_one_and_two_hop_routes(net, req, threshold, bound):
@@ -807,6 +811,24 @@ def test_decode_rejects_threshold_violation():
     led = EnergyLedger(np.array([0.0, 100.0, 0.0]))
     with pytest.raises(ValidationError, match="above average"):
         decode_and_validate(net, [req], led, 0.0, raw)
+
+
+def test_decode_allows_slack_on_bandwidth_and_fairness():
+    # the decoder widens each row by 1e-7 times its scale: 2 for the relay's
+    # bandwidth, and 9 for fairness, where the direct link of a two-node line
+    # leaves node 0 at 9, that is 4.5 above the mean
+    req = Request(0, 2, 1.0, 3)
+    raw = _relay_layout(line(3), {(0, 1), (1, 2)}, 1.0)
+    sol = decode_and_validate(line(3, bandwidth=2 - 5e-8), [req], EnergyLedger.empty(3), None, raw)
+    assert sol.routes == [[0, 1, 2]]
+    with pytest.raises(ValidationError, match="bandwidth"):
+        decode_and_validate(line(3, bandwidth=2 - 5e-7), [req], EnergyLedger.empty(3), None, raw)
+    net = line(2, spacing=3.0)
+    req = Request(0, 1, 1.0, 1)
+    raw = _relay_layout(net, {(0, 1)}, 9.0)
+    assert decode_and_validate(net, [req], EnergyLedger.empty(2), 4.5 - 4e-7, raw).routes == [[0, 1]]
+    with pytest.raises(ValidationError, match="above average"):
+        decode_and_validate(net, [req], EnergyLedger.empty(2), 4.5 - 2e-6, raw)
 
 
 def test_decode_rejects_path_over_the_hop_bound():
