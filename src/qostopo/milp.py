@@ -1,23 +1,24 @@
 """Exact solver for small mixed binary/continuous linear programs.
 
 Models are assembled through :class:`MilpModel`, one variable or row at a
-time or in array blocks, and kept as arrays: column bounds and binary
-flags, coefficient triplets, row senses and right-hand sides. The builder
-refuses what HiGHS would refuse or read as infinite: a matrix coefficient
-of magnitude 1e15 or more, a finite bound, right-hand side or cost of
-magnitude 1e20 or more. :func:`solve` hands HiGHS numpy arrays, the rows in
-model order as ``lo <= Ax <= up`` and the triplets as one column-wise
-sparse matrix, and solves to proven optimality (zero MIP gap) or an
-explicit status; a node or iteration limit is a status, never a silently
-wrong answer. Only the model status, the column values, the objective and
-the node count are read back. Models with binaries get scipy ``milp``'s
-layout, options and presolve, so their answers match it bit for bit;
-continuous ones are solved without presolve, which on the load LP costs
-several times what it saves. HiGHS occasionally gives up on a small model
-with "Solve error"; a solve that ends on such a status is retried once
-with the other presolve setting, and if that attempt fails too,
-:class:`SolverError` is raised. HiGHS writes some diagnostics straight to
-file descriptor 1, so fd 1 is pointed at the null device for each run.
+time or in array blocks, and kept as arrays in the form HiGHS reads:
+column bounds and binary flags, coefficient triplets in row order, and
+each row as ``lower <= Ax <= upper``. The builder refuses what HiGHS would
+refuse or read as infinite: a matrix coefficient of magnitude 1e15 or
+more, a finite bound, right-hand side or cost of magnitude 1e20 or more.
+:func:`solve` hands HiGHS those arrays, the triplets as one row-wise sparse
+matrix that HiGHS turns column-wise itself, and solves to proven
+optimality (zero MIP gap) or an explicit status; a node or iteration
+limit is a status, never a silently wrong answer. Only the model status,
+the column values, the objective and the node count are read back. Models
+with binaries get scipy ``milp``'s layout, options and presolve, so their
+answers match it bit for bit; continuous ones are solved without
+presolve, which on the load LP costs several times what it saves. HiGHS
+occasionally gives up on a small model with "Solve error"; a solve that
+ends on such a status is retried once with the other presolve setting,
+and if that attempt fails too, :class:`SolverError` is raised. HiGHS
+writes some diagnostics straight to file descriptor 1, so fd 1 is pointed
+at the null device for each run.
 
 The HiGHS bindings (``scipy.optimize._highspy._core``, scipy 1.15 and
 later) load on the first solve that reaches HiGHS, not on import, so code
@@ -76,8 +77,6 @@ FEASIBILITY_TOL = 1e-7
 INTEGRALITY_TOL = 1e-6
 
 _SENSES = ("<=", ">=", "=")
-# rows store their sense as its position in _SENSES
-_LE, _GE, _EQ = range(len(_SENSES))
 # HiGHS refuses a matrix coefficient of magnitude _LARGE_COEFFICIENT or more
 # (its large_matrix_value) and reads a bound, right-hand side or cost of
 # magnitude _INFINITE or more as infinite (infinite_bound, infinite_cost).
@@ -174,6 +173,14 @@ def _bounds_ok(lower, upper):
     return finite & (lower <= upper)
 
 
+def _inequality(lower: float, upper: float) -> tuple[str, float]:
+    """The ``(sense, rhs)`` of the row ``lower <= Ax <= upper``; a row keeps
+    the rhs it was added with as one bound and the other infinite or equal."""
+    if lower == upper:
+        return "=", lower
+    return ("<=", upper) if lower == -math.inf else (">=", lower)
+
+
 def _bounds_error(lower: float, upper: float) -> ModelError:
     return ModelError(f"lower bound {lower} exceeds upper bound {upper}" if lower > upper else
                       f"bounds [{lower}, {upper}] must be below {_INFINITE:g} in magnitude, or -inf and +inf")
@@ -202,8 +209,9 @@ class MilpModel:
     """Builder for a minimization model over continuous and binary variables.
 
     Storage is columnar: per variable a lower bound, an upper bound and a
-    binary flag; per coefficient a (row, variable, value) triplet; per row a
-    sense code and a right-hand side. :meth:`add_continuous`,
+    binary flag; per coefficient a (row, variable, value) triplet, ordered
+    by row and within a row by insertion; per row a lower and an upper bound
+    on its left-hand side. :meth:`add_continuous`,
     :meth:`add_binary` and :meth:`add_constraint` append one item at a time,
     :meth:`add_block` appends whole arrays with the same input checks.
     ``variables`` and ``constraints`` are read-only views rebuilt from that
@@ -217,8 +225,8 @@ class MilpModel:
         self._row = array("q")
         self._col = array("q")
         self._coeff = array("d")
-        self._sense = array("b")
-        self._rhs = array("d")
+        self._row_lower = array("d")
+        self._row_upper = array("d")
         self.objective: dict[int, float] = {}
 
     # -- building ---------------------------------------------------------
@@ -265,8 +273,8 @@ class MilpModel:
         self._row.extend([r] * len(coeffs))
         self._col.extend(coeffs)
         self._coeff.extend(coeffs.values())
-        self._sense.append(_SENSES.index(sense))
-        self._rhs.append(value)
+        self._row_lower.append(-math.inf if sense == "<=" else value)
+        self._row_upper.append(math.inf if sense == ">=" else value)
         return r
 
     def add_block(self, *, lower=(), upper=(), rows=(), cols=(), coeffs=(), senses=(), rhs=()) -> tuple[int, int]:
@@ -295,11 +303,9 @@ class MilpModel:
         if bad.any():
             k = int(np.argmax(bad))
             raise _bounds_error(float(lo[k]), float(up[k]))
-        codes = np.empty(rhs_.size, dtype=np.int8)
-        for k, sense in enumerate(senses):
+        for sense in senses:
             if sense not in _SENSES:
                 raise ModelError(f"sense must be one of {_SENSES}, got {sense!r}")
-            codes[k] = _SENSES.index(sense)
         small = abs(rhs_) < _INFINITE
         if not small.all():
             raise _magnitude_error("rhs", float(rhs_[np.argmin(small)]), _INFINITE)
@@ -317,14 +323,16 @@ class MilpModel:
             raise ModelError("a variable appears twice in one row")
 
         first_var, first_row = self.num_variables, self.num_constraints
+        by_row = np.argsort(rows_, kind="stable")
+        senses_ = np.array(senses, dtype=object)
         _append(self._lower, lo)
         _append(self._upper, up)
         _append(self._binary, np.zeros(lo.size))
-        _append(self._row, rows_ + first_row)
-        _append(self._col, cols_)
-        _append(self._coeff, coeffs_)
-        _append(self._sense, codes)
-        _append(self._rhs, rhs_)
+        _append(self._row, rows_[by_row] + first_row)
+        _append(self._col, cols_[by_row])
+        _append(self._coeff, coeffs_[by_row])
+        _append(self._row_lower, np.where(senses_ == "<=", -math.inf, rhs_))
+        _append(self._row_upper, np.where(senses_ == ">=", math.inf, rhs_))
         return first_var, first_row
 
     def set_objective(self, coefficients: Mapping[int, float]) -> None:
@@ -339,7 +347,7 @@ class MilpModel:
 
     @property
     def num_constraints(self) -> int:
-        return len(self._rhs)
+        return len(self._row_lower)
 
     @property
     def binary_ids(self) -> list[int]:
@@ -353,15 +361,12 @@ class MilpModel:
     @property
     def constraints(self) -> tuple[_Constraint, ...]:
         """Every row in index order; a row's terms keep their insertion order."""
-        rows = np.array(self._row)
-        order = np.argsort(rows, kind="stable")
-        cols = np.array(self._col)[order].tolist()
-        coeffs = np.array(self._coeff)[order].tolist()
-        ends = np.cumsum(np.bincount(rows, minlength=self.num_constraints)).tolist()
+        cols, coeffs = self._col.tolist(), self._coeff.tolist()
+        ends = np.cumsum(np.bincount(self._row, minlength=self.num_constraints)).tolist()
         out, start = [], 0
-        for end, sense, rhs in zip(ends, self._sense, self._rhs):
+        for end, lower, upper in zip(ends, self._row_lower, self._row_upper):
             terms = MappingProxyType(dict(zip(cols[start:end], coeffs[start:end])))
-            out.append(_Constraint(terms, _SENSES[sense], rhs))
+            out.append(_Constraint(terms, *_inequality(lower, upper)))
             start = end
         return tuple(out)
 
@@ -370,10 +375,10 @@ class MilpModel:
         return np.array(self._lower), np.array(self._upper), np.array(self._binary).astype(bool)
 
     def _row_arrays(self) -> tuple[np.ndarray, ...]:
-        """Copies of the triplets (row, variable, coefficient), then of the
-        per-row sense codes and right-hand sides."""
+        """Copies of the triplets (row, variable, coefficient) in row order,
+        then of the row lower and upper bounds."""
         return (np.array(self._row), np.array(self._col), np.array(self._coeff),
-                np.array(self._sense), np.array(self._rhs))
+                np.array(self._row_lower), np.array(self._row_upper))
 
 
 
@@ -391,11 +396,10 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     limits = limits or SolveLimits()
     n = model.num_variables
 
-    row, col, coeff, sense, rhs = model._row_arrays()
-    filled = np.bincount(row, minlength=rhs.size) > 0
-    # An empty row reads "0 <sense> rhs".
-    holds = np.where(sense == _LE, 0.0 <= rhs, np.where(sense == _GE, 0.0 >= rhs, rhs == 0.0))
-    if (~filled & ~holds).any():
+    row, col, coeff, row_lower, row_upper = model._row_arrays()
+    counts = np.bincount(row, minlength=row_lower.size)
+    # An empty row reads "lower <= 0 <= upper".
+    if ((counts == 0) & ((row_lower > 0.0) | (row_upper < 0.0))).any():
         return Solution(Status.INFEASIBLE)
     if n == 0:
         return Solution(Status.OPTIMAL, values=np.zeros(0), objective_value=0.0)
@@ -406,11 +410,6 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     lower, upper, binary = model._column_arrays()
     mip = bool(binary.any())
 
-    # Empty rows are dropped and the rest renumbered in order; HiGHS takes
-    # each row as lo <= Ax <= up.
-    row = (np.cumsum(filled) - 1)[row]
-    sense, rhs = sense[filled], rhs[filled]
-    row_bounds = (np.where(sense == _LE, -np.inf, rhs), np.where(sense == _GE, np.inf, rhs))
     if mip:
         # the options scipy's milp gave HiGHS
         options = dict(log_to_console=False, mip_max_nodes=limits.max_nodes, mip_rel_gap=0.0,
@@ -426,19 +425,17 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     # Tolerances of 1e-9 keep row violations well under the 1e-7 re-check
     # tolerance even with large coefficients (HiGHS's stock is 1e-6 or 1e-7).
     options.update(primal_feasibility_tolerance=1e-9, dual_feasibility_tolerance=1e-9)
-    # Column-wise, rows ascending within each column: the canonical CSC form
-    # scipy's wrappers handed on. No (row, column) pair repeats in a model.
-    by_column = np.lexsort((row, col))
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col, minlength=n), out=start[1:])
-    matrix = (start, row[by_column].astype(np.int32), coeff[by_column])
+    # Row-wise as stored; HiGHS turns it into the canonical column-wise form
+    # scipy's wrappers handed on, rows ascending within each column.
+    start = np.zeros(row_lower.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=start[1:])
+    matrix = (start, col.astype(np.int32), coeff)
 
     _load_scipy()
     with _stdout_silenced():
         for presolve in presolves:
-            status, values, objective, nodes = _highs(
-                c_vec, (lower, upper), matrix, row_bounds, binary if mip else None, dict(options, presolve=presolve)
-            )
+            status, values, objective, nodes = _highs(c_vec, (lower, upper), matrix, (row_lower, row_upper),
+                                                      binary if mip else None, dict(options, presolve=presolve))
             solution = _interpret(status, values, objective, nodes, mip)
             if solution is not None:
                 return solution
@@ -447,22 +444,24 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
 
 def _highs(cost, bounds, matrix, row_bounds, integrality, options: dict):
     """Run HiGHS once on ``min cost @ x`` s.t. ``row_bounds`` bound ``A @ x``
-    and ``bounds`` bound ``x``; ``matrix`` is ``A`` as CSC (start, index,
+    and ``bounds`` bound ``x``; ``matrix`` is ``A`` as CSR (start, index,
     value) and ``integrality`` flags integer columns (``None``: continuous).
     Returns the model status, column values, objective and node count.
-    HiGHS copies each array in one go (``passModel``'s array overload) and
-    reads as many items as the sizes say, so those are checked first.
+    HiGHS turns the matrix column-wise as it takes the model in. It copies
+    each array in one go (``passModel``'s array overload) and reads as many
+    items as the sizes say, so those are checked first.
     """
     kinds = np.zeros(cost.size, dtype=np.int32) if integrality is None else integrality.astype(np.int32)
-    columns = {cost.size, bounds[0].size, bounds[1].size, kinds.size, matrix[0].size - 1}
-    if len(columns) != 1 or row_bounds[0].size != row_bounds[1].size or matrix[1].size != matrix[2].size:
+    columns = {cost.size, bounds[0].size, bounds[1].size, kinds.size}
+    rows = {row_bounds[0].size, row_bounds[1].size, matrix[0].size - 1}
+    if len(columns) != 1 or len(rows) != 1 or matrix[1].size != matrix[2].size:
         raise ValueError("HiGHS model arrays disagree in size")
     solver = highs._Highs()
     highs_options = highs.HighsOptions()
     for name, value in options.items():
         setattr(highs_options, name, value)
     solver.passOptions(highs_options)
-    status = solver.passModel(cost.size, row_bounds[0].size, matrix[2].size, int(highs.MatrixFormat.kColwise),
+    status = solver.passModel(cost.size, row_bounds[0].size, matrix[2].size, int(highs.MatrixFormat.kRowwise),
                               int(highs.ObjSense.kMinimize), 0.0, cost, *bounds, *row_bounds, *matrix, kinds)
     if status == highs.HighsStatus.kError:
         return highs.HighsModelStatus.kModelError, None, math.inf, 0
@@ -542,12 +541,7 @@ def _interpret(status, values, objective: float, nodes: int, mip: bool) -> Solut
     return None
 
 
-def check_solution(
-    model: MilpModel,
-    values,
-    feasibility_tol: float = FEASIBILITY_TOL,
-    integrality_tol: float = INTEGRALITY_TOL,
-) -> list[str]:
+def check_solution(model: MilpModel, values) -> list[str]:
     """Independently re-check ``values`` against every bound and constraint.
 
     A numpy re-evaluation of the model's own bounds and triplets that shares
@@ -555,7 +549,8 @@ def check_solution(
     left-hand side is summed over its terms in insertion order. Returns a
     list of human-readable violation descriptions, variables first, then
     rows, each in index order; an empty list means the assignment is
-    feasible (within the tolerances) and integral on binaries.
+    feasible within :data:`FEASIBILITY_TOL` and integral on binaries within
+    :data:`INTEGRALITY_TOL`.
     """
     vals = np.asarray(values, dtype=float)
     problems: list[str] = []
@@ -564,8 +559,8 @@ def check_solution(
     lower, upper, binary = model._column_arrays()
     finite = np.isfinite(vals)
     with np.errstate(invalid="ignore"):
-        outside = finite & ((vals < lower - feasibility_tol) | (vals > upper + feasibility_tol))
-        fractional = finite & binary & (np.minimum(np.abs(vals), np.abs(vals - 1.0)) > integrality_tol)
+        outside = finite & ((vals < lower - FEASIBILITY_TOL) | (vals > upper + FEASIBILITY_TOL))
+        fractional = finite & binary & (np.minimum(np.abs(vals), np.abs(vals - 1.0)) > INTEGRALITY_TOL)
     for i in np.flatnonzero(~finite | outside | fractional):
         v = vals[i]
         if not finite[i]:
@@ -576,17 +571,14 @@ def check_solution(
         if fractional[i]:
             problems.append(f"binary variable {i} = {v} is not integral")
 
-    row, col, coeff, sense, rhs = model._row_arrays()
+    row, col, coeff, row_lower, row_upper = model._row_arrays()
     # bincount adds each row's terms one by one in triplet order, like a loop
     with np.errstate(all="ignore"):
-        lhs = np.bincount(row, weights=coeff * vals[col], minlength=rhs.size)
-    violated = np.where(
-        sense == _LE,
-        lhs > rhs + feasibility_tol,
-        np.where(sense == _GE, lhs < rhs - feasibility_tol, np.abs(lhs - rhs) > feasibility_tol),
-    )
+        lhs = np.bincount(row, weights=coeff * vals[col], minlength=row_lower.size)
+    violated = (lhs < row_lower - FEASIBILITY_TOL) | (lhs > row_upper + FEASIBILITY_TOL)
     for r in np.flatnonzero(violated):
-        problems.append(f"constraint {r}: {lhs[r]} {_SENSES[sense[r]]} {float(rhs[r])} violated")
+        sense, rhs = _inequality(row_lower[r], row_upper[r])
+        problems.append(f"constraint {r}: {lhs[r]} {sense} {float(rhs)} violated")
     return problems
 
 

@@ -141,10 +141,6 @@ class SweepResult:
 
     points: list[SweepPoint]
 
-    @property
-    def axis(self) -> list[float | None]:
-        return [p.axis_value for p in self.points]
-
 
 def _poisson(rng: np.random.Generator, mean: float) -> int:
     """One Poisson variate by inversion from a single uniform.

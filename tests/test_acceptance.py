@@ -180,11 +180,11 @@ def test_criterion_3_independent_rechecks_pass():
     checked = 0
     for model, sol, _ in milp_batch()[0]:
         if sol.status is Status.OPTIMAL:
-            assert check_solution(model, sol.values, feasibility_tol=1e-7) == []
+            assert check_solution(model, sol.values) == []
             checked += 1
     for net, req, led, threshold, model, raw, outcome, _ in routing_batch()[0]:
         if raw.status is Status.OPTIMAL:
-            assert check_solution(model, raw.values, feasibility_tol=1e-7) == []
+            assert check_solution(model, raw.values) == []
             decode_and_validate(net, [req], led, threshold, raw)  # raises on any violation
             checked += 1
     assert checked >= 60
@@ -310,7 +310,7 @@ def test_criterion_7_demand_sweep_trend():
 
     result = sweep_lambda(params, grid, replications=20)
     lost_means = [p.lost_mean for p in result.points]
-    assert result.axis == grid
+    assert [p.axis_value for p in result.points] == grid
     assert lost_means[0] == 0.0  # slack bandwidth at the low end: nothing lost
     assert lost_means[-1] > 0.0  # the grid really reaches saturation
     rho = spearmanr(grid, lost_means).statistic

@@ -1,8 +1,9 @@
 """Solver wrapper proofs.
 
-1. model building and introspection, row by row and in bulk blocks,
-   including every rejection path; each builder refuses what HiGHS would
-   refuse or read as infinite, and a refused call leaves the model as it was
+1. model building and introspection, row by row and in bulk blocks (also
+   blocks whose triplets come out of row order), including every rejection
+   path; each builder refuses what HiGHS would refuse or read as infinite,
+   and a refused call leaves the model as it was
 2. hand-checkable LPs and MILPs hit their known optima exactly
 3. definite statuses: infeasible, unbounded, empty models, empty rows
 4. resource limits surface as RESOURCE_LIMIT, never as an exception; the
@@ -19,9 +20,11 @@
     scipy.optimize, which imports later in the same process and reuses
     them; a stand-in for the HiGHS run patched onto the module before that
     solve is the one called; PyYAML loads with the first scenario file
-11. the direct HiGHS call hands HiGHS exactly the options and model that
-    scipy's milp wrapper did for MILPs and gets the same answers back; LPs
-    reach linprog's status and objective
+11. the direct HiGHS call passes the matrix row-wise, yet for MILPs HiGHS
+    then holds exactly the options and model (column-wise matrix included)
+    that scipy's milp wrapper gave it, and gives the same answers back; LPs
+    reach linprog's status and objective; arrays that disagree in size are
+    refused before HiGHS is reached
 """
 
 import json
@@ -143,7 +146,7 @@ def test_set_objective_refuses_costs_highs_reads_as_infinite():
 
 
 def _rows_of(model):
-    return [(dict(r.coefficients), r.sense, r.rhs) for r in model.constraints]
+    return [(list(r.coefficients.items()), r.sense, r.rhs) for r in model.constraints]
 
 
 def test_bulk_block_equals_row_by_row_build():
@@ -172,6 +175,29 @@ def test_bulk_block_equals_row_by_row_build():
     assert bulk.add_constraint({x: 1.0}, "<=", 1.0) == 3
     assert bulk.add_block(rows=[0], cols=[2], coeffs=[1.0], senses=["<="], rhs=[1.0]) == (3, 4)
     assert bulk.num_constraints == 5
+
+    # a block whose triplets come out of row order: each row keeps its terms
+    # in the order given, as if added row by row
+    one.add_constraint({x: 1.0}, "<=", 1.0)
+    one.add_constraint({z: 1.0}, "<=", 1.0)
+    one.add_constraint({y: 1.0, x: 1.0}, "=", 1.0)
+    one.add_constraint({}, "<=", 4.0)
+    one.add_constraint({z: -1.0, x: 2.0, y: 0.5}, ">=", -1.0)
+    assert bulk.add_block(
+        rows=[2, 0, 2, 0, 2], cols=[2, 1, 0, 0, 1], coeffs=[-1.0, 1.0, 2.0, 1.0, 0.5],
+        senses=["=", "<=", ">="], rhs=[1.0, 4.0, -1.0],
+    ) == (3, 5)
+    assert _rows_of(bulk) == _rows_of(one)
+    assert lp_text(bulk) == lp_text(one)
+    one.set_objective({x: -1.0, y: 1.0, z: 1.0})
+    bulk.set_objective(one.objective)
+    for point in ([1.0, 0.0, 1.0], [1.0, 0.0, 3.0], [0.0, 1.0, 0.0]):
+        assert check_solution(bulk, point) == check_solution(one, point)
+    assert check_solution(one, [1.0, 0.0, 3.0]) == ["constraint 2: 4.0 = 0.0 violated",
+                                                    "constraint 4: 3.0 <= 1.0 violated"]
+    got, want = solve(bulk), solve(one)
+    assert got.status is want.status is Status.OPTIMAL
+    assert np.array_equal(got.values, want.values) and got.objective_value == want.objective_value
 
 
 def test_bulk_building_rejections():
@@ -432,8 +458,6 @@ def test_check_solution_accepts_and_rejects():
     wrong_shape = check_solution(m, [1.0])
     assert len(wrong_shape) == 1 and "shape" in wrong_shape[0]
     assert check_solution(m, [1.0, math.nan]) != []
-    # loose tolerances make the fractional value acceptable
-    assert check_solution(m, [0.5, 1.0], integrality_tol=0.5) == []
 
     # 300 rows of every sense, all met but row 217 (a ">=" row); the message
     # names that row in the usual format. Values and coefficients are binary
@@ -579,23 +603,33 @@ def test_missing_highs_bindings_name_the_installed_scipy(monkeypatch):
         solve(_presolve_fault_model())
 
 
+def test_highs_refuses_arrays_that_disagree_in_size(monkeypatch):
+    # with the bindings unbound, reaching HiGHS would raise AttributeError
+    monkeypatch.setattr(qostopo.milp, "highs", None)
+    cost, bounds = np.ones(2), (np.zeros(2), np.ones(2))
+    matrix = (np.array([0, 1, 2], dtype=np.int32), np.array([0, 1], dtype=np.int32), np.array([1.0, 1.0]))
+    for row_bounds, start in [
+        ((np.zeros(2), np.ones(3)), matrix[0]),  # row bounds of different lengths
+        ((np.zeros(2), np.ones(2)), matrix[0][:2]),  # row starts for one row, bounds for two
+    ]:
+        with pytest.raises(ValueError, match="HiGHS model arrays disagree in size"):
+            qostopo.milp._highs(cost, bounds, (start, *matrix[1:]), row_bounds, None, {})
+
+
 def _wrapper_solve(model, limits):
     """The solve as it ran through scipy's milp and linprog wrappers, kept as
     the reference for the direct HiGHS call. Returns the status, values,
     objective and node count."""
     n = model.num_variables
-    row, col, coeff, sense, rhs = model._row_arrays()
-    filled = np.bincount(row, minlength=rhs.size) > 0
-    holds = np.where(sense == 0, 0.0 <= rhs, np.where(sense == 1, 0.0 >= rhs, rhs == 0.0))
-    if (~filled & ~holds).any():
+    row, col, coeff, row_lb, row_ub = model._row_arrays()
+    empty = np.bincount(row, minlength=row_lb.size) == 0
+    if (empty & ((row_lb > 0.0) | (row_ub < 0.0))).any():
         return "infeasible", None, None, None
     c_vec = np.zeros(n)
     for var, value in model.objective.items():
         c_vec[var] = value
     lower, upper, binary = model._column_arrays()
-    sense, rhs = sense[filled], rhs[filled]
-    row_lb, row_ub = np.where(sense == 0, -np.inf, rhs), np.where(sense == 1, np.inf, rhs)
-    a_mat = sparse.csc_array((coeff, (np.cumsum(filled)[row] - 1, col)), shape=(rhs.size, n))
+    a_mat = sparse.csc_array((coeff, (row, col)), shape=(row_lb.size, n))
     tolerances = {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
     if binary.any():
         def backend(presolve):
@@ -603,18 +637,20 @@ def _wrapper_solve(model, limits):
                 warnings.filterwarnings("ignore", message="Unrecognized options detected")
                 return milp(
                     c_vec, integrality=binary.astype(int), bounds=Bounds(lower, upper),
-                    constraints=[LinearConstraint(a_mat, row_lb, row_ub)] if rhs.size else [],
+                    constraints=[LinearConstraint(a_mat, row_lb, row_ub)] if row_lb.size else [],
                     options={"mip_rel_gap": 0.0, "node_limit": limits.max_nodes, "presolve": presolve,
                              "mip_feasibility_tolerance": 1e-9, **tolerances},
                 )
     else:
         a_csr = a_mat.tocsr()
-        le, ge, eq = (np.flatnonzero(sense == k) for k in range(3))
+        # a row is "<=" with no lower bound, ">=" with no upper, else "="
+        le, ge = np.flatnonzero(row_lb == -np.inf), np.flatnonzero(row_ub == np.inf)
+        eq = np.flatnonzero(row_lb == row_ub)
 
         def backend(presolve):
             return linprog(
                 c_vec, A_ub=sparse.vstack([a_csr[le], -a_csr[ge]], format="csr"),
-                b_ub=np.concatenate([rhs[le], -rhs[ge]]), A_eq=a_csr[eq], b_eq=rhs[eq],
+                b_ub=np.concatenate([row_ub[le], -row_lb[ge]]), A_eq=a_csr[eq], b_eq=row_lb[eq],
                 bounds=np.column_stack([lower, upper]), method="highs",
                 options={"maxiter": limits.max_lp_iterations, "presolve": presolve, **tolerances},
             )
@@ -637,7 +673,7 @@ def test_direct_highs_call_matches_scipy_wrappers(monkeypatch):
     inputs = []
 
     class Recording(highs._Highs):
-        """Records every option and the whole model that HiGHS is handed."""
+        """Records every option HiGHS is handed and the whole model it holds."""
 
         def passOptions(self, options):
             inputs.append({name: repr(getattr(options, name)) for name in option_names})
@@ -645,17 +681,16 @@ def test_direct_highs_call_matches_scipy_wrappers(monkeypatch):
 
         def passModel(self, *model):
             # scipy's wrappers pass a HighsLp, solve passes the array overload's
-            # sizes and arrays; both are recorded in the overload's order
-            if len(model) == 1:
-                lp = model[0]
-                a = lp.a_matrix_
-                sizes = (lp.num_col_, lp.num_row_, len(a.value_), int(a.format_), int(lp.sense_), lp.offset_)
-                arrays = (lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_,
-                          a.start_, a.index_, a.value_, [int(kind) for kind in lp.integrality_])
-            else:
-                sizes, arrays = model[:6], model[6:]
+            # sizes and a row-wise matrix; either way the model is read back
+            # after HiGHS has taken it in
+            status = super().passModel(*model)
+            lp = self.getLp()
+            a = lp.a_matrix_
+            sizes = (lp.num_col_, lp.num_row_, len(a.value_), int(a.format_), int(lp.sense_), lp.offset_)
+            arrays = (lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_,
+                      a.start_, a.index_, a.value_, [int(kind) for kind in lp.integrality_])
             inputs.append((sizes, [np.asarray(v, dtype=float).tobytes() for v in arrays]))
-            return super().passModel(*model)
+            return status
 
     monkeypatch.setattr(highs, "_Highs", Recording)
 

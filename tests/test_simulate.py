@@ -338,7 +338,7 @@ def test_sweep_orders_axis_with_none_last():
     p = line3_params()
     res = sweep_threshold(p, [None, 5.0, 0.0], replications=2, network=LINE3,
                           requests=[Request(0, 2, 2.0, 3)])
-    assert res.axis == [0.0, 5.0, None]
+    assert [pt.axis_value for pt in res.points] == [0.0, 5.0, None]
     lost = [pt.lost_mean for pt in res.points]
     assert lost[0] >= lost[1] >= lost[2]
     assert lost[0] == 1.0 and lost[2] == 0.0
@@ -349,7 +349,7 @@ def test_sweep_keeps_duplicate_values():
     p = line3_params()
     res = sweep_threshold(p, [5.0, 5.0], replications=1, network=LINE3,
                           requests=[Request(0, 2, 2.0, 3)])
-    assert res.axis == [5.0, 5.0]
+    assert [pt.axis_value for pt in res.points] == [5.0, 5.0]
     assert res.points[0] == res.points[1]
 
 
@@ -369,7 +369,7 @@ def test_sweep_point_equals_averaged_runs():
 def test_sweep_lambda_with_slack_bandwidth_loses_nothing():
     p = params(node_count=5, bandwidth=500.0, seed=21)
     res = sweep_lambda(p, [1.0, 2.0], replications=3)
-    assert res.axis == [1.0, 2.0]
+    assert [pt.axis_value for pt in res.points] == [1.0, 2.0]
     assert res.points[0].lost_mean == 0.0
 
 
