@@ -79,7 +79,7 @@ class SolverLimitError(Exception):
     """The solver hit its node/iteration budget before reaching an answer."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """One unsplittable traffic demand from ``sender`` to ``receiver``.
 
@@ -299,10 +299,18 @@ def build_load_lp(net: NetworkModel, requests: list[Request]) -> MilpModel:
     arcs into the sender and out of the receiver fixed to zero. Rows: flow
     conservation (net outflow = +demand at the sender, -demand at the
     receiver, 0 elsewhere) per commodity and node, then one load row per
-    node: forwarded flow in both directions plus originated/terminated
-    demand, at most bandwidth times the utilization bound. A conservation
-    row lists node v's arcs to and from each other node j in turn; a load
-    row does so commodity by commodity and ends with the bound. The rows
+    node, at most bandwidth times the utilization bound. A node's load is
+    the flow it forwards in either direction plus the demand it originates
+    or terminates; the load row states it through conservation, which the
+    LP already enforces, so it is exact on every feasible point. A commodity
+    that neither starts nor ends at the node carries out what it carries
+    in, so it adds twice its outflow. One that starts or ends there has its
+    arcs into the sender and out of the receiver fixed at 0, so it adds
+    exactly its demand, which moves to the right-hand side: the load row
+    reads ``2 * relayed outflow - bandwidth * bound <= -2 * endpoint
+    demand``. Fixed arcs appear in no row. A conservation row lists node
+    v's arcs to and from each other node j in turn; a load row lists its
+    outgoing arcs commodity by commodity and ends with the bound. The rows
     are built as index arrays and added in one :meth:`MilpModel.add_block`.
     """
     reqs = _check_requests(net, requests)
@@ -331,17 +339,24 @@ def build_load_lp(net: NetworkModel, requests: list[Request]) -> MilpModel:
 
     # arc_out enumerates k = 0..m-1, so arc k runs from node k // (n-1) to others.ravel()[k]
     tails, heads = np.repeat(np.arange(n), n - 1), others.ravel()
-    blocked = (heads == senders[:, None]) | (tails == receivers[:, None])
-    upper = np.where(blocked, 0.0, math.inf).ravel()
+    # blocked[c*m + k]: arc k of commodity c enters its sender or leaves its receiver
+    blocked = ((heads == senders[:, None]) | (tails == receivers[:, None])).ravel()
+    upper = np.where(blocked, 0.0, math.inf)
 
     conservation_rhs = np.zeros((count, n))
     conservation_rhs[np.arange(count), senders] = rates
     conservation_rhs[np.arange(count), receivers] = -rates
+    conservation_keep = ~blocked[flow - 1]
     conservation_coeffs = np.tile([1.0, -1.0], (count, n, n - 1))
 
-    # load row v: its arcs commodity by commodity, then the bound
-    load_cols = np.concatenate([flow.transpose(1, 0, 2).reshape(n, -1), np.full((n, 1), util)], axis=1)
-    load_coeffs = np.ones(load_cols.shape)
+    # load row v: per commodity relaying through v, its open arcs out of v
+    # (the closed ones lead into the sender), then the bound; shape (n, count, n-1)
+    outgoing = np.arange(count)[None, :, None] * m + arc_out[:, None, :]
+    relayed = (nodes != senders) & (nodes != receivers)
+    load_keep = relayed[:, :, None] & ~blocked[outgoing]
+    load_keep = np.concatenate([load_keep.reshape(n, -1), np.ones((n, 1), dtype=bool)], axis=1)
+    load_cols = np.concatenate([1 + outgoing.reshape(n, -1), np.full((n, 1), util)], axis=1)
+    load_coeffs = np.full(load_cols.shape, 2.0)
     load_coeffs[:, -1] = -net.bandwidth
     # sequential sums in commodity order, each commodity adding at its
     # sender and then at its receiver (bincount gives integers when empty)
@@ -353,13 +368,13 @@ def build_load_lp(net: NetworkModel, requests: list[Request]) -> MilpModel:
         lower=np.zeros(count * m),
         upper=upper,
         rows=np.concatenate([
-            np.repeat(np.arange(count * n), 2 * (n - 1)),
-            np.repeat(np.arange(count * n, count * n + n), load_cols.shape[1]),
+            np.repeat(np.arange(count * n), 2 * (n - 1))[conservation_keep.ravel()],
+            np.repeat(np.arange(count * n, count * n + n), load_cols.shape[1])[load_keep.ravel()],
         ]),
-        cols=np.concatenate([flow.ravel(), load_cols.ravel()]),
-        coeffs=np.concatenate([conservation_coeffs.ravel(), load_coeffs.ravel()]),
+        cols=np.concatenate([flow[conservation_keep], load_cols[load_keep]]),
+        coeffs=np.concatenate([conservation_coeffs[conservation_keep], load_coeffs[load_keep]]),
         senses=["="] * (count * n) + ["<="] * n,
-        rhs=np.concatenate([conservation_rhs.ravel(), -endpoint_demand]),
+        rhs=np.concatenate([conservation_rhs.ravel(), -2.0 * endpoint_demand]),
     )
     return model
 

@@ -6,19 +6,20 @@ column bounds and binary flags, coefficient triplets in row order, and
 each row as ``lower <= Ax <= upper``. The builder refuses what HiGHS would
 refuse or read as infinite: a matrix coefficient of magnitude 1e15 or
 more, a finite bound, right-hand side or cost of magnitude 1e20 or more.
-:func:`solve` hands HiGHS those arrays, the triplets as one row-wise sparse
-matrix that HiGHS turns column-wise itself, and solves to proven
+:func:`solve` hands HiGHS those arrays, the triplets sorted by column into
+the column-wise sparse matrix HiGHS keeps, and solves to proven
 optimality (zero MIP gap) or an explicit status; a node or iteration
 limit is a status, never a silently wrong answer. Only the model status,
 the column values, the objective and the node count are read back. Models
 with binaries get scipy ``milp``'s layout, options and presolve, so their
 answers match it bit for bit; continuous ones are solved without
-presolve, which on the load LP costs several times what it saves. HiGHS
-occasionally gives up on a small model with "Solve error"; a solve that
-ends on such a status is retried once with the other presolve setting,
-and if that attempt fails too, :class:`SolverError` is raised. HiGHS
-writes some diagnostics straight to file descriptor 1, so fd 1 is pointed
-at the null device for each run.
+presolve, which on the load LP costs several times what it saves, and
+without scaling, which the load LP's coefficients (±1, 2 and the
+bandwidth) do not need. HiGHS occasionally gives up on a small model with
+"Solve error"; a solve that ends on such a status is retried once with
+the other presolve setting, and if that attempt fails too,
+:class:`SolverError` is raised. HiGHS writes some diagnostics straight to
+file descriptor 1, so fd 1 is pointed at the null device for each run.
 
 The HiGHS bindings (``scipy.optimize._highspy._core``, scipy 1.15 and
 later) load on the first solve that reaches HiGHS, not on import, so code
@@ -370,16 +371,25 @@ class MilpModel:
             start = end
         return tuple(out)
 
+    # The two readers below return read-only views of the storage, not
+    # copies. The storage cannot grow while a view of it is alive (array
+    # raises BufferError), so they are for use inside one call only.
+
     def _column_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of the lower bounds, upper bounds and binary flags."""
-        return np.array(self._lower), np.array(self._upper), np.array(self._binary).astype(bool)
+        """Views of the lower bounds, upper bounds and binary flags."""
+        return _view(self._lower, float), _view(self._upper, float), _view(self._binary, bool)
 
     def _row_arrays(self) -> tuple[np.ndarray, ...]:
-        """Copies of the triplets (row, variable, coefficient) in row order,
+        """Views of the triplets (row, variable, coefficient) in row order,
         then of the row lower and upper bounds."""
-        return (np.array(self._row), np.array(self._col), np.array(self._coeff),
-                np.array(self._row_lower), np.array(self._row_upper))
+        return (_view(self._row, np.int64), _view(self._col, np.int64), _view(self._coeff, float),
+                _view(self._row_lower, float), _view(self._row_upper, float))
 
+
+def _view(buf: array, dtype) -> np.ndarray:
+    arr = np.frombuffer(buf, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
 def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
@@ -388,18 +398,19 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     Deterministic: identical models produce identical solutions. Returns
     ``Status.RESOURCE_LIMIT`` (with the best incumbent, if any) when the
     node/iteration caps in ``limits`` are hit. Models with binaries are
-    solved with presolve on, continuous ones with presolve off. Any other
-    status HiGHS ends on besides optimal, infeasible and unbounded (such as
-    "Solve error") is retried once with the other presolve setting;
-    :class:`SolverError` is raised if the retry ends on one too.
+    solved with presolve on, continuous ones with presolve off and no
+    scaling. Any other status HiGHS ends on besides optimal, infeasible and
+    unbounded (such as "Solve error") is retried once with the other
+    presolve setting; :class:`SolverError` is raised if the retry ends on
+    one too.
     """
     limits = limits or SolveLimits()
     n = model.num_variables
 
     row, col, coeff, row_lower, row_upper = model._row_arrays()
-    counts = np.bincount(row, minlength=row_lower.size)
     # An empty row reads "lower <= 0 <= upper".
-    if ((counts == 0) & ((row_lower > 0.0) | (row_upper < 0.0))).any():
+    empty = np.bincount(row, minlength=row_lower.size) == 0
+    if (empty & ((row_lower > 0.0) | (row_upper < 0.0))).any():
         return Solution(Status.INFEASIBLE)
     if n == 0:
         return Solution(Status.OPTIMAL, values=np.zeros(0), objective_value=0.0)
@@ -417,19 +428,22 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
         presolves = ("on", "off")
     else:
         # the options scipy's linprog gave HiGHS, but presolve off first: on
-        # a load LP it costs several times what it saves
+        # a load LP it costs several times what it saves; and no scaling,
+        # which a load LP's coefficients (±1, 2 and one -bandwidth) do not need
         options = dict(highs_debug_level=0, output_flag=False, log_to_console=False, simplex_strategy=1,
-                       simplex_iteration_limit=limits.max_lp_iterations,
+                       simplex_scale_strategy=0, simplex_iteration_limit=limits.max_lp_iterations,
                        ipm_iteration_limit=limits.max_lp_iterations)
         presolves = ("off", "on")
     # Tolerances of 1e-9 keep row violations well under the 1e-7 re-check
     # tolerance even with large coefficients (HiGHS's stock is 1e-6 or 1e-7).
     options.update(primal_feasibility_tolerance=1e-9, dual_feasibility_tolerance=1e-9)
-    # Row-wise as stored; HiGHS turns it into the canonical column-wise form
-    # scipy's wrappers handed on, rows ascending within each column.
-    start = np.zeros(row_lower.size + 1, dtype=np.int32)
-    np.cumsum(counts, out=start[1:])
-    matrix = (start, col.astype(np.int32), coeff)
+    # The canonical column-wise form scipy's wrappers handed on: the stored
+    # triplets are in row order, so a stable sort by column keeps rows
+    # ascending within each column.
+    by_col = np.argsort(col, kind="stable")
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=n), out=start[1:])
+    matrix = (start, row[by_col].astype(np.int32), coeff[by_col])
 
     _load_scipy()
     with _stdout_silenced():
@@ -444,16 +458,16 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
 
 def _highs(cost, bounds, matrix, row_bounds, integrality, options: dict):
     """Run HiGHS once on ``min cost @ x`` s.t. ``row_bounds`` bound ``A @ x``
-    and ``bounds`` bound ``x``; ``matrix`` is ``A`` as CSR (start, index,
-    value) and ``integrality`` flags integer columns (``None``: continuous).
-    Returns the model status, column values, objective and node count.
-    HiGHS turns the matrix column-wise as it takes the model in. It copies
-    each array in one go (``passModel``'s array overload) and reads as many
-    items as the sizes say, so those are checked first.
+    and ``bounds`` bound ``x``; ``matrix`` is ``A`` as CSC (start, index,
+    value), the form HiGHS keeps, and ``integrality`` flags integer columns
+    (``None``: continuous). Returns the model status, column values,
+    objective and node count. HiGHS copies each array in one go
+    (``passModel``'s array overload) and reads as many items as the sizes
+    say, so those are checked first.
     """
     kinds = np.zeros(cost.size, dtype=np.int32) if integrality is None else integrality.astype(np.int32)
-    columns = {cost.size, bounds[0].size, bounds[1].size, kinds.size}
-    rows = {row_bounds[0].size, row_bounds[1].size, matrix[0].size - 1}
+    columns = {cost.size, bounds[0].size, bounds[1].size, kinds.size, matrix[0].size - 1}
+    rows = {row_bounds[0].size, row_bounds[1].size}
     if len(columns) != 1 or len(rows) != 1 or matrix[1].size != matrix[2].size:
         raise ValueError("HiGHS model arrays disagree in size")
     solver = highs._Highs()
@@ -461,7 +475,7 @@ def _highs(cost, bounds, matrix, row_bounds, integrality, options: dict):
     for name, value in options.items():
         setattr(highs_options, name, value)
     solver.passOptions(highs_options)
-    status = solver.passModel(cost.size, row_bounds[0].size, matrix[2].size, int(highs.MatrixFormat.kRowwise),
+    status = solver.passModel(cost.size, row_bounds[0].size, matrix[2].size, int(highs.MatrixFormat.kColwise),
                               int(highs.ObjSense.kMinimize), 0.0, cost, *bounds, *row_bounds, *matrix, kinds)
     if status == highs.HighsStatus.kError:
         return highs.HighsModelStatus.kModelError, None, math.inf, 0

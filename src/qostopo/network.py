@@ -66,16 +66,18 @@ class NetworkModel:
     def node_count(self) -> int:
         return len(self.positions)
 
-    @cached_property
+    @property
     def distance_matrix(self) -> np.ndarray:
-        """Pairwise Euclidean distances, shape (n, n), zero diagonal."""
+        """Pairwise Euclidean distances, shape (n, n), zero diagonal; computed
+        on each access, since only ``energy_matrix`` is kept."""
         arr = np.asarray(self.positions, dtype=float)
         diff = arr[:, None, :] - arr[None, :, :]
         return np.hypot(diff[..., 0], diff[..., 1])
 
     @cached_property
     def energy_matrix(self) -> np.ndarray:
-        """Pairwise link energies ``d ** a``, shape (n, n), zero diagonal."""
+        """Pairwise link energies ``d ** a``, shape (n, n), zero diagonal;
+        computed on first access and kept."""
         return self.distance_matrix ** self.path_loss_exponent
 
     def _check_pair(self, i: int, j: int) -> None:
@@ -88,7 +90,8 @@ class NetworkModel:
     def distance(self, i: int, j: int) -> float:
         """Euclidean distance between two distinct nodes."""
         self._check_pair(i, j)
-        return float(self.distance_matrix[i, j])
+        (xi, yi), (xj, yj) = self.positions[i], self.positions[j]
+        return float(np.hypot(xi - xj, yi - yj))
 
     def link_energy(self, i: int, j: int) -> float:
         """Energy ``d(i, j) ** a`` needed for i to transmit directly to j."""

@@ -79,7 +79,7 @@ class ScenarioParams:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestOutcome:
     """One routing-table row: the request and its path, or a loss.
 

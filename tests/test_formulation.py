@@ -4,8 +4,12 @@
 2. load relaxation on hand-checkable instances: utilization values, the
    strict overload rule, flow conservation, commodity merging; one model is
    pinned byte for byte, and the array-built model equals a row-by-row
-   reference bit for bit; flows keep only their nonzero entries and come
-   back read-only, in sorted commodity order, equal to the dense decode;
+   reference bit for bit; its nonzero count is pinned to a closed form;
+   the load rows, which state a node's load through flow conservation,
+   still mean flow out plus flow in plus endpoint demand, and the unscaled
+   solve holds on fields rescaled by 1e-3 and 1e3; flows keep only their
+   nonzero entries and come back read-only, in sorted commodity order,
+   equal to the dense decode;
    on seeded fields of 5-20 nodes, some tuned to a utilization within 1e-6
    of 1, the utilization and overload verdict equal a linprog reference
 3. topology optimization on hand-checkable instances: direct vs relayed
@@ -221,18 +225,18 @@ GOLDEN_LOAD_LP = """\
 Minimize
  obj: 1 x0
 Subject To
- c0: 1 x1 + 1 x2 + 1 x3 - 1 x4 - 1 x7 - 1 x10 = 1.25
- c1: -1 x1 + 1 x4 + 1 x5 + 1 x6 - 1 x8 - 1 x11 = 0
- c2: -1 x2 - 1 x5 + 1 x7 + 1 x8 + 1 x9 - 1 x12 = -1.25
- c3: -1 x3 - 1 x6 - 1 x9 + 1 x10 + 1 x11 + 1 x12 = 0
- c4: 1 x13 + 1 x14 + 1 x15 - 1 x16 - 1 x19 - 1 x22 = 2
- c5: -1 x13 + 1 x16 + 1 x17 + 1 x18 - 1 x20 - 1 x23 = 0
- c6: -1 x14 - 1 x17 + 1 x19 + 1 x20 + 1 x21 - 1 x24 = 0
- c7: -1 x15 - 1 x18 - 1 x21 + 1 x22 + 1 x23 + 1 x24 = -2
- c8: -8 x0 + 1 x1 + 1 x2 + 1 x3 + 1 x4 + 1 x7 + 1 x10 + 1 x13 + 1 x14 + 1 x15 + 1 x16 + 1 x19 + 1 x22 <= -3.25
- c9: -8 x0 + 1 x1 + 1 x4 + 1 x5 + 1 x6 + 1 x8 + 1 x11 + 1 x13 + 1 x16 + 1 x17 + 1 x18 + 1 x20 + 1 x23 <= -0
- c10: -8 x0 + 1 x2 + 1 x5 + 1 x7 + 1 x8 + 1 x9 + 1 x12 + 1 x14 + 1 x17 + 1 x19 + 1 x20 + 1 x21 + 1 x24 <= -1.25
- c11: -8 x0 + 1 x3 + 1 x6 + 1 x9 + 1 x10 + 1 x11 + 1 x12 + 1 x15 + 1 x18 + 1 x21 + 1 x22 + 1 x23 + 1 x24 <= -2
+ c0: 1 x1 + 1 x2 + 1 x3 = 1.25
+ c1: -1 x1 + 1 x5 + 1 x6 - 1 x11 = 0
+ c2: -1 x2 - 1 x5 - 1 x12 = -1.25
+ c3: -1 x3 - 1 x6 + 1 x11 + 1 x12 = 0
+ c4: 1 x13 + 1 x14 + 1 x15 = 2
+ c5: -1 x13 + 1 x17 + 1 x18 - 1 x20 = 0
+ c6: -1 x14 - 1 x17 + 1 x20 + 1 x21 = 0
+ c7: -1 x15 - 1 x18 - 1 x21 = -2
+ c8: -8 x0 <= -6.5
+ c9: -8 x0 + 2 x5 + 2 x6 + 2 x17 + 2 x18 <= -0
+ c10: -8 x0 + 2 x20 + 2 x21 <= -2.5
+ c11: -8 x0 + 2 x11 + 2 x12 <= -4
 Bounds
  0 <= x0 <= +inf
  0 <= x1 <= +inf
@@ -267,6 +271,8 @@ def test_load_model_golden():
     # the whole load LP, byte for byte: the utilization bound, then per
     # commodity in sorted endpoint order one flow per ordered node pair,
     # conservation rows commodity by commodity, then one load row per node.
+    # Closed arcs appear in no row, and a load row holds twice the outflow of
+    # each commodity the node relays, its endpoint demand twice on the right.
     # The two 0->3 requests merge into one commodity of demand 2; node 1
     # originates and terminates nothing, so its load row reads "<= -0"
     from qostopo import lp_text
@@ -296,27 +302,37 @@ def _load_lp_by_rows(net, reqs):
     util = model.add_continuous(0.0, np.inf)
     model.set_objective({util: 1.0})
     flow_id = {}
+
+    def closed(s, d, i, j):
+        return j == s or i == d
+
     for s, d, _ in commodities:
         for i, j in _ordered_pairs(n):
-            flow_id[(s, d, i, j)] = model.add_continuous(0.0, 0.0 if j == s or i == d else np.inf)
+            flow_id[(s, d, i, j)] = model.add_continuous(0.0, 0.0 if closed(s, d, i, j) else np.inf)
     for s, d, lam in commodities:
         for v in range(n):
             coeffs = {}
             for j in range(n):
                 if j != v:
-                    coeffs[flow_id[(s, d, v, j)]] = 1.0
-                    coeffs[flow_id[(s, d, j, v)]] = -1.0
+                    if not closed(s, d, v, j):
+                        coeffs[flow_id[(s, d, v, j)]] = 1.0
+                    if not closed(s, d, j, v):
+                        coeffs[flow_id[(s, d, j, v)]] = -1.0
             model.add_constraint(coeffs, "=", lam if v == s else -lam if v == d else 0.0)
+    # node v's load, out + in + endpoint demand, with conservation applied: a
+    # relayed commodity carries in what it carries out, and an endpoint's
+    # commodity moves exactly its demand through v on open arcs
     for v in range(n):
         coeffs, endpoint_demand = {}, 0.0
         for s, d, lam in commodities:
+            if v in (s, d):
+                endpoint_demand += lam
+                continue
             for j in range(n):
-                if j != v:
-                    coeffs[flow_id[(s, d, v, j)]] = 1.0
-                    coeffs[flow_id[(s, d, j, v)]] = 1.0
-            endpoint_demand += lam if v in (s, d) else 0.0
+                if j != v and not closed(s, d, v, j):
+                    coeffs[flow_id[(s, d, v, j)]] = 2.0
         coeffs[util] = -net.bandwidth
-        model.add_constraint(coeffs, "<=", -endpoint_demand)
+        model.add_constraint(coeffs, "<=", -2.0 * endpoint_demand)
     return model
 
 
@@ -344,6 +360,83 @@ def test_load_model_matches_row_by_row_reference():
         assert _same_floats([r.rhs for r in rows], [r.rhs for r in ref])
         for r, w in zip(rows, ref):
             assert _same_floats(list(r.coefficients.values()), list(w.coefficients.values()))
+
+
+def test_load_model_size_is_pinned():
+    # per commodity: 2n(n-1) conservation entries less two for each of its
+    # 2n-3 closed arcs, and (n-2)^2 load entries (n-2 relays, each with n-2
+    # open arcs out); then the bound once per load row. Rows and variables
+    # keep the layout they had when load rows listed every arc both ways
+    from qostopo.formulation import _merge_commodities
+
+    net, reqs = _field20(9_100_000)
+    model = build_load_lp(net, reqs)
+    n, count = net.node_count, len(_merge_commodities(reqs))
+    assert (n, count) == (20, 36)
+    per_commodity = 2 * n * (n - 1) - 2 * (2 * n - 3) + (n - 2) ** 2
+    assert len(model._coeff) == count * per_commodity + n == 36_380
+    assert model.num_constraints == count * n + n == 740
+    assert model.num_variables == 1 + count * n * (n - 1) == 13_681
+
+
+_MEANING_SEEDS = range(9_400_000, 9_400_008)
+
+
+def test_load_rows_mean_out_plus_in_plus_endpoint_demand():
+    # a node's load read off the solved flows as defined, not as the rows
+    # state it: flow out plus flow in plus the demand it sends or receives
+    from qostopo import check_solution
+    from qostopo.formulation import _merge_commodities, _ordered_pairs
+
+    for seed in _MEANING_SEEDS:
+        net, reqs = _field20(seed)
+        n, m = net.node_count, net.node_count * (net.node_count - 1)
+        commodities = _merge_commodities(reqs)
+        res = solve_load_lp(net, reqs)
+        load = np.zeros(n)
+        for s, d, lam in commodities:
+            mat = res.flows[(s, d)]
+            load += mat.sum(axis=1) + mat.sum(axis=0)
+            load[[s, d]] += lam
+        assert load.max() / net.bandwidth == pytest.approx(res.max_utilization, rel=1e-9, abs=0.0)
+
+        # The solver routes every demand directly, so also plant a flow that
+        # relays each commodity through another node: the rows state each
+        # node's load as defined, and the worst node's bound is binding.
+        model = build_load_lp(net, reqs)
+        arc = {pair: k for k, pair in enumerate(_ordered_pairs(n))}
+        x, load = np.zeros(model.num_variables), np.zeros(n)
+        for c, (s, d, lam) in enumerate(commodities):
+            relay = min(set(range(n)) - {s, d})
+            for i, j in ((s, relay), (relay, d)):
+                x[1 + c * m + arc[(i, j)]] = lam
+                load[[i, j]] += lam
+            load[[s, d]] += lam
+        stated = [sum(coeff * x[var] for var, coeff in row.coefficients.items() if var) - row.rhs
+                  for row in model.constraints[-n:]]
+        assert stated == pytest.approx(load, rel=1e-12, abs=0.0)
+        x[0] = load.max() / net.bandwidth
+        assert check_solution(model, x) == []
+        x[0] *= 1.0 - 1e-6
+        assert len(check_solution(model, x)) == np.count_nonzero(load == load.max()) >= 1
+
+
+@pytest.mark.parametrize("factor", [1e-3, 1e3])
+def test_unscaled_load_lp_holds_on_rescaled_fields(factor):
+    # load LPs are solved without scaling; bandwidth and demands a thousand
+    # times smaller or larger leave the utilization and the re-check as they are
+    import dataclasses
+
+    from qostopo import check_solution
+
+    for seed in _MEANING_SEEDS:
+        net, reqs = _field20(seed)
+        net = dataclasses.replace(net, bandwidth=net.bandwidth * factor)
+        reqs = [dataclasses.replace(r, demand=r.demand * factor) for r in reqs]
+        model = build_load_lp(net, reqs)
+        sol = solve(model)
+        assert sol.status is Status.OPTIMAL and check_solution(model, sol.values) == []
+        assert sol.values[0] == pytest.approx(load_lp_linprog(net, reqs), rel=1e-9, abs=0.0)
 
 
 def test_load_flows_are_sparse_read_only_and_sorted():

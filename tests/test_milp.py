@@ -20,11 +20,13 @@
     scipy.optimize, which imports later in the same process and reuses
     them; a stand-in for the HiGHS run patched onto the module before that
     solve is the one called; PyYAML loads with the first scenario file
-11. the direct HiGHS call passes the matrix row-wise, yet for MILPs HiGHS
+11. the direct HiGHS call passes the matrix column-wise, and for MILPs HiGHS
     then holds exactly the options and model (column-wise matrix included)
     that scipy's milp wrapper gave it, and gives the same answers back; LPs
     reach linprog's status and objective; arrays that disagree in size are
     refused before HiGHS is reached
+12. solve and check_solution read the model's storage without copying it,
+    and the model can still grow after both and solve again
 """
 
 import json
@@ -610,7 +612,7 @@ def test_highs_refuses_arrays_that_disagree_in_size(monkeypatch):
     matrix = (np.array([0, 1, 2], dtype=np.int32), np.array([0, 1], dtype=np.int32), np.array([1.0, 1.0]))
     for row_bounds, start in [
         ((np.zeros(2), np.ones(3)), matrix[0]),  # row bounds of different lengths
-        ((np.zeros(2), np.ones(2)), matrix[0][:2]),  # row starts for one row, bounds for two
+        ((np.zeros(2), np.ones(2)), matrix[0][:2]),  # column starts for one column, costs for two
     ]:
         with pytest.raises(ValueError, match="HiGHS model arrays disagree in size"):
             qostopo.milp._highs(cost, bounds, (start, *matrix[1:]), row_bounds, None, {})
@@ -734,6 +736,27 @@ def test_direct_highs_call_matches_scipy_wrappers(monkeypatch):
     statuses = [status for binary, status in solved[4:] if binary]
     assert len(statuses) == len(solved) - 4 >= 50
     assert {Status.OPTIMAL, Status.INFEASIBLE} <= set(statuses)
+
+
+def test_model_grows_after_solve_and_check():
+    # solve and check_solution read the storage through views; none may
+    # outlive the call, or the next append would raise BufferError
+    m = MilpModel()
+    x = m.add_continuous()
+    m.add_constraint({x: 1.0}, ">=", 1.0)
+    m.set_objective({x: 1.0})
+    first = solve(m)
+    assert first.objective_value == 1.0 and check_solution(m, first.values) == []
+    y = m.add_continuous(upper=5.0)
+    m.add_constraint({x: 1.0, y: -1.0}, ">=", 2.0)
+    first_var, first_row = m.add_block(lower=[0.0], upper=[1.0], rows=[0, 0], cols=[y, 2], coeffs=[1.0, 1.0],
+                                       senses=[">="], rhs=[3.0])
+    assert (first_var, first_row) == (2, 2)
+    m.set_objective({x: 1.0, first_var: 2.0})
+    again = solve(m)
+    assert again.status is Status.OPTIMAL and check_solution(m, again.values) == []
+    assert again.values.tolist() == [5.0, 3.0, 0.0] and again.objective_value == 5.0
+    assert m._row_arrays()[2].flags.writeable is False
 
 
 def test_cli_maps_solver_error_to_exit_code_3(monkeypatch, tmp_path, capsys):
