@@ -32,6 +32,8 @@ reported as such with zero energy committed.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -65,6 +67,10 @@ __all__ = [
     "solve_single_request",
     "decode_and_validate",
 ]
+
+
+# The values of an indicator that is exactly integral.
+_ZERO_ONE = frozenset((0.0, 1.0))
 
 
 class ValidationError(Exception):
@@ -138,7 +144,7 @@ class EnergyLedger:
         inc = np.asarray(amounts, dtype=float)
         if inc.shape != self.consumed.shape:
             raise ValueError(f"expected {self.consumed.shape[0]} increments, got shape {inc.shape}")
-        if not np.all(np.isfinite(inc)) or np.any(inc < 0):
+        if not all(0.0 <= x < math.inf for x in inc.tolist()):  # NaN fails too
             raise ValueError("increments must be finite and >= 0")
         self.consumed = self.consumed + inc
 
@@ -455,6 +461,13 @@ def build_topology_milp(
     stay as cuts that tighten the LP relaxation. Links need no variables:
     their closure never costs more than the costliest arc
     (:meth:`NetworkModel.broadcast_closure`).
+
+    The model is assembled from index arrays, not row by row: every term
+    and row a model on n nodes can have is laid out once per n
+    (``_topology_layout``), the open arcs pick the ones that exist, and the
+    columns and rows go in with one :meth:`MilpModel.add_block`. Rows, their
+    order and the order of terms within each row are exactly as listed
+    above.
     """
     req = _single_request(net, requests)
     n = net.node_count
@@ -463,55 +476,146 @@ def build_topology_milp(
     if threshold is not None and not math.isfinite(threshold):
         raise ModelError(f"threshold must be finite or None, got {threshold!r}")
 
-    pairs = _ordered_pairs(n)
-    energy = net.energy_matrix
     bound = _cap_bound(net, req, ledger, threshold)
     hops = float(req.hop_bound)
+    layout = _topology_layout(n)
+    m = n * (n - 1)
 
-    model = MilpModel()
-    cap = model.add_continuous(0.0, bound)
-    model.set_objective({cap: 1.0})
     # No simple path enters its sender or leaves its receiver, and no optimal
     # route uses an arc dearer than a route known to be feasible.
-    open_arcs = [(i, j) for i, j in pairs if j != req.sender and i != req.receiver and energy[i, j] <= bound]
-    live = set(open_arcs)
-    x = {pair: model.add_binary() if pair in live else model.add_continuous(0.0, 0.0) for pair in pairs}
-    u = [model.add_continuous(0.0, 0.0 if v == req.sender else hops) for v in range(n)]
+    cost = net.energy_matrix.take(layout.cells)
+    is_open = cost <= bound
+    is_open[layout.into[req.sender]] = False
+    is_open[layout.out_of[req.receiver]] = False
 
-    out = [[] for _ in range(n)]
-    into = [[] for _ in range(n)]
-    for i, j in open_arcs:
-        out[i].append((i, j))
-        into[j].append((i, j))
-    if open_arcs:
-        model.add_constraint({x[pair]: 1.0 for pair in open_arcs}, "<=", hops)
-    for v in range(n):
-        if out[v]:
-            model.add_constraint({**{x[pair]: energy[pair] for pair in out[v]}, cap: -1.0}, "<=", 0.0)
-            model.add_constraint({x[pair]: 1.0 for pair in out[v]}, "<=", 1.0)
-        if into[v]:
-            model.add_constraint({x[pair]: 1.0 for pair in into[v]}, "<=", 1.0)
-        rhs = 1.0 if v == req.sender else -1.0 if v == req.receiver else 0.0
-        if out[v] or into[v] or rhs:
-            flow = {**{x[pair]: 1.0 for pair in out[v]}, **{x[pair]: -1.0 for pair in into[v]}}
-            model.add_constraint(flow, "=", rhs)
-    for i, j in open_arcs:
-        model.add_constraint({u[j]: 1.0, u[i]: -1.0, x[(i, j)]: -(hops + 1.0)}, ">=", -hops)
+    # The layout's terms that exist here, with their coefficients drawn from
+    # one value table, and the rows that hold them: every row with a term,
+    # and the empty conservation row of an endpoint with no open arc.
+    values = [(1.0, -1.0, -(hops + 1.0), req.demand), cost]
+    rhs = [(hops, 0.0, 1.0, -hops, net.bandwidth)]
+    terms, slots = layout.plain_terms, layout.senses.size - n
+    if threshold is not None:
+        terms, slots = layout.terms, layout.senses.size
+        values.append((req.demand * cost * layout.share).ravel())
+        rhs.append(threshold - ledger.consumed + ledger.average())
+    has_out = is_open.reshape(n, n - 1).any(axis=1)
+    _, slot, col, source = np.compress(np.concatenate((is_open, has_out))[terms[0]], terms, axis=1)
+    flow_rows = [4 + 4 * req.sender, 4 + 4 * req.receiver]
+    kept = np.zeros(slots, dtype=bool)
+    kept[slot] = True
+    kept[flow_rows] = True
+    slot_rhs = np.concatenate(rhs)[layout.rhs_source[:slots]]
+    slot_rhs[flow_rows] = 1.0, -1.0
 
-    for v in range(n):
-        if out[v] or into[v]:
-            model.add_constraint({x[pair]: req.demand for pair in sorted(out[v] + into[v])}, "<=", net.bandwidth)
-
-    if threshold is not None and open_arcs:
-        mean_consumed = ledger.average()
-        for v in range(n):
-            coeffs = {}
-            for i, j in open_arcs:
-                share = (1.0 if i == v else 0.0) - 1.0 / n
-                coeffs[x[(i, j)]] = req.demand * energy[i, j] * share
-            model.add_constraint(coeffs, "<=", threshold - float(ledger.consumed[v]) + mean_consumed)
-
+    upper = np.empty(1 + m + n)
+    upper[0] = bound
+    upper[1:1 + m] = is_open
+    upper[1 + m:] = hops
+    upper[1 + m + req.sender] = 0.0
+    model = MilpModel()
+    cap, _ = model.add_block(
+        lower=layout.lower,
+        upper=upper,
+        binary=np.concatenate((layout.continuous[:1], is_open, layout.continuous)),
+        rows=(np.cumsum(kept) - 1)[slot],
+        cols=col,
+        coeffs=np.concatenate(values)[source],
+        senses=layout.senses[:slots][kept].tolist(),
+        rhs=slot_rhs[kept],
+    )
+    model.set_objective({cap: 1.0})
     return model
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Every term and row the topology MILP on n nodes can have, with every
+    arc open, for :func:`build_topology_milp` to pick from; m = n(n-1).
+
+    Arc k is ``pairs[k]``, the flat cell ``cells[k]`` of an n-by-n matrix.
+    ``into[v]`` and ``out_of[v]`` list the arcs entering and leaving node v.
+    ``share[v, k]`` is node v's share of the energy arc k adds: its own use
+    when v is the tail, less the 1/n that every use adds to the average.
+    ``lower`` holds the 1 + m + n lower column bounds (all 0) and
+    ``continuous`` n binary flags (all False).
+
+    Rows have slots: the hop row 0; the cap, out-degree, in-degree and
+    conservation rows of node v at 1 + 4v + 0..3; the order row of arc k at
+    1 + 4n + k; then per node its bandwidth row, and per node its fairness
+    row. Per slot, ``senses`` holds the sense and ``rhs_source`` the index
+    of the right-hand side in ``[H, 0, 1, -H, bandwidth, fairness rhs per
+    node]``; the conservation rows of the sender and the receiver take 1
+    and -1 instead.
+
+    ``terms`` has one column per term, in row order and each row's terms in
+    the order the row lists them, fairness terms last; ``plain_terms`` is
+    ``terms`` without them. Its rows are: the term's key, arc k for a term
+    that exists when k is open and m + v for the cap term of node v, which
+    exists when v has an open outgoing arc; its slot; its column; and the
+    index of its coefficient in ``[1, -1, -(H+1), demand, energy of each
+    arc, fairness coefficient of each (v, k) in row-major order]``.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    cells: np.ndarray
+    into: tuple[np.ndarray, ...]
+    out_of: tuple[np.ndarray, ...]
+    share: np.ndarray
+    lower: np.ndarray
+    continuous: np.ndarray
+    senses: np.ndarray
+    rhs_source: np.ndarray
+    terms: np.ndarray
+    plain_terms: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _topology_layout(n: int) -> _Layout:
+    m, arc, nodes = n * (n - 1), np.arange(n * (n - 1)), np.arange(n)
+    # arc k = i*(n-1) + t runs from node i to its t-th other node
+    tails = arc // (n - 1)
+    heads = arc % (n - 1) + (arc % (n - 1) >= tails)
+    x, order, band, fair = 1 + arc, 1 + 4 * n + arc, 1 + 4 * n + m + nodes, 1 + 5 * n + m + nodes
+    one, minus_one, step, demand, energy, fairness = 0, 1, 2, 3, 4, 4 + m
+
+    # (key, slot, column, source) per group of terms; a stable sort by slot
+    # puts each row's terms in the order it lists them: cap rows end with
+    # the cap, conservation rows list outgoing arcs before incoming ones,
+    # order rows read u_j, u_i, x_ij, and bandwidth rows list arcs in order
+    twice = np.repeat(arc, 2)
+    groups = [
+        (arc, 0, x, one),  # hop row
+        (arc, 1 + 4 * tails, x, energy + arc),  # cap rows
+        (m + nodes, 1 + 4 * nodes, 0, minus_one),
+        (arc, 2 + 4 * tails, x, one),  # out-degree
+        (arc, 3 + 4 * heads, x, one),  # in-degree
+        (arc, 4 + 4 * tails, x, one),  # conservation
+        (arc, 4 + 4 * heads, x, minus_one),
+        (np.repeat(arc, 3), np.repeat(order, 3),  # order rows
+         np.column_stack([1 + m + heads, 1 + m + tails, x]).ravel(), np.tile([one, minus_one, step], m)),
+        (twice, band[np.column_stack([tails, heads]).ravel()], 1 + twice, demand),  # bandwidth
+        (np.tile(arc, n), np.repeat(fair, m), np.tile(x, n), fairness + np.arange(n * m)),
+    ]
+    terms = np.concatenate([np.array(np.broadcast_arrays(*group), dtype=np.int64) for group in groups], axis=1)
+    terms = terms[:, np.argsort(terms[1], kind="stable")]
+    senses = ["<="] + ["<=", "<=", "<=", "="] * n + [">="] * m + ["<="] * (2 * n)
+    layout = _Layout(
+        pairs=tuple(_ordered_pairs(n)),
+        cells=tails * n + heads,
+        into=tuple(arc[heads == v] for v in nodes),
+        out_of=tuple(arc[tails == v] for v in nodes),
+        share=(tails == nodes[:, None]).astype(float) - 1.0 / n,
+        lower=np.zeros(1 + m + n),
+        continuous=np.zeros(n, dtype=bool),
+        senses=np.array(senses, dtype=object),
+        rhs_source=np.concatenate([[0], np.tile([1, 2, 2, 1], n), np.full(m, 3), np.full(n, 4), 5 + nodes]),
+        terms=terms,
+        plain_terms=terms[:, :-n * m].copy(),
+    )
+    for arr in (layout.cells, *layout.into, *layout.out_of, layout.share, layout.lower, layout.continuous,
+                layout.senses, layout.rhs_source, layout.terms, layout.plain_terms):
+        arr.flags.writeable = False
+    return layout
 
 
 def _route_problems(
@@ -521,7 +625,7 @@ def _route_problems(
     threshold: float | None,
     arcs: Collection[tuple[int, int]],
     sign: float,
-) -> tuple[float, np.ndarray, list[str]]:
+) -> tuple[float, list[float], list[str]]:
     """Cap (costliest arc, 0 for none) of the route ``arcs``, the energy each
     node adds, and one message per QoS row of ``req`` it breaks: ``max_power``,
     the hop bound, per-node bandwidth (the demand at both ends of every arc)
@@ -530,11 +634,11 @@ def _route_problems(
     for ``sign=+1`` (the decoder), margin for ``sign=-1`` (the cap bound).
     """
     energy = net.energy_matrix
-    cap = max((float(energy[i, j]) for i, j in arcs), default=0.0)
-    increments = np.zeros(net.node_count)
-    occupancy = np.zeros(net.node_count)
+    cap = max((energy.item(i, j) for i, j in arcs), default=0.0)
+    increments = [0.0] * net.node_count
+    occupancy = [0.0] * net.node_count
     for i, j in arcs:
-        increments[i] += req.demand * energy[i, j]
+        increments[i] += req.demand * energy.item(i, j)
         occupancy[i] += req.demand
         occupancy[j] += req.demand
 
@@ -544,16 +648,15 @@ def _route_problems(
     if len(arcs) > req.hop_bound:
         problems.append(f"{len(arcs)} route arcs exceed the hop bound {req.hop_bound}")
     room = net.bandwidth + sign * FEASIBILITY_TOL * max(1.0, net.bandwidth)
-    for v in range(net.node_count):
-        if occupancy[v] > room:
-            problems.append(f"node {v} route occupancy {occupancy[v]} exceeds bandwidth {net.bandwidth}")
+    for v, load in enumerate(occupancy):
+        if load > room:
+            problems.append(f"node {v} route occupancy {load} exceeds bandwidth {net.bandwidth}")
     if threshold is not None:
         combined = ledger.consumed + increments
         tolerance = FEASIBILITY_TOL * max(1.0, abs(threshold), float(combined.max()))
         allowed = combined.mean() + threshold + sign * tolerance
-        for v in range(net.node_count):
-            if combined[v] > allowed:
-                problems.append(f"node {v} consumption {combined[v]} above average + threshold")
+        for v in np.flatnonzero(combined > allowed).tolist():
+            problems.append(f"node {v} consumption {combined[v]} above average + threshold")
     return cap, increments, problems
 
 
@@ -562,11 +665,13 @@ def _cap_bound(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold:
     judge passes with its margin, else ``max_power``. A passed route stays
     feasible in the model, so no optimal route has an arc dearer than that.
     """
-    energy = net.energy_matrix
     s, d = req.sender, req.receiver
-    routes = [[(s, d)]] + [[(s, v), (v, d)] for v in range(net.node_count) if v not in (s, d)]
-    for arcs in sorted(routes, key=lambda arcs: max(energy[arc] for arc in arcs)):
-        cap, _, problems = _route_problems(net, req, ledger, threshold, arcs, -1.0)
+    out_of_s, into_d = net.energy_matrix[s].tolist(), net.energy_matrix[:, d].tolist()
+    relays = [v for v in range(net.node_count) if v not in (s, d)]
+    routes = [[(s, d)]] + [[(s, v), (v, d)] for v in relays]
+    caps = [out_of_s[d]] + [max(out_of_s[v], into_d[v]) for v in relays]
+    for k in sorted(range(len(routes)), key=caps.__getitem__):
+        cap, _, problems = _route_problems(net, req, ledger, threshold, routes[k], -1.0)
         if not problems:
             return cap
     return net.max_power
@@ -609,28 +714,30 @@ def decode_and_validate(
         raise ValidationError(f"cannot decode a solution with status {raw.status.value}")
     req = _single_request(net, requests)
     n = net.node_count
-    pairs = _ordered_pairs(n)
-    m = len(pairs)
+    m = n * (n - 1)
     values = raw.values
     if values is None or values.shape != (1 + m + n,):
         raise ValidationError("solution vector does not match the model layout")
 
-    problems: list[str] = []
-    for idx in range(1, 1 + m):
-        if min(abs(values[idx]), abs(values[idx] - 1.0)) > INTEGRALITY_TOL:
-            problems.append(f"indicator variable {idx} = {values[idx]} is not integral")
-    if problems:
-        raise ValidationError("; ".join(problems))
-
+    indicators = values[1:1 + m].tolist()
+    pairs = _topology_layout(n).pairs
+    if _ZERO_ONE.issuperset(indicators):  # HiGHS mostly hands back exact 0s and 1s
+        arcs = set(itertools.compress(pairs, indicators))
+    else:
+        problems = [f"indicator variable {1 + k} = {v} is not integral"
+                    for k, v in enumerate(indicators) if min(abs(v), abs(v - 1.0)) > INTEGRALITY_TOL]
+        if problems:
+            raise ValidationError("; ".join(problems))
+        arcs = {pairs[k] for k, v in enumerate(indicators) if v > 0.5}
     raw_cap = float(values[0])
-    arcs = {pair for k, pair in enumerate(pairs) if values[1 + k] > 0.5}
 
     # Report the energy cap recomputed exactly from the route arcs; the
     # solver's own objective value may sit a rounding error away.
+    problems = []
     cap, increments, route_problems = _route_problems(net, req, ledger, threshold, arcs, 1.0)
     if abs(raw_cap - cap) > FEASIBILITY_TOL * max(1.0, cap):
         problems.append(f"solver cap {raw_cap} does not match the route arcs (need {cap})")
-    balance = np.zeros(n, dtype=int)
+    balance = [0] * n
     for i, j in arcs:
         balance[i] += 1
         balance[j] -= 1
@@ -649,7 +756,7 @@ def decode_and_validate(
         max_energy=cap,
         links=net.broadcast_closure(arcs),
         routes=[path],
-        node_energy=increments,
+        node_energy=np.array(increments),
         resource_limited=False,
     )
 

@@ -21,6 +21,18 @@ the other presolve setting, and if that attempt fails too,
 :class:`SolverError` is raised. HiGHS writes some diagnostics straight to
 file descriptor 1, so fd 1 is pointed at the null device for each run.
 
+One HiGHS instance serves the runs in the process, and one HighsOptions
+object each distinct option set (a few are kept); each run hands the
+instance its options and its model afresh, which leaves it holding what a
+new instance would. The instance is built anew after a run that ends on
+any status other than optimal, infeasible, unbounded or a limit stop, and
+when the bound ``highs._Highs`` class is no longer the one it was built
+from, so a stand-in set by a test takes effect. It is also let go after
+each run on a continuous model: a load LP's run leaves megabytes of
+simplex workspace in it, which a fresh instance per LP returns (a load LP
+takes milliseconds, building an instance a fraction of one). Runs share
+the instance and the fd-1 redirect, so solves must stay on one thread.
+
 The HiGHS bindings (``scipy.optimize._highspy._core``, scipy 1.15 and
 later) load on the first solve that reaches HiGHS, not on import, so code
 that never solves (scenario parsing, geometry, the command line's help and
@@ -42,6 +54,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import importlib.util
 import io
 import math
@@ -78,6 +91,11 @@ FEASIBILITY_TOL = 1e-7
 INTEGRALITY_TOL = 1e-6
 
 _SENSES = ("<=", ">=", "=")
+_SENSE_CODES = {sense: code for code, sense in enumerate(_SENSES)}
+# A row of sense code c has lower bound -inf when c == _OPEN_SIDE[0] and
+# upper bound +inf when c == _OPEN_SIDE[1], from _INFINITE_SIDE.
+_OPEN_SIDE = np.array([[_SENSE_CODES["<="]], [_SENSE_CODES[">="]]], dtype=np.int8)
+_INFINITE_SIDE = np.array([[-math.inf], [math.inf]])
 # HiGHS refuses a matrix coefficient of magnitude _LARGE_COEFFICIENT or more
 # (its large_matrix_value) and reads a bound, right-hand side or cost of
 # magnitude _INFINITE or more as infinite (infinite_bound, infinite_cost).
@@ -196,7 +214,7 @@ def _integers(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise ModelError(f"{what} must be a 1-d sequence of integers")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def _reals(values, what: str) -> np.ndarray:
@@ -278,10 +296,13 @@ class MilpModel:
         self._row_upper.append(math.inf if sense == ">=" else value)
         return r
 
-    def add_block(self, *, lower=(), upper=(), rows=(), cols=(), coeffs=(), senses=(), rhs=()) -> tuple[int, int]:
-        """Append continuous variables and rows in bulk.
+    def add_block(self, *, lower=(), upper=(), binary=(), rows=(), cols=(), coeffs=(), senses=(),
+                  rhs=()) -> tuple[int, int]:
+        """Append variables and rows in bulk.
 
-        ``lower[k]``/``upper[k]`` bound the k-th new variable. ``rhs[k]`` and
+        ``lower[k]``/``upper[k]`` bound the k-th new variable, and
+        ``binary[k]``, if given, marks it 0/1; a binary variable's bounds
+        must be [0, 1], the bounds :meth:`add_binary` gives. ``rhs[k]`` and
         ``senses[k]`` (one of ``"<="``, ``">="``, ``"="``) close the k-th new
         row, and the row's terms are the triplets with ``rows == k``: the
         variable ``cols`` (an existing id or one added here) and its
@@ -292,48 +313,66 @@ class MilpModel:
         new row.
         """
         lo, up = _reals(lower, "lower"), _reals(upper, "upper")
+        flags = np.asarray(binary) if len(binary) else np.zeros(lo.size, dtype=bool)
         rows_, cols_ = _integers(rows, "rows"), _integers(cols, "cols")
         coeffs_, rhs_ = _reals(coeffs, "coeffs"), _reals(rhs, "rhs")
-        if lo.shape != up.shape:
-            raise ModelError(f"{lo.size} lower bounds for {up.size} upper bounds")
+        if not lo.shape == up.shape == flags.shape:
+            raise ModelError(f"{lo.size} lower bounds, {up.size} upper bounds and {flags.size} binary flags differ")
+        if flags.dtype != bool:
+            raise ModelError("binary must be a sequence of booleans")
         if not rows_.size == cols_.size == coeffs_.size:
             raise ModelError(f"{rows_.size} rows, {cols_.size} cols and {coeffs_.size} coeffs differ in length")
         if len(senses) != rhs_.size:
             raise ModelError(f"{len(senses)} senses for {rhs_.size} right-hand sides")
-        bad = ~_bounds_ok(lo, up)
+        # All bounds and right-hand sides finite and small, as they mostly
+        # are, need only lower <= upper; the cheap test fails on NaN too.
+        small = np.abs(np.concatenate((lo, up, rhs_))).max(initial=0.0) < _INFINITE
+        bad = ~(lo <= up) if small else ~_bounds_ok(lo, up)
         if bad.any():
             k = int(np.argmax(bad))
             raise _bounds_error(float(lo[k]), float(up[k]))
-        for sense in senses:
-            if sense not in _SENSES:
-                raise ModelError(f"sense must be one of {_SENSES}, got {sense!r}")
-        small = abs(rhs_) < _INFINITE
-        if not small.all():
-            raise _magnitude_error("rhs", float(rhs_[np.argmin(small)]), _INFINITE)
-        if ((rows_ < 0) | (rows_ >= rhs_.size)).any():
-            raise ModelError(f"row index outside the block's {rhs_.size} rows")
+        if lo[flags].any() or (up[flags] != 1.0).any():
+            k = int(np.argmax(flags & ((lo != 0.0) | (up != 1.0))))
+            raise ModelError(f"binary variable bounds must be [0, 1], got [{lo[k]}, {up[k]}]")
+        try:
+            codes = np.array([_SENSE_CODES[sense] for sense in senses], dtype=np.int8)
+        except (KeyError, TypeError):
+            sense = next(sense for sense in senses if sense not in _SENSES)
+            raise ModelError(f"sense must be one of {_SENSES}, got {sense!r}") from None
+        if not small:
+            small = abs(rhs_) < _INFINITE
+            if not small.all():
+                raise _magnitude_error("rhs", float(rhs_[np.argmin(small)]), _INFINITE)
         width = self.num_variables + lo.size
-        if ((cols_ < 0) | (cols_ >= width)).any():
-            raise ModelError(f"unknown variable id {cols_[(cols_ < 0) | (cols_ >= width)][0]}")
-        small = abs(coeffs_) < _LARGE_COEFFICIENT
-        if not small.all():
-            k = int(np.argmin(small))
+        try:  # each triplet's cell in the row-major block; refuses indices out of range
+            cells = np.ravel_multi_index((rows_, cols_), (rhs_.size, width))
+        except ValueError:
+            if ((rows_ < 0) | (rows_ >= rhs_.size)).any():
+                raise ModelError(f"row index outside the block's {rhs_.size} rows") from None
+            if ((cols_ < 0) | (cols_ >= width)).any():
+                raise ModelError(f"unknown variable id {cols_[(cols_ < 0) | (cols_ >= width)][0]}") from None
+            cells = rows_ * width + cols_
+        if not np.abs(coeffs_).max(initial=0.0) < _LARGE_COEFFICIENT:
+            k = int(np.argmin(abs(coeffs_) < _LARGE_COEFFICIENT))
             raise _magnitude_error(f"coefficient of variable {cols_[k]}", float(coeffs_[k]), _LARGE_COEFFICIENT)
-        cells = np.sort(rows_ * width + cols_)
+        cells.sort()
         if (cells[1:] == cells[:-1]).any():
             raise ModelError("a variable appears twice in one row")
 
         first_var, first_row = self.num_variables, self.num_constraints
-        by_row = np.argsort(rows_, kind="stable")
-        senses_ = np.array(senses, dtype=object)
+        if not (rows_[1:] >= rows_[:-1]).all():
+            by_row = np.argsort(rows_, kind="stable")
+            rows_, cols_, coeffs_ = rows_[by_row], cols_[by_row], coeffs_[by_row]
+        # per row, its lower and its upper bound: the rhs, or infinite
+        row_bounds = np.where(codes == _OPEN_SIDE, _INFINITE_SIDE, rhs_)
         _append(self._lower, lo)
         _append(self._upper, up)
-        _append(self._binary, np.zeros(lo.size))
-        _append(self._row, rows_[by_row] + first_row)
-        _append(self._col, cols_[by_row])
-        _append(self._coeff, coeffs_[by_row])
-        _append(self._row_lower, np.where(senses_ == "<=", -math.inf, rhs_))
-        _append(self._row_upper, np.where(senses_ == ">=", math.inf, rhs_))
+        _append(self._binary, flags)
+        _append(self._row, rows_ + first_row if first_row else rows_)
+        _append(self._col, cols_)
+        _append(self._coeff, coeffs_)
+        _append(self._row_lower, row_bounds[0])
+        _append(self._row_upper, row_bounds[1])
         return first_var, first_row
 
     def set_objective(self, coefficients: Mapping[int, float]) -> None:
@@ -408,10 +447,12 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     n = model.num_variables
 
     row, col, coeff, row_lower, row_upper = model._row_arrays()
-    # An empty row reads "lower <= 0 <= upper".
-    empty = np.bincount(row, minlength=row_lower.size) == 0
-    if (empty & ((row_lower > 0.0) | (row_upper < 0.0))).any():
-        return Solution(Status.INFEASIBLE)
+    # An empty row reads "lower <= 0 <= upper". The triplets are in row
+    # order, so every row has a term when ``row`` steps through all of them.
+    if row.size == 0 or np.count_nonzero(row[1:] != row[:-1]) + 1 < row_lower.size:
+        unsatisfiable_if_empty = (row_lower > 0.0) | (row_upper < 0.0)
+        if not np.bincount(row, minlength=row_lower.size)[unsatisfiable_if_empty].all():
+            return Solution(Status.INFEASIBLE)
     if n == 0:
         return Solution(Status.OPTIMAL, values=np.zeros(0), objective_value=0.0)
 
@@ -420,7 +461,32 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
         c_vec[var] = value
     lower, upper, binary = model._column_arrays()
     mip = bool(binary.any())
+    # The canonical column-wise form scipy's wrappers handed on: the stored
+    # triplets are in row order, so a stable sort by column keeps rows
+    # ascending within each column.
+    by_col = np.argsort(col, kind="stable")
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=n), out=start[1:])
+    matrix = (start, row.astype(np.int32)[by_col], coeff[by_col])
 
+    _load_scipy()
+    with _stdout_silenced():
+        for options in _attempts(mip, limits):
+            status, values, objective, nodes = _highs(c_vec, (lower, upper), matrix, (row_lower, row_upper),
+                                                      binary.astype(np.int32) if mip else None, options)
+            solution = _interpret(status, values, objective, nodes, mip)
+            if solution is None or not mip:
+                _drop_instance()
+            if solution is not None:
+                return solution
+        raise SolverError(f"HiGHS ended with model status {_instance().modelStatusToString(status)!r}")
+
+
+@functools.lru_cache(maxsize=8)
+def _attempts(mip: bool, limits: SolveLimits) -> tuple[Mapping, Mapping]:
+    """The HiGHS options of the first run and of the retry, presolve on and
+    then off for MILPs, off and then on for LPs; read-only, as every solve
+    with the same kind of model and limits shares them."""
     if mip:
         # the options scipy's milp gave HiGHS
         options = dict(log_to_console=False, mip_max_nodes=limits.max_nodes, mip_rel_gap=0.0,
@@ -437,51 +503,76 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     # Tolerances of 1e-9 keep row violations well under the 1e-7 re-check
     # tolerance even with large coefficients (HiGHS's stock is 1e-6 or 1e-7).
     options.update(primal_feasibility_tolerance=1e-9, dual_feasibility_tolerance=1e-9)
-    # The canonical column-wise form scipy's wrappers handed on: the stored
-    # triplets are in row order, so a stable sort by column keeps rows
-    # ascending within each column.
-    by_col = np.argsort(col, kind="stable")
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col, minlength=n), out=start[1:])
-    matrix = (start, row[by_col].astype(np.int32), coeff[by_col])
-
-    _load_scipy()
-    with _stdout_silenced():
-        for presolve in presolves:
-            status, values, objective, nodes = _highs(c_vec, (lower, upper), matrix, (row_lower, row_upper),
-                                                      binary if mip else None, dict(options, presolve=presolve))
-            solution = _interpret(status, values, objective, nodes, mip)
-            if solution is not None:
-                return solution
-        raise SolverError(f"HiGHS ended with model status {highs._Highs().modelStatusToString(status)!r}")
+    return tuple(MappingProxyType(dict(options, presolve=presolve)) for presolve in presolves)
 
 
-def _highs(cost, bounds, matrix, row_bounds, integrality, options: dict):
+# The HiGHS instance runs reuse (see the module docstring), and the
+# HighsOptions built for each distinct option set, at most _OPTION_SETS.
+_solver = None
+_option_sets: dict = {}
+_OPTION_SETS = 8
+
+
+def _instance():
+    """The shared HiGHS instance, built anew when there is none or when the
+    bound ``highs._Highs`` is not the class it was built from."""
+    global _solver
+    if type(_solver) is not highs._Highs:
+        _solver = highs._Highs()
+    return _solver
+
+
+def _drop_instance() -> None:
+    """Let the next run build a new HiGHS instance."""
+    global _solver
+    _solver = None
+
+
+def _options(options: Mapping):
+    """The HighsOptions holding ``options``, built once per distinct set."""
+    key = (highs.HighsOptions, *options.items())
+    held = _option_sets.get(key)
+    if held is None:
+        if len(_option_sets) >= _OPTION_SETS:
+            del _option_sets[next(iter(_option_sets))]
+        held = _option_sets[key] = highs.HighsOptions()
+        for name, value in options.items():
+            setattr(held, name, value)
+    return held
+
+
+def _highs(cost, bounds, matrix, row_bounds, integrality, options: Mapping):
     """Run HiGHS once on ``min cost @ x`` s.t. ``row_bounds`` bound ``A @ x``
     and ``bounds`` bound ``x``; ``matrix`` is ``A`` as CSC (start, index,
     value), the form HiGHS keeps, and ``integrality`` flags integer columns
-    (``None``: continuous). Returns the model status, column values,
-    objective and node count. HiGHS copies each array in one go
+    as int32 (``None``: continuous). Returns the model status, column
+    values, objective and node count. HiGHS copies each array in one go
     (``passModel``'s array overload) and reads as many items as the sizes
     say, so those are checked first.
+
+    The run goes to the one instance the process keeps (:func:`_instance`),
+    handed its options and its model afresh: ``passModel`` drops the
+    previous model, solution and basis, so the instance holds what a new
+    one would. :func:`solve` drops the instance after a run on a continuous
+    model or one that ends on any status other than optimal, infeasible,
+    unbounded or a limit stop, and the next run builds a new one. The
+    instance and the fd-1 redirect are shared, so solves must stay on one
+    thread.
     """
-    kinds = np.zeros(cost.size, dtype=np.int32) if integrality is None else integrality.astype(np.int32)
+    kinds = np.zeros(cost.size, dtype=np.int32) if integrality is None else integrality
     columns = {cost.size, bounds[0].size, bounds[1].size, kinds.size, matrix[0].size - 1}
     rows = {row_bounds[0].size, row_bounds[1].size}
     if len(columns) != 1 or len(rows) != 1 or matrix[1].size != matrix[2].size:
         raise ValueError("HiGHS model arrays disagree in size")
-    solver = highs._Highs()
-    highs_options = highs.HighsOptions()
-    for name, value in options.items():
-        setattr(highs_options, name, value)
-    solver.passOptions(highs_options)
+    solver = _instance()
+    solver.passOptions(_options(options))
     status = solver.passModel(cost.size, row_bounds[0].size, matrix[2].size, int(highs.MatrixFormat.kColwise),
                               int(highs.ObjSense.kMinimize), 0.0, cost, *bounds, *row_bounds, *matrix, kinds)
     if status == highs.HighsStatus.kError:
         return highs.HighsModelStatus.kModelError, None, math.inf, 0
     solver.run()
-    info = solver.getInfo()
-    return solver.getModelStatus(), solver.getSolution().col_value, info.objective_function_value, info.mip_node_count
+    nodes = solver.getInfoValue("mip_node_count")[1]
+    return solver.getModelStatus(), solver.getSolution().col_value, solver.getObjectiveValue(), nodes
 
 
 _CORE = "scipy.optimize._highspy._core"

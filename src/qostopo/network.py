@@ -139,18 +139,25 @@ class NetworkModel:
         Every added link is no costlier than the given link that forced it,
         so the costliest link energy never grows.
         """
-        energy = self.energy_matrix
-        power = np.zeros(self.node_count)
+        energy = self.energy_matrix.tolist()
+        n = self.node_count
+        power = [0.0] * n
         for i, j in links:
             self._check_pair(i, j)
-            power[i] = max(power[i], energy[i, j])
-        while True:
-            reach = energy <= power[:, None]
-            np.fill_diagonal(reach, False)
-            raised = np.maximum(power, np.where(reach, energy, 0.0).max(axis=0))
-            if np.array_equal(raised, power):
-                return {(int(i), int(j)) for i, j in np.argwhere(reach)}
-            power = raised
+            power[i] = max(power[i], energy[i][j])
+        # A node's power reaches j when energy[i][j] <= power[i], and then
+        # j's power must reach i. Only a node whose power rose can reach a
+        # new node, so it is the only one to look at again; a node at power
+        # 0 reaches no node that needs more than 0.
+        pending = [i for i in range(n) if power[i] > 0.0]
+        while pending:
+            i = pending.pop()
+            reach = power[i]
+            for j, e in enumerate(energy[i]):
+                if e <= reach and e > power[j] and j != i:
+                    power[j] = e
+                    pending.append(j)
+        return {(i, j) for i in range(n) for j, e in enumerate(energy[i]) if e <= power[i] and j != i}
 
 
 def symmetric_closure(links) -> set[tuple[int, int]]:

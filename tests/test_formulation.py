@@ -18,8 +18,9 @@
    two-hop route that meets every row with room to spare bounds the cap
    and closes every dearer arc; a node with no open arc gets no rows, and
    the only empty rows kept are unsatisfiable (an isolated endpoint, or no
-   open arc at all); one model is pinned byte for byte; the model and its
-   decoder take exactly one request
+   open arc at all); one model is pinned byte for byte, and the
+   array-built model equals a row-by-row reference byte for byte on seeded
+   fields; the model and its decoder take exactly one request
 4. infeasible requests come back as lost outcomes, not exceptions
 5. fairness threshold: binding and slack cases, ledger left untouched
 6. decode-time re-verification: a planted violation of each structural rule
@@ -771,6 +772,92 @@ def test_model_with_no_open_arc_keeps_only_unsatisfiable_rows():
     assert model.num_constraints == 2
     sol = solve_single_request(net, req, EnergyLedger.empty(2), 5.0)
     assert sol.lost and not sol.resource_limited
+
+
+def _topology_by_rows(net, req, ledger, threshold):
+    """The topology MILP built row by row through add_constraint, as a
+    reference for the array-built model; the same cap bound, then the
+    variables and rows in the order build_topology_milp documents."""
+    from qostopo import MilpModel
+    from qostopo.formulation import _cap_bound, _ordered_pairs
+
+    n = net.node_count
+    pairs = _ordered_pairs(n)
+    energy = net.energy_matrix
+    bound = _cap_bound(net, req, ledger, threshold)
+    hops = float(req.hop_bound)
+
+    model = MilpModel()
+    cap = model.add_continuous(0.0, bound)
+    model.set_objective({cap: 1.0})
+    open_arcs = [(i, j) for i, j in pairs if j != req.sender and i != req.receiver and energy[i, j] <= bound]
+    live = set(open_arcs)
+    x = {pair: model.add_binary() if pair in live else model.add_continuous(0.0, 0.0) for pair in pairs}
+    u = [model.add_continuous(0.0, 0.0 if v == req.sender else hops) for v in range(n)]
+
+    out = [[] for _ in range(n)]
+    into = [[] for _ in range(n)]
+    for i, j in open_arcs:
+        out[i].append((i, j))
+        into[j].append((i, j))
+    if open_arcs:
+        model.add_constraint({x[pair]: 1.0 for pair in open_arcs}, "<=", hops)
+    for v in range(n):
+        if out[v]:
+            model.add_constraint({**{x[pair]: energy[pair] for pair in out[v]}, cap: -1.0}, "<=", 0.0)
+            model.add_constraint({x[pair]: 1.0 for pair in out[v]}, "<=", 1.0)
+        if into[v]:
+            model.add_constraint({x[pair]: 1.0 for pair in into[v]}, "<=", 1.0)
+        rhs = 1.0 if v == req.sender else -1.0 if v == req.receiver else 0.0
+        if out[v] or into[v] or rhs:
+            flow = {**{x[pair]: 1.0 for pair in out[v]}, **{x[pair]: -1.0 for pair in into[v]}}
+            model.add_constraint(flow, "=", rhs)
+    for i, j in open_arcs:
+        model.add_constraint({u[j]: 1.0, u[i]: -1.0, x[(i, j)]: -(hops + 1.0)}, ">=", -hops)
+    for v in range(n):
+        if out[v] or into[v]:
+            model.add_constraint({x[pair]: req.demand for pair in sorted(out[v] + into[v])}, "<=", net.bandwidth)
+    if threshold is not None and open_arcs:
+        mean_consumed = ledger.average()
+        for v in range(n):
+            coeffs = {}
+            for i, j in open_arcs:
+                share = (1.0 if i == v else 0.0) - 1.0 / n
+                coeffs[x[(i, j)]] = req.demand * energy[i, j] * share
+            model.add_constraint(coeffs, "<=", threshold - float(ledger.consumed[v]) + mean_consumed)
+    return model
+
+
+def test_topology_model_matches_row_by_row_reference():
+    # the array-built model against the row-by-row reference, storage byte
+    # for byte: fields of 2 to 15 nodes, hop bounds 1 to 4, thresholds None,
+    # 0, 2e3 and 2e5 on non-empty ledgers, endpoints out of every node's
+    # reach, and bandwidth too tight for any relay
+    rng = np.random.default_rng(17)
+    cases = 0
+    for n in range(2, 16):
+        for variant in ("plain", "isolated", "starved"):
+            positions = rng.uniform(0.0, 100.0, size=(n, 2))
+            demand = float(rng.uniform(5.0, 15.0))
+            bandwidth = 1.5 * demand if variant == "starved" else float(rng.uniform(30.0, 80.0))
+            s, d = (int(v) for v in rng.choice(n, size=2, replace=False))
+            if variant == "isolated":
+                positions[rng.choice([s, d])] = [1e3, 1e3]
+            net = NetworkModel(positions, max_power=20000.0, bandwidth=bandwidth)
+            ledger = EnergyLedger(rng.uniform(0.0, 5e3, size=n))
+            for threshold in (None, 0, 2e3, 2e5):
+                req = Request(s, d, demand, int(rng.integers(1, 5)))
+                got = build_topology_milp(net, [req], ledger, threshold)
+                want = _topology_by_rows(net, req, ledger, threshold)
+                for mine, ref in zip(got._row_arrays() + got._column_arrays(),
+                                     want._row_arrays() + want._column_arrays()):
+                    assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes(), (n, variant, threshold)
+                assert list(got.objective.items()) == list(want.objective.items())
+                assert _same_floats(list(got.objective.values()), list(want.objective.values()))
+                # an isolated endpoint keeps its empty, unsatisfiable row
+                assert (variant != "isolated") or any(not row.coefficients for row in got.constraints)
+                cases += 1
+    assert cases == 14 * 3 * 4
 
 
 @pytest.mark.parametrize(

@@ -19,12 +19,18 @@
 10. HiGHS's bindings load on the first solve, not on import, without
     scipy.optimize, which imports later in the same process and reuses
     them; a stand-in for the HiGHS run patched onto the module before that
-    solve is the one called; PyYAML loads with the first scenario file
+    solve is the one called, and a stand-in _Highs class patched onto the
+    bindings serves the next run; PyYAML loads with the first scenario file
 11. the direct HiGHS call passes the matrix column-wise, and for MILPs HiGHS
     then holds exactly the options and model (column-wise matrix included)
     that scipy's milp wrapper gave it, and gives the same answers back; LPs
     reach linprog's status and objective; arrays that disagree in size are
-    refused before HiGHS is reached
+    refused before HiGHS is reached. One HiGHS instance serves the MILP
+    runs, handed its options and model each time, and answers as a fresh
+    one does through interleaved MILPs, LPs, infeasible models, limit stops
+    and a retried "Solve error"; it is let go after an LP run or such an
+    error, and SolverError reads its status text from the instance the
+    next run uses
 12. solve and check_solution read the model's storage without copying it,
     and the model can still grow after both and solve again
 """
@@ -736,6 +742,105 @@ def test_direct_highs_call_matches_scipy_wrappers(monkeypatch):
     statuses = [status for binary, status in solved[4:] if binary]
     assert len(statuses) == len(solved) - 4 >= 50
     assert {Status.OPTIMAL, Status.INFEASIBLE} <= set(statuses)
+
+
+def _solution_bytes(sol):
+    values = None if sol.values is None else sol.values.tobytes()
+    objective = None if sol.objective_value is None else sol.objective_value.hex()
+    return sol.status, values, objective, sol.mip_node_count
+
+
+def test_shared_highs_instance_answers_as_a_fresh_one():
+    # every kind of run, interleaved on the one shared HiGHS instance: MILPs,
+    # load LPs, infeasible models, node- and iteration-limit stops and a
+    # "Solve error" that is retried; each solution equals, byte for byte,
+    # the one a freshly built instance gives for the same model
+    from qostopo import EnergyLedger, ScenarioParams, build_load_lp, build_topology_milp, generate_scenario
+
+    field = dict(region=(100.0, 100.0), path_loss_exponent=2.0, max_power=20000.0, bandwidth=60.0,
+                 request_rate=1.5, mean_demand=10.0, hop_bound=3, threshold=None)
+    net, reqs = generate_scenario(ScenarioParams(node_count=8, seed=3, **field))
+    load_lp = build_load_lp(net, reqs)
+    ledger = EnergyLedger(np.linspace(0.0, 3e3, 8))
+    infeasible = MilpModel()
+    x = infeasible.add_binary()
+    infeasible.add_constraint({x: 1.0}, ">=", 2.0)
+    rng = np.random.default_rng(31)
+    runs = [
+        (_market_split(), SolveLimits(max_nodes=1)),
+        (load_lp, None),
+        (_presolve_fault_model(), None),
+        *[(build_topology_milp(net, [req], ledger, threshold), None) for req in reqs[:4] for threshold in (None, 1e3)],
+        (load_lp, SolveLimits(max_lp_iterations=1)),
+        (infeasible, None),
+        *[(_random_model(rng), None) for _ in range(8)],
+        (_small_lp(), None),
+        (_market_split(), None),
+    ]
+    shared = [solve(model, limits) for model, limits in runs]
+    for (model, limits), got in zip(runs, shared):
+        qostopo.milp._drop_instance()
+        assert _solution_bytes(got) == _solution_bytes(solve(model, limits))
+    assert {sol.status for sol in shared} == {Status.OPTIMAL, Status.INFEASIBLE, Status.RESOURCE_LIMIT}
+    assert shared[0].values is not None and shared[-1].mip_node_count > 1
+
+
+def _one_binary():
+    m = MilpModel()
+    x = m.add_binary()
+    m.add_constraint({x: 1.0}, ">=", 0.5)
+    m.set_objective({x: 1.0})
+    return m
+
+
+def test_one_highs_instance_serves_every_run(monkeypatch):
+    # MILP runs share one instance, each handed its options and model; a
+    # run on an LP, or one that ends on "Solve error", lets it go, SolverError
+    # reads its status text from the instance the next run uses, and a new
+    # _Highs class gets a new one
+    built, passed = [], []
+
+    class Counting(highs._Highs):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+        def passOptions(self, options):
+            passed.append("options")
+            return super().passOptions(options)
+
+        def passModel(self, *model):
+            passed.append("model")
+            return super().passModel(*model)
+
+    monkeypatch.setattr(highs, "_Highs", Counting)
+    for _ in range(3):
+        assert solve(_one_binary()).objective_value == 1.0
+        assert solve(_market_split(), SolveLimits(max_nodes=1)).status is Status.RESOURCE_LIMIT
+    assert len(built) == 1 and passed == ["options", "model"] * 6
+
+    # an LP runs on the instance there is and leaves none behind
+    assert solve(_small_lp()).objective_value == 1.0
+    assert len(built) == 1 and qostopo.milp._solver is None
+    assert solve(_one_binary()).objective_value == 1.0
+    assert len(built) == 2 and qostopo.milp._solver is built[1]
+
+    # presolve ends this one on "Solve error"; the retry runs on a new instance
+    assert solve(_presolve_fault_model()).status is Status.INFEASIBLE
+    assert len(built) == 3 and qostopo.milp._solver is built[2]
+
+    real_highs = qostopo.milp._highs
+    monkeypatch.setattr(qostopo.milp, "_highs", _fake_highs(highs.HighsModelStatus.kSolveError, []))
+    with pytest.raises(SolverError, match="Solve error"):
+        solve(_one_binary())
+    assert len(built) == 4 and qostopo.milp._solver is built[3]
+    monkeypatch.setattr(qostopo.milp, "_highs", real_highs)
+    assert solve(_one_binary()).objective_value == 1.0
+    assert len(built) == 4 and passed == ["options", "model"] * 11
+
+    monkeypatch.undo()
+    assert solve(_one_binary()).objective_value == 1.0
+    assert type(qostopo.milp._solver) is highs._Highs
 
 
 def test_model_grows_after_solve_and_check():

@@ -5,7 +5,8 @@
 3. power levels are exactly {0} plus the reachable link energies
 4. induced link sets: broadcast property and monotonicity in power
 5. broadcast closure: the smallest symmetric, broadcast-closed superset of
-   a link set, never costlier than the links it closes
+   a link set, never costlier than the links it closes, and equal to the
+   repeated n-by-n fixpoint on random paths, paths with cycles and link sets
 6. symmetric closure keeps only the bidirectional pairs
 """
 
@@ -164,6 +165,47 @@ def test_broadcast_closure_is_the_smallest_closed_superset():
             assert not _closed(net, closure - {link})
         top = max((net.energy_matrix[i, j] for i, j in arcs), default=0.0)
         assert max((net.energy_matrix[i, j] for i, j in closure), default=0.0) == top
+
+
+def _closure_by_fixpoint(net, links):
+    """The broadcast closure as the repeated n-by-n fixpoint computed it:
+    raise every node's power to the costliest link reaching it until no
+    power moves. The reference for the worklist in broadcast_closure."""
+    energy = net.energy_matrix
+    power = np.zeros(net.node_count)
+    for i, j in links:
+        power[i] = max(power[i], energy[i, j])
+    while True:
+        reach = energy <= power[:, None]
+        np.fill_diagonal(reach, False)
+        raised = np.maximum(power, np.where(reach, energy, 0.0).max(axis=0))
+        if np.array_equal(raised, power):
+            return {(int(i), int(j)) for i, j in np.argwhere(reach)}
+        power = raised
+
+
+def test_broadcast_closure_equals_the_fixpoint():
+    # random fields of 2 to 15 nodes, the links a simple path, a path plus a
+    # cycle, or any set of pairs
+    rng = np.random.default_rng(29)
+    shapes = {"path": 0, "path and cycle": 0, "any": 0}
+    for _ in range(150):
+        n = int(rng.integers(2, 16))
+        net = NetworkModel(rng.uniform(0.0, 100.0, size=(n, 2)), max_power=2e4, bandwidth=1.0)
+        nodes = [int(v) for v in rng.permutation(n)]
+        shape = list(shapes)[int(rng.integers(0, 3)) if n >= 3 else 0]
+        if shape == "any":
+            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            links = {pair for pair, pick in zip(pairs, rng.random(len(pairs)) < rng.uniform(0.0, 0.5)) if pick}
+        else:
+            hops = int(rng.integers(1, n))
+            links = set(zip(nodes[:hops], nodes[1:hops + 1]))
+            if shape == "path and cycle":
+                ring = [int(v) for v in rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)]
+                links |= set(zip(ring, ring[1:] + ring[:1]))
+        shapes[shape] += 1
+        assert net.broadcast_closure(links) == _closure_by_fixpoint(net, links), (n, shape, links)
+    assert min(shapes.values()) >= 30
 
 
 def test_symmetric_closure():
