@@ -21,13 +21,21 @@ Two models over a :class:`~qostopo.network.NetworkModel`:
   property (reaching a node implies reaching every closer node); it never
   costs more than the costliest arc, so it cannot move the cap.
 
+An admission whose model has at most one feasible route needs no solver.
+Before the model is built, a depth-first search over its open arcs counts
+its routes, judging each, and stops at two: with none the request is
+lost, and with exactly one that the judge passes with margin, that route
+is the answer, since it is the model's only integer point. Every other
+admission (two routes or more, a route that passes only with the judge's
+slack, a spent search budget) is solved by HiGHS, so no answer moves.
+
 Solver output is decoded into plain topologies and node paths and then
 re-validated from scratch; one route judge, ``_route_problems``, holds the
-QoS rows and their tolerance for both the cap bound and this re-check. An
-arc set that is not exactly one simple path, or any other failed re-check,
-is reported as :class:`ValidationError`, signalling a bug rather than an
-infeasible instance. Requests that admit no feasible route are "lost":
-reported as such with zero energy committed.
+QoS rows and their tolerance for the cap bound, the route search and this
+re-check. An arc set that is not exactly one simple path, or any other
+failed re-check, is reported as :class:`ValidationError`, signalling a bug
+rather than an infeasible instance. Requests that admit no feasible route
+are "lost": reported as such with zero energy committed.
 """
 
 from __future__ import annotations
@@ -48,7 +56,9 @@ from .milp import (
     ModelError,
     Solution,
     SolveLimits,
+    SolverError,
     Status,
+    _sense_codes,
     check_solution,
     solve,
 )
@@ -464,19 +474,31 @@ def build_topology_milp(
 
     The model is assembled from index arrays, not row by row: every term
     and row a model on n nodes can have is laid out once per n
-    (``_topology_layout``), the open arcs pick the ones that exist, and the
-    columns and rows go in with one :meth:`MilpModel.add_block`. Rows, their
-    order and the order of terms within each row are exactly as listed
-    above.
+    (``_topology_layout``, its structure checked there), the open arcs pick
+    the ones that exist, and the columns and rows go in as one block in
+    column order, the order HiGHS reads. Rows, their order and the order of
+    terms within each row are exactly as listed above.
     """
+    req = _admission(net, requests, ledger, threshold)
+    return _topology_model(net, req, ledger, threshold, _cap_bound(net, req, ledger, threshold))
+
+
+def _admission(net: NetworkModel, requests: Iterable[Request], ledger: EnergyLedger,
+               threshold: float | None) -> Request:
+    """The one request of an admission, once its inputs are checked."""
     req = _single_request(net, requests)
-    n = net.node_count
-    if ledger.node_count != n:
-        raise ModelError(f"ledger covers {ledger.node_count} nodes, network has {n}")
+    if ledger.node_count != net.node_count:
+        raise ModelError(f"ledger covers {ledger.node_count} nodes, network has {net.node_count}")
     if threshold is not None and not math.isfinite(threshold):
         raise ModelError(f"threshold must be finite or None, got {threshold!r}")
+    return req
 
-    bound = _cap_bound(net, req, ledger, threshold)
+
+def _topology_model(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None,
+                    bound: float) -> MilpModel:
+    """:func:`build_topology_milp`'s model with the cap bounded by ``bound``,
+    which must be the cap of a route feasible in the model."""
+    n = net.node_count
     hops = float(req.hop_bound)
     layout = _topology_layout(n)
     m = n * (n - 1)
@@ -488,42 +510,42 @@ def build_topology_milp(
     is_open[layout.into[req.sender]] = False
     is_open[layout.out_of[req.receiver]] = False
 
-    # The layout's terms that exist here, with their coefficients drawn from
-    # one value table, and the rows that hold them: every row with a term,
-    # and the empty conservation row of an endpoint with no open arc.
+    # The layout's terms that exist here, in column order, with their
+    # coefficients drawn from one value table, and the rows that hold them:
+    # every row with a term, and the empty conservation row of an endpoint
+    # with no open arc. (numpy's methods and ufuncs, not its module
+    # functions, which cost a Python call each.)
     values = [(1.0, -1.0, -(hops + 1.0), req.demand), cost]
     rhs = [(hops, 0.0, 1.0, -hops, net.bandwidth)]
-    terms, slots = layout.plain_terms, layout.senses.size - n
+    terms, slots = layout.plain_terms, layout.codes.size - n
     if threshold is not None:
-        terms, slots = layout.terms, layout.senses.size
+        terms, slots = layout.terms, layout.codes.size
         values.append((req.demand * cost * layout.share).ravel())
         rhs.append(threshold - ledger.consumed + ledger.average())
-    has_out = is_open.reshape(n, n - 1).any(axis=1)
-    _, slot, col, source = np.compress(np.concatenate((is_open, has_out))[terms[0]], terms, axis=1)
-    flow_rows = [4 + 4 * req.sender, 4 + 4 * req.receiver]
+    exists = np.concatenate((is_open, np.logical_or.reduce(is_open.reshape(n, n - 1), axis=1)))
+    _, slot, column, source, rank = terms.compress(exists[terms[0]], axis=1)
+    sender_flow, receiver_flow = 4 + 4 * req.sender, 4 + 4 * req.receiver
     kept = np.zeros(slots, dtype=bool)
     kept[slot] = True
-    kept[flow_rows] = True
+    kept[sender_flow] = kept[receiver_flow] = True
     slot_rhs = np.concatenate(rhs)[layout.rhs_source[:slots]]
-    slot_rhs[flow_rows] = 1.0, -1.0
+    slot_rhs[sender_flow], slot_rhs[receiver_flow] = 1.0, -1.0
 
-    upper = np.empty(1 + m + n)
-    upper[0] = bound
-    upper[1:1 + m] = is_open
-    upper[1 + m:] = hops
+    upper = np.concatenate(((bound,), is_open, (hops,) * n))
     upper[1 + m + req.sender] = 0.0
     model = MilpModel()
-    cap, _ = model.add_block(
+    model._fill_columnwise(
         lower=layout.lower,
         upper=upper,
         binary=np.concatenate((layout.continuous[:1], is_open, layout.continuous)),
-        rows=(np.cumsum(kept) - 1)[slot],
-        cols=col,
-        coeffs=np.concatenate(values)[source],
-        senses=layout.senses[:slots][kept].tolist(),
+        start=column.searchsorted(layout.column_edges).astype(np.int32),
+        index=(np.add.accumulate(kept, dtype=np.int32) - 1)[slot],
+        value=np.concatenate(values)[source],
+        row_key=rank,
+        codes=layout.codes[:slots][kept],
         rhs=slot_rhs[kept],
     )
-    model.set_objective({cap: 1.0})
+    model.set_objective({0: 1.0})  # the cap
     return model
 
 
@@ -542,18 +564,23 @@ class _Layout:
     Rows have slots: the hop row 0; the cap, out-degree, in-degree and
     conservation rows of node v at 1 + 4v + 0..3; the order row of arc k at
     1 + 4n + k; then per node its bandwidth row, and per node its fairness
-    row. Per slot, ``senses`` holds the sense and ``rhs_source`` the index
+    row. Per slot, ``codes`` holds the sense code and ``rhs_source`` the index
     of the right-hand side in ``[H, 0, 1, -H, bandwidth, fairness rhs per
     node]``; the conservation rows of the sender and the receiver take 1
     and -1 instead.
 
-    ``terms`` has one column per term, in row order and each row's terms in
-    the order the row lists them, fairness terms last; ``plain_terms`` is
-    ``terms`` without them. Its rows are: the term's key, arc k for a term
-    that exists when k is open and m + v for the cap term of node v, which
-    exists when v has an open outgoing arc; its slot; its column; and the
-    index of its coefficient in ``[1, -1, -(H+1), demand, energy of each
-    arc, fairness coefficient of each (v, k) in row-major order]``.
+    ``terms`` has one column per term, in column order and each column's
+    terms in row order; ``plain_terms`` is ``terms`` without the fairness
+    terms. Its rows are: the term's key, arc k for a term that exists when
+    k is open and m + v for the cap term of node v, which exists when v has
+    an open outgoing arc; its slot; its column; the index of its
+    coefficient in ``[1, -1, -(H+1), demand, energy of each arc, fairness
+    coefficient of each (v, k) in row-major order]``; and its rank in row
+    order, each row's terms in the order the row lists them. The terms of
+    column c are those from ``column_edges[c]`` up to ``column_edges[c + 1]``.
+
+    The structure is checked once per n, as :meth:`MilpModel.add_block`
+    checks a block's, so that each model can skip those checks.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -563,10 +590,11 @@ class _Layout:
     share: np.ndarray
     lower: np.ndarray
     continuous: np.ndarray
-    senses: np.ndarray
+    codes: np.ndarray
     rhs_source: np.ndarray
     terms: np.ndarray
     plain_terms: np.ndarray
+    column_edges: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -581,7 +609,8 @@ def _topology_layout(n: int) -> _Layout:
     # (key, slot, column, source) per group of terms; a stable sort by slot
     # puts each row's terms in the order it lists them: cap rows end with
     # the cap, conservation rows list outgoing arcs before incoming ones,
-    # order rows read u_j, u_i, x_ij, and bandwidth rows list arcs in order
+    # order rows read u_j, u_i, x_ij, and bandwidth rows list arcs in order;
+    # a stable sort of that by column gives the column order
     twice = np.repeat(arc, 2)
     groups = [
         (arc, 0, x, one),  # hop row
@@ -598,6 +627,8 @@ def _topology_layout(n: int) -> _Layout:
     ]
     terms = np.concatenate([np.array(np.broadcast_arrays(*group), dtype=np.int64) for group in groups], axis=1)
     terms = terms[:, np.argsort(terms[1], kind="stable")]
+    ranked = np.concatenate((terms, np.arange(terms.shape[1])[None, :]))
+    by_column = ranked[:, np.argsort(terms[2], kind="stable")]
     senses = ["<="] + ["<=", "<=", "<=", "="] * n + [">="] * m + ["<="] * (2 * n)
     layout = _Layout(
         pairs=tuple(_ordered_pairs(n)),
@@ -607,13 +638,16 @@ def _topology_layout(n: int) -> _Layout:
         share=(tails == nodes[:, None]).astype(float) - 1.0 / n,
         lower=np.zeros(1 + m + n),
         continuous=np.zeros(n, dtype=bool),
-        senses=np.array(senses, dtype=object),
+        codes=_sense_codes(senses),
         rhs_source=np.concatenate([[0], np.tile([1, 2, 2, 1], n), np.full(m, 3), np.full(n, 4), 5 + nodes]),
-        terms=terms,
-        plain_terms=terms[:, :-n * m].copy(),
+        terms=by_column,
+        plain_terms=by_column[:, by_column[1] < fair[0]],
+        column_edges=np.arange(2 + m + n),
     )
+    MilpModel().add_block(lower=layout.lower, upper=np.ones(1 + m + n), rows=terms[1], cols=terms[2],
+                          coeffs=np.ones(terms.shape[1]), senses=senses, rhs=np.zeros(len(senses)))
     for arr in (layout.cells, *layout.into, *layout.out_of, layout.share, layout.lower, layout.continuous,
-                layout.senses, layout.rhs_source, layout.terms, layout.plain_terms):
+                layout.codes, layout.rhs_source, layout.terms, layout.plain_terms, layout.column_edges):
         arr.flags.writeable = False
     return layout
 
@@ -631,16 +665,22 @@ def _route_problems(
     the hop bound, per-node bandwidth (the demand at both ends of every arc)
     and, with a threshold, per-node fairness on the ledger plus increments.
     Each row's tolerance is ``FEASIBILITY_TOL`` times that row's scale: slack
-    for ``sign=+1`` (the decoder), margin for ``sign=-1`` (the cap bound).
+    for ``sign=+1`` (the decoder and the route search), margin for
+    ``sign=-1`` (the cap bound and a route the search settles on).
     """
-    energy = net.energy_matrix
-    cap = max((energy.item(i, j) for i, j in arcs), default=0.0)
-    increments = [0.0] * net.node_count
-    occupancy = [0.0] * net.node_count
+    # (Called on every route the route search meets, so plain loops, and
+    # the ufuncs that numpy's max and mean call, without their wrappers.)
+    energy, demand, n = net.energy_matrix, req.demand, net.node_count
+    cap = 0.0  # energies are positive, so this is the costliest arc
+    increments = [0.0] * n
+    occupancy = [0.0] * n
     for i, j in arcs:
-        increments[i] += req.demand * energy.item(i, j)
-        occupancy[i] += req.demand
-        occupancy[j] += req.demand
+        e = energy.item(i, j)
+        if e > cap:
+            cap = e
+        increments[i] += demand * e
+        occupancy[i] += demand
+        occupancy[j] += demand
 
     problems: list[str] = []
     if cap > net.max_power + sign * FEASIBILITY_TOL * max(1.0, net.max_power):
@@ -648,13 +688,14 @@ def _route_problems(
     if len(arcs) > req.hop_bound:
         problems.append(f"{len(arcs)} route arcs exceed the hop bound {req.hop_bound}")
     room = net.bandwidth + sign * FEASIBILITY_TOL * max(1.0, net.bandwidth)
-    for v, load in enumerate(occupancy):
-        if load > room:
-            problems.append(f"node {v} route occupancy {load} exceeds bandwidth {net.bandwidth}")
+    if max(occupancy) > room:
+        for v, load in enumerate(occupancy):
+            if load > room:
+                problems.append(f"node {v} route occupancy {load} exceeds bandwidth {net.bandwidth}")
     if threshold is not None:
         combined = ledger.consumed + increments
-        tolerance = FEASIBILITY_TOL * max(1.0, abs(threshold), float(combined.max()))
-        allowed = combined.mean() + threshold + sign * tolerance
+        tolerance = FEASIBILITY_TOL * max(1.0, abs(threshold), float(np.maximum.reduce(combined)))
+        allowed = np.add.reduce(combined) / n + threshold + sign * tolerance
         for v in np.flatnonzero(combined > allowed).tolist():
             problems.append(f"node {v} consumption {combined[v]} above average + threshold")
     return cap, increments, problems
@@ -664,6 +705,16 @@ def _cap_bound(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold:
     """Cap of the cheapest one- or two-hop route for ``req`` that the route
     judge passes with its margin, else ``max_power``. A passed route stays
     feasible in the model, so no optimal route has an arc dearer than that.
+
+    The bound also fixes the arcs :func:`_feasible_routes` walks, the ones
+    the model leaves open. The same margin argument lets that search settle
+    an admission without HiGHS: a route the judge passes with margin meets
+    every model row with room beyond HiGHS's 1e-9 tolerances, so HiGHS
+    accepts it, and a route the judge refuses even with its slack breaks a
+    row by more than those tolerances, so HiGHS refuses it. A model whose
+    only slack-passing route also passes with margin therefore has exactly
+    one feasible route, which HiGHS would return; one with no slack-passing
+    route is infeasible.
     """
     s, d = req.sender, req.receiver
     out_of_s, into_d = net.energy_matrix[s].tolist(), net.energy_matrix[:, d].tolist()
@@ -675,6 +726,67 @@ def _cap_bound(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold:
         if not problems:
             return cap
     return net.max_power
+
+
+# The most paths the route search visits (each path it extends or
+# completes) before it leaves the admission to HiGHS. With every arc open, a
+# request on 15 nodes with hop bound 3 (field15) visits 339 paths, 170 of
+# them routes.
+_ROUTE_SEARCH_VISITS = 512
+
+
+def _feasible_routes(
+    net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None, bound: float
+) -> list[tuple[list[int], float, list[float]]] | None:
+    """Up to two routes for ``req`` in the topology model with cap bound
+    ``bound`` that the route judge passes with its slack, each with its cap
+    and node energy increments; ``None`` when the search visits
+    ``_ROUTE_SEARCH_VISITS`` paths before it has settled.
+
+    A route is a simple sender-to-receiver path of at most H arcs over the
+    arcs the model leaves open: cost at most ``bound``, none into the sender
+    and none out of the receiver. The depth-first search prunes only what
+    the judge's bandwidth row refuses with its slack: a relay when twice the
+    demand exceeds it, every route when the demand does.
+    """
+    s, d, hops = req.sender, req.receiver, req.hop_bound
+    room = net.bandwidth + FEASIBILITY_TOL * max(1.0, net.bandwidth)
+    if req.demand > room:
+        return []
+    relays = req.demand + req.demand <= room
+    energy = net.energy_matrix
+
+    def successors(i: int) -> list[int]:
+        return [j for j, e in enumerate(energy[i].tolist()) if e <= bound and j != i and j != s and (relays or j == d)]
+
+    routes = []
+    visits = 0
+    path = [s]
+    stack = [iter(successors(s))]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            path.pop()
+        elif nxt not in path:
+            visits += 1
+            if visits > _ROUTE_SEARCH_VISITS:
+                return None
+            if nxt == d:
+                route = path + [d]
+                cap, increments, problems = _route_problems(net, req, ledger, threshold,
+                                                            list(zip(route, route[1:])), 1.0)
+                if not problems:
+                    routes.append((route, cap, increments))
+                    if len(routes) == 2:
+                        return routes
+            elif len(path) < hops:
+                path.append(nxt)
+                if len(path) < hops:
+                    stack.append(iter(successors(nxt)))
+                else:  # with one arc left, only the one into the receiver can finish a route
+                    stack.append(iter((d,) if energy.item(nxt, d) <= bound else ()))
+    return routes
 
 
 def _simple_path(arcs: set[tuple[int, int]], start: int, goal: int) -> list[int] | None:
@@ -713,6 +825,12 @@ def decode_and_validate(
     if raw.status is not Status.OPTIMAL:
         raise ValidationError(f"cannot decode a solution with status {raw.status.value}")
     req = _single_request(net, requests)
+    return _validated(net, req, ledger, threshold, *_route_arcs(net, raw))
+
+
+def _route_arcs(net: NetworkModel, raw: Solution) -> tuple[float, set[tuple[int, int]]]:
+    """The solver's cap and the route arcs its indicators select; raises
+    :class:`ValidationError` when the layout or an indicator is off."""
     n = net.node_count
     m = n * (n - 1)
     values = raw.values
@@ -722,31 +840,37 @@ def decode_and_validate(
     indicators = values[1:1 + m].tolist()
     pairs = _topology_layout(n).pairs
     if _ZERO_ONE.issuperset(indicators):  # HiGHS mostly hands back exact 0s and 1s
-        arcs = set(itertools.compress(pairs, indicators))
-    else:
-        problems = [f"indicator variable {1 + k} = {v} is not integral"
-                    for k, v in enumerate(indicators) if min(abs(v), abs(v - 1.0)) > INTEGRALITY_TOL]
-        if problems:
-            raise ValidationError("; ".join(problems))
-        arcs = {pairs[k] for k, v in enumerate(indicators) if v > 0.5}
-    raw_cap = float(values[0])
+        return float(values[0]), set(itertools.compress(pairs, indicators))
+    problems = [f"indicator variable {1 + k} = {v} is not integral"
+                for k, v in enumerate(indicators) if min(abs(v), abs(v - 1.0)) > INTEGRALITY_TOL]
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return float(values[0]), {pairs[k] for k, v in enumerate(indicators) if v > 0.5}
 
+
+def _validated(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None,
+               raw_cap: float, arcs: set[tuple[int, int]]) -> TopologySolution:
+    """:func:`decode_and_validate`'s re-check of the route ``arcs`` against
+    the solver's cap ``raw_cap``."""
     # Report the energy cap recomputed exactly from the route arcs; the
     # solver's own objective value may sit a rounding error away.
     problems = []
     cap, increments, route_problems = _route_problems(net, req, ledger, threshold, arcs, 1.0)
     if abs(raw_cap - cap) > FEASIBILITY_TOL * max(1.0, cap):
         problems.append(f"solver cap {raw_cap} does not match the route arcs (need {cap})")
-    balance = [0] * n
-    for i, j in arcs:
-        balance[i] += 1
-        balance[j] -= 1
-    for v in range(n):
-        want = 1 if v == req.sender else -1 if v == req.receiver else 0
-        if balance[v] != want:
-            problems.append(f"node {v} route balance {balance[v]} != {want}")
+    # One simple path from the sender to the receiver over all the arcs
+    # balances every node; only arcs that are not get their balance checked.
     path = _simple_path(arcs, req.sender, req.receiver)
     if path is None:
+        n = net.node_count
+        balance = [0] * n
+        for i, j in arcs:
+            balance[i] += 1
+            balance[j] -= 1
+        for v in range(n):
+            want = 1 if v == req.sender else -1 if v == req.receiver else 0
+            if balance[v] != want:
+                problems.append(f"node {v} route balance {balance[v]} != {want}")
         problems.append(f"route arcs are not one simple path from {req.sender} to {req.receiver}")
     problems += route_problems
 
@@ -759,6 +883,12 @@ def decode_and_validate(
         node_energy=np.array(increments),
         resource_limited=False,
     )
+
+
+# The most solves of one admission's MILP. HiGHS can end a MILP "optimal"
+# with its cap above its own route's costliest arc; that route then bounds
+# the cap of the next solve, so the bounds fall strictly from solve to solve.
+_SOLVE_ROUNDS = 3
 
 
 def solve_single_request(
@@ -774,11 +904,53 @@ def solve_single_request(
     is lost — no route, no energy committed. A solver budget stop is also a
     loss but flagged ``resource_limited`` so it is never mistaken for a
     proven-infeasible request.
+
+    Many admissions need no solver. Before any model is built, the routes
+    of the model :func:`build_topology_milp` would build (simple paths of at
+    most H open arcs) are searched until two pass the route judge with its
+    slack (:func:`_feasible_routes`). With none, the request is lost. With
+    exactly one, and that one passing with the judge's margin too, it is
+    the answer, reported as :func:`decode_and_validate` reports a route.
+    Anything else (two routes, a route that passes only with slack, a spent
+    search budget) goes to HiGHS. Answers cannot move: the model's integer
+    points are exactly these routes, since its order rows forbid cycles and
+    its degree and conservation rows force one path; the slack judge passes
+    every route HiGHS's 1e-9 tolerances accept, and a route passing with
+    margin is one HiGHS accepts, so with one such route HiGHS can return
+    only it. ``limits`` bounds only the solves; an admission settled by the
+    search spends no solver budget.
+
+    When HiGHS calls the model optimal with its cap above the costliest arc
+    of its own route (seen with presolve on the HiGHS in scipy 1.17.1), and
+    that route is one simple path the judge passes with margin, the model
+    is built again with that route's cap as the bound and solved again;
+    :class:`SolverError` is raised if the cap still has not settled after
+    ``_SOLVE_ROUNDS`` solves. Any other mismatch is a
+    :class:`ValidationError`, as :func:`decode_and_validate` reports it.
     """
-    model = build_topology_milp(net, [request], ledger, threshold)
-    sol = solve(model, limits)
-    if sol.status is Status.OPTIMAL:
-        return decode_and_validate(net, [request], ledger, threshold, sol)
+    req = _admission(net, [request], ledger, threshold)
+    bound = _cap_bound(net, req, ledger, threshold)
+    routes = _feasible_routes(net, req, ledger, threshold, bound)
+    if routes == []:
+        return TopologySolution(0.0, set(), [None], np.zeros(net.node_count))
+    if routes is not None and len(routes) == 1:
+        path, cap, increments = routes[0]
+        arcs = set(zip(path, path[1:]))
+        if not _route_problems(net, req, ledger, threshold, arcs, -1.0)[2]:
+            return TopologySolution(cap, net.broadcast_closure(arcs), [path], np.array(increments))
+
+    for _ in range(_SOLVE_ROUNDS):
+        sol = solve(_topology_model(net, req, ledger, threshold, bound), limits)
+        if sol.status is not Status.OPTIMAL:
+            break
+        raw_cap, arcs = _route_arcs(net, sol)
+        cap = max((net.energy_matrix.item(i, j) for i, j in arcs), default=raw_cap)
+        if (raw_cap <= cap + FEASIBILITY_TOL * max(1.0, cap) or _simple_path(arcs, req.sender, req.receiver) is None
+                or _route_problems(net, req, ledger, threshold, arcs, -1.0)[2]):
+            return _validated(net, req, ledger, threshold, raw_cap, arcs)
+        bound = cap  # a sound route HiGHS stopped above, so one the model keeps
+    else:
+        raise SolverError(f"HiGHS left the cap above its route's costliest arc in {_SOLVE_ROUNDS} solves")
     if sol.status is Status.INFEASIBLE:
         return TopologySolution(0.0, set(), [None], np.zeros(net.node_count))
     if sol.status is Status.RESOURCE_LIMIT:

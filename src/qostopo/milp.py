@@ -6,9 +6,15 @@ column bounds and binary flags, coefficient triplets in row order, and
 each row as ``lower <= Ax <= upper``. The builder refuses what HiGHS would
 refuse or read as infinite: a matrix coefficient of magnitude 1e15 or
 more, a finite bound, right-hand side or cost of magnitude 1e20 or more.
-:func:`solve` hands HiGHS those arrays, the triplets sorted by column into
-the column-wise sparse matrix HiGHS keeps, and solves to proven
-optimality (zero MIP gap) or an explicit status; a node or iteration
+A model filled by one block keeps the block's arrays as they are, and one
+filled by a block in column order (the topology model, built from a
+layout checked once per node count) skips the block's index checks and
+keeps its triplets column-wise, putting them in row order only when read
+(:func:`check_solution`, ``constraints``, :func:`lp_text`).
+:func:`solve` hands HiGHS those arrays, the triplets column-wise, as
+HiGHS keeps them (sorted by column here unless a block brought them so),
+and solves to proven optimality (zero MIP gap) or an explicit status; a
+node or iteration
 limit is a status, never a silently wrong answer. Only the model status,
 the column values, the objective and the node count are read back. Models
 with binaries get scipy ``milp``'s layout, options and presolve, so their
@@ -19,7 +25,8 @@ bandwidth) do not need. HiGHS occasionally gives up on a small model with
 "Solve error"; a solve that ends on such a status is retried once with
 the other presolve setting, and if that attempt fails too,
 :class:`SolverError` is raised. HiGHS writes some diagnostics straight to
-file descriptor 1, so fd 1 is pointed at the null device for each run.
+file descriptor 1, so fd 1 is pointed at the null device (opened once
+and kept open) for each run.
 
 One HiGHS instance serves the runs in the process, and one HighsOptions
 object each distinct option set (a few are kept); each run hands the
@@ -100,6 +107,12 @@ _INFINITE_SIDE = np.array([[-math.inf], [math.inf]])
 # (its large_matrix_value) and reads a bound, right-hand side or cost of
 # magnitude _INFINITE or more as infinite (infinite_bound, infinite_cost).
 _LARGE_COEFFICIENT, _INFINITE = 1e15, 1e20
+# A model's storage, by attribute, array typecode and the numpy type it is
+# read as: per variable its lower and upper bound and binary flag, per
+# triplet its row, variable and coefficient, per row its lower and upper
+# bound.
+_STORAGE = (("_lower", "d", float), ("_upper", "d", float), ("_binary", "b", bool), ("_row", "q", np.int64),
+            ("_col", "q", np.int64), ("_coeff", "d", float), ("_row_lower", "d", float), ("_row_upper", "d", float))
 
 
 class Status(enum.Enum):
@@ -210,15 +223,32 @@ def _append(buf: array, values: np.ndarray) -> None:
     buf.frombytes(memoryview(np.ascontiguousarray(values, dtype=buf.typecode)).cast("B"))
 
 
+def _largest(values: np.ndarray) -> float:
+    """The largest magnitude in ``values`` (0 for none, NaN if any is NaN)."""
+    return np.maximum.reduce(np.abs(values), initial=0.0)
+
+
+def _sense_codes(senses) -> np.ndarray:
+    """The int8 codes of ``senses``, each one of ``"<="``, ``">="``, ``"="``."""
+    try:
+        return np.array([_SENSE_CODES[sense] for sense in senses], dtype=np.int8)
+    except (KeyError, TypeError):
+        sense = next(sense for sense in senses if sense not in _SENSES)
+        raise ModelError(f"sense must be one of {_SENSES}, got {sense!r}") from None
+
+
+# Both copy what they are given: a block may keep its arrays as the model's
+# storage (MilpModel.add_block), which must not change with the caller's.
+
 def _integers(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise ModelError(f"{what} must be a 1-d sequence of integers")
-    return arr.astype(np.int64, copy=False)
+    return arr.astype(np.int64)
 
 
 def _reals(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ModelError(f"{what} must be a 1-d sequence of numbers")
     return arr
@@ -234,19 +264,34 @@ class MilpModel:
     :meth:`add_binary` and :meth:`add_constraint` append one item at a time,
     :meth:`add_block` appends whole arrays with the same input checks.
     ``variables`` and ``constraints`` are read-only views rebuilt from that
-    storage on each access.
+    storage on each access. A block that fills an empty model is kept as
+    read-only numpy arrays, copied into growable buffers by the first
+    append after it; a column-ordered block (:meth:`_fill_columnwise`) also
+    keeps its triplets column-wise.
     """
 
     def __init__(self) -> None:
-        self._lower = array("d")
-        self._upper = array("d")
-        self._binary = array("b")
-        self._row = array("q")
-        self._col = array("q")
-        self._coeff = array("d")
-        self._row_lower = array("d")
-        self._row_upper = array("d")
+        # empty read-only arrays until the first block fills them or the
+        # first append turns them into buffers
+        for name, _, dtype in _STORAGE:
+            setattr(self, name, _NOTHING[dtype])
         self.objective: dict[int, float] = {}
+        # A model filled by one block in column order (_fill_columnwise)
+        # keeps its triplets as HiGHS reads them, and per triplet its place
+        # in row order until the row order is first read.
+        self._columnwise = None
+        self._row_key = None
+
+    def _growable(self) -> None:
+        """Copy storage that a block left as numpy arrays into buffers that
+        grow; appends call it first."""
+        if not isinstance(self._lower, array):
+            self._triplets()
+            for name, typecode, _ in _STORAGE:
+                buf = array(typecode)
+                _append(buf, getattr(self, name))
+                setattr(self, name, buf)
+            self._columnwise = None
 
     # -- building ---------------------------------------------------------
 
@@ -255,6 +300,7 @@ class MilpModel:
         lo, up = float(lower), float(upper)
         if not _bounds_ok(lo, up):
             raise _bounds_error(lo, up)
+        self._growable()
         self._lower.append(lo)
         self._upper.append(up)
         self._binary.append(0)
@@ -262,6 +308,7 @@ class MilpModel:
 
     def add_binary(self) -> int:
         """Add a 0/1 variable; returns its id."""
+        self._growable()
         self._lower.append(0.0)
         self._upper.append(1.0)
         self._binary.append(1)
@@ -289,6 +336,7 @@ class MilpModel:
         coeffs = self._check_coefficients(coefficients, _LARGE_COEFFICIENT)
         value = _require_below(rhs, _INFINITE, "rhs")
         r = self.num_constraints
+        self._growable()
         self._row.extend([r] * len(coeffs))
         self._col.extend(coeffs)
         self._coeff.extend(coeffs.values())
@@ -313,7 +361,7 @@ class MilpModel:
         new row.
         """
         lo, up = _reals(lower, "lower"), _reals(upper, "upper")
-        flags = np.asarray(binary) if len(binary) else np.zeros(lo.size, dtype=bool)
+        flags = np.array(binary) if len(binary) else np.zeros(lo.size, dtype=bool)
         rows_, cols_ = _integers(rows, "rows"), _integers(cols, "cols")
         coeffs_, rhs_ = _reals(coeffs, "coeffs"), _reals(rhs, "rhs")
         if not lo.shape == up.shape == flags.shape:
@@ -324,25 +372,7 @@ class MilpModel:
             raise ModelError(f"{rows_.size} rows, {cols_.size} cols and {coeffs_.size} coeffs differ in length")
         if len(senses) != rhs_.size:
             raise ModelError(f"{len(senses)} senses for {rhs_.size} right-hand sides")
-        # All bounds and right-hand sides finite and small, as they mostly
-        # are, need only lower <= upper; the cheap test fails on NaN too.
-        small = np.abs(np.concatenate((lo, up, rhs_))).max(initial=0.0) < _INFINITE
-        bad = ~(lo <= up) if small else ~_bounds_ok(lo, up)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise _bounds_error(float(lo[k]), float(up[k]))
-        if lo[flags].any() or (up[flags] != 1.0).any():
-            k = int(np.argmax(flags & ((lo != 0.0) | (up != 1.0))))
-            raise ModelError(f"binary variable bounds must be [0, 1], got [{lo[k]}, {up[k]}]")
-        try:
-            codes = np.array([_SENSE_CODES[sense] for sense in senses], dtype=np.int8)
-        except (KeyError, TypeError):
-            sense = next(sense for sense in senses if sense not in _SENSES)
-            raise ModelError(f"sense must be one of {_SENSES}, got {sense!r}") from None
-        if not small:
-            small = abs(rhs_) < _INFINITE
-            if not small.all():
-                raise _magnitude_error("rhs", float(rhs_[np.argmin(small)]), _INFINITE)
+        codes = _sense_codes(senses)
         width = self.num_variables + lo.size
         try:  # each triplet's cell in the row-major block; refuses indices out of range
             cells = np.ravel_multi_index((rows_, cols_), (rhs_.size, width))
@@ -352,28 +382,55 @@ class MilpModel:
             if ((cols_ < 0) | (cols_ >= width)).any():
                 raise ModelError(f"unknown variable id {cols_[(cols_ < 0) | (cols_ >= width)][0]}") from None
             cells = rows_ * width + cols_
-        if not np.abs(coeffs_).max(initial=0.0) < _LARGE_COEFFICIENT:
-            k = int(np.argmin(abs(coeffs_) < _LARGE_COEFFICIENT))
-            raise _magnitude_error(f"coefficient of variable {cols_[k]}", float(coeffs_[k]), _LARGE_COEFFICIENT)
         cells.sort()
         if (cells[1:] == cells[:-1]).any():
             raise ModelError("a variable appears twice in one row")
-
-        first_var, first_row = self.num_variables, self.num_constraints
         if not (rows_[1:] >= rows_[:-1]).all():
             by_row = np.argsort(rows_, kind="stable")
             rows_, cols_, coeffs_ = rows_[by_row], cols_[by_row], coeffs_[by_row]
-        # per row, its lower and its upper bound: the rhs, or infinite
-        row_bounds = np.where(codes == _OPEN_SIDE, _INFINITE_SIDE, rhs_)
-        _append(self._lower, lo)
-        _append(self._upper, up)
-        _append(self._binary, flags)
-        _append(self._row, rows_ + first_row if first_row else rows_)
-        _append(self._col, cols_)
-        _append(self._coeff, coeffs_)
-        _append(self._row_lower, row_bounds[0])
-        _append(self._row_upper, row_bounds[1])
+        _check_column_kinds(lo, up, flags)
+        row_bounds = _checked_row_bounds(lo, up, coeffs_, codes, rhs_, cols_.__getitem__)
+
+        first_var, first_row = self.num_variables, self.num_constraints
+        arrays = (lo, up, flags, rows_ + first_row if first_row else rows_, cols_, coeffs_, *row_bounds)
+        if first_var or first_row:
+            self._growable()
+            for (name, _, _), values in zip(_STORAGE, arrays):
+                _append(getattr(self, name), values)
+        else:
+            # A block that fills an empty model is kept as it is, and read
+            # as the buffers are, without their copy in and view out.
+            for (name, _, dtype), values in zip(_STORAGE, arrays):
+                setattr(self, name, _held(values, dtype))
         return first_var, first_row
+
+    def _fill_columnwise(self, lower: np.ndarray, upper: np.ndarray, binary: np.ndarray, start: np.ndarray,
+                         index: np.ndarray, value: np.ndarray, row_key: np.ndarray, codes: np.ndarray,
+                         rhs: np.ndarray) -> None:
+        """Fill an empty model with one block whose triplets come in column
+        order, as HiGHS reads them: column ``c`` holds the triplets from
+        ``start[c]`` to ``start[c + 1]``, each with its row ``index`` (int32,
+        ascending within the column) and coefficient ``value``; ``start`` is
+        int32. Column bounds are float arrays, flags bool, sense codes those
+        of ``_SENSES`` and right-hand sides floats; the structure is checked
+        by the caller: indices in range, each variable at most once per row. Sorting the triplets by
+        ``row_key`` (distinct keys) gives the row order, each row's terms in
+        the order the row lists them; it is made when first read, while
+        :func:`solve` hands the triplets on as they are. The structure here
+        includes the kinds of the columns, lower bounds at most upper ones
+        and binary columns in [0, 1], which the caller sets up itself; the
+        magnitudes of the values are checked as :meth:`add_block` checks
+        them.
+        """
+        if self.num_variables or self.num_constraints:
+            raise ModelError("a column-ordered block must fill an empty model")
+        row_bounds = _checked_row_bounds(lower, upper, value, codes, rhs,
+                                         lambda k: int(np.searchsorted(start, k, side="right")) - 1)
+        for name, values in (("_lower", lower), ("_upper", upper), ("_binary", binary),
+                             ("_row_lower", row_bounds[0]), ("_row_upper", row_bounds[1])):
+            setattr(self, name, _held(values, float if name != "_binary" else bool))
+        self._columnwise = (start, index, value)
+        self._row_key = row_key
 
     def set_objective(self, coefficients: Mapping[int, float]) -> None:
         """Set the (minimized) objective; omitted variables have coefficient 0."""
@@ -401,10 +458,11 @@ class MilpModel:
     @property
     def constraints(self) -> tuple[_Constraint, ...]:
         """Every row in index order; a row's terms keep their insertion order."""
-        cols, coeffs = self._col.tolist(), self._coeff.tolist()
-        ends = np.cumsum(np.bincount(self._row, minlength=self.num_constraints)).tolist()
+        row, col, coeff = self._triplets()
+        cols, coeffs = col.tolist(), coeff.tolist()
+        ends = np.cumsum(np.bincount(row, minlength=self.num_constraints)).tolist()
         out, start = [], 0
-        for end, lower, upper in zip(ends, self._row_lower, self._row_upper):
+        for end, lower, upper in zip(ends, self._row_lower.tolist(), self._row_upper.tolist()):
             terms = MappingProxyType(dict(zip(cols[start:end], coeffs[start:end])))
             out.append(_Constraint(terms, *_inequality(lower, upper)))
             start = end
@@ -421,11 +479,91 @@ class MilpModel:
     def _row_arrays(self) -> tuple[np.ndarray, ...]:
         """Views of the triplets (row, variable, coefficient) in row order,
         then of the row lower and upper bounds."""
-        return (_view(self._row, np.int64), _view(self._col, np.int64), _view(self._coeff, float),
-                _view(self._row_lower, float), _view(self._row_upper, float))
+        return (*self._triplets(), *self._row_bounds())
+
+    def _row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the row lower and upper bounds."""
+        return _view(self._row_lower, float), _view(self._row_upper, float)
+
+    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of the triplets (row, variable, coefficient) in row order,
+        made from a column-ordered block on first use."""
+        if self._row_key is not None:
+            start, index, value = self._columnwise
+            order = np.argsort(self._row_key)
+            column = np.repeat(np.arange(start.size - 1), np.diff(start))
+            self._row, self._col, self._coeff = (_held(index[order], np.int64), _held(column[order], np.int64),
+                                                 _held(value[order], float))
+            self._row_key = None
+        return _view(self._row, np.int64), _view(self._col, np.int64), _view(self._coeff, float)
+
+    def _matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The triplets column-wise, as HiGHS keeps them: int32 column
+        starts and row indices, and the coefficients, rows ascending within
+        each column; new arrays unless a column-ordered block holds them."""
+        if self._columnwise is not None:
+            return self._columnwise
+        # The canonical column-wise form scipy's wrappers handed on: the
+        # stored triplets are in row order, so a stable sort by column keeps
+        # rows ascending within each column.
+        row, col, coeff = self._triplets()
+        by_col = np.argsort(col, kind="stable")
+        start = np.zeros(self.num_variables + 1, dtype=np.int32)
+        np.cumsum(np.bincount(col, minlength=self.num_variables), out=start[1:])
+        return start, row.astype(np.int32)[by_col], coeff[by_col]
 
 
-def _view(buf: array, dtype) -> np.ndarray:
+def _held(values: np.ndarray, dtype) -> np.ndarray:
+    """``values`` as storage: contiguous, of type ``dtype`` (converted only
+    if it differs) and read-only."""
+    held = np.ascontiguousarray(values, dtype=dtype)
+    held.flags.writeable = False
+    return held
+
+
+_NOTHING = {dtype: _held(np.zeros(0), dtype) for dtype in (float, bool, np.int64)}
+
+
+def _check_column_kinds(lower: np.ndarray, upper: np.ndarray, binary: np.ndarray) -> None:
+    """Raise :class:`ModelError` unless each lower bound is at most its upper
+    bound and each binary column's bounds are [0, 1] (NaN fails).
+
+    Reductions go straight to the ufuncs: numpy's array methods for them
+    cost a Python call each, which a model built per admission feels.
+    """
+    if not np.logical_and.reduce(lower <= upper):
+        k = int(np.argmin(lower <= upper))
+        raise _bounds_error(float(lower[k]), float(upper[k]))
+    if np.logical_or.reduce(binary & ((lower != 0.0) | (upper != 1.0))):
+        k = int(np.argmax(binary & ((lower != 0.0) | (upper != 1.0))))
+        raise ModelError(f"binary variable bounds must be [0, 1], got [{lower[k]}, {upper[k]}]")
+
+
+def _checked_row_bounds(lower, upper, coeffs, codes, rhs, variable_of) -> np.ndarray:
+    """The lower and upper bound of each row of a block (its rhs, or
+    infinite), once the magnitudes of the block's values are checked as
+    :meth:`MilpModel.add_block` checks them; ``variable_of(k)`` names the
+    variable of triplet k in the message on a coefficient too large.
+    """
+    # All bounds and right-hand sides finite and small, as they mostly are,
+    # need no closer look; the cheap test fails on NaN too.
+    if not _largest(np.concatenate((lower, upper, rhs))) < _INFINITE:
+        bad = ~_bounds_ok(lower, upper)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise _bounds_error(float(lower[k]), float(upper[k]))
+        small = abs(rhs) < _INFINITE
+        if not small.all():
+            raise _magnitude_error("rhs", float(rhs[np.argmin(small)]), _INFINITE)
+    if not _largest(coeffs) < _LARGE_COEFFICIENT:
+        k = int(np.argmin(abs(coeffs) < _LARGE_COEFFICIENT))
+        raise _magnitude_error(f"coefficient of variable {variable_of(k)}", float(coeffs[k]), _LARGE_COEFFICIENT)
+    return np.where(codes == _OPEN_SIDE, _INFINITE_SIDE, rhs)
+
+
+def _view(buf, dtype) -> np.ndarray:
+    if isinstance(buf, np.ndarray):  # storage a block left, held read-only
+        return buf
     arr = np.frombuffer(buf, dtype=dtype)
     arr.flags.writeable = False
     return arr
@@ -446,13 +584,12 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     limits = limits or SolveLimits()
     n = model.num_variables
 
-    row, col, coeff, row_lower, row_upper = model._row_arrays()
-    # An empty row reads "lower <= 0 <= upper". The triplets are in row
-    # order, so every row has a term when ``row`` steps through all of them.
-    if row.size == 0 or np.count_nonzero(row[1:] != row[:-1]) + 1 < row_lower.size:
-        unsatisfiable_if_empty = (row_lower > 0.0) | (row_upper < 0.0)
-        if not np.bincount(row, minlength=row_lower.size)[unsatisfiable_if_empty].all():
-            return Solution(Status.INFEASIBLE)
+    matrix = model._matrix()
+    row_lower, row_upper = model._row_bounds()
+    # An empty row reads "lower <= 0 <= upper".
+    empty = np.bincount(matrix[1], minlength=row_lower.size) == 0
+    if np.logical_or.reduce(empty) and np.logical_or.reduce(empty & ((row_lower > 0.0) | (row_upper < 0.0))):
+        return Solution(Status.INFEASIBLE)
     if n == 0:
         return Solution(Status.OPTIMAL, values=np.zeros(0), objective_value=0.0)
 
@@ -460,14 +597,7 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     for var, value in model.objective.items():
         c_vec[var] = value
     lower, upper, binary = model._column_arrays()
-    mip = bool(binary.any())
-    # The canonical column-wise form scipy's wrappers handed on: the stored
-    # triplets are in row order, so a stable sort by column keeps rows
-    # ascending within each column.
-    by_col = np.argsort(col, kind="stable")
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col, minlength=n), out=start[1:])
-    matrix = (start, row.astype(np.int32)[by_col], coeff[by_col])
+    mip = bool(np.logical_or.reduce(binary))
 
     _load_scipy()
     with _stdout_silenced():
@@ -606,6 +736,10 @@ def _load_scipy() -> None:
     highs = sys.modules[_CORE]
 
 
+# The null device, opened by the first redirect and kept open for the next.
+_null = None
+
+
 @contextlib.contextmanager
 def _stdout_silenced():
     """Point file descriptor 1 at the null device; restore it on exit.
@@ -613,19 +747,20 @@ def _stdout_silenced():
     The redirect is process-wide, so solves must not run on several threads
     at once.
     """
+    global _null
     try:
         saved = os.dup(1)
     except OSError:  # no fd 1 to protect
         yield
         return
-    null = os.open(os.devnull, os.O_WRONLY)
     try:
-        os.dup2(null, 1)
+        if _null is None:
+            _null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(_null, 1)
         yield
     finally:
         os.dup2(saved, 1)
         os.close(saved)
-        os.close(null)
 
 
 def _interpret(status, values, objective: float, nodes: int, mip: bool) -> Solution | None:

@@ -31,6 +31,17 @@
    7-node runs, with and without a threshold, match the simple-path oracle
    request by request
 9. solver budgets surface as SolverLimitError / resource-limited losses
+10. admissions the route search settles without HiGHS: on seeded sequential
+    runs (admit8 and field15 geometry, thresholds None to 2e5, hop bounds
+    1-4) and on edge fields (isolated endpoints, bandwidth-starved relays,
+    demand above bandwidth) every admission equals build + solve + decode;
+    the routes found are the oracle's; a lone route that passes only with
+    the judge's slack, and a spent search budget, go to HiGHS with the same
+    answers; the budget covers a field15 request with every arc open; a
+    HiGHS optimum whose cap sits above its route is solved again under the
+    route's cap (admit8 scenario 17001766 against the oracle), gives up
+    with SolverError after three solves, and reports arcs that are no
+    sound route as the decoder does
 """
 
 import numpy as np
@@ -44,6 +55,7 @@ from qostopo import (
     Request,
     Solution,
     SolveLimits,
+    SolverError,
     SolverLimitError,
     Status,
     TopologySolution,
@@ -1148,12 +1160,17 @@ def test_thresholded_runs_match_simple_path_bruteforce():
 # -- solver budgets -----------------------------------------------------------
 
 
+# Corners of a unit square: 0 -> 2 has two routes at cap 1, round either
+# side, so the admission goes to the solver.
+SQUARE = NetworkModel([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], max_power=10.0, bandwidth=50.0)
+
+
 def test_resource_limited_loss_is_flagged(monkeypatch):
     def fake_solve(model, limits=None):
         return Solution(Status.RESOURCE_LIMIT)
 
     monkeypatch.setattr(formulation, "solve", fake_solve)
-    sol = solve_single_request(line(3), Request(0, 2, 1.0, 3), EnergyLedger.empty(3), None)
+    sol = solve_single_request(SQUARE, Request(0, 2, 1.0, 3), EnergyLedger.empty(4), None)
     assert sol.lost and sol.resource_limited
 
 
@@ -1163,4 +1180,235 @@ def test_unbounded_status_is_an_internal_error(monkeypatch):
 
     monkeypatch.setattr(formulation, "solve", fake_solve)
     with pytest.raises(ValidationError):
-        solve_single_request(line(3), Request(0, 2, 1.0, 3), EnergyLedger.empty(3), None)
+        solve_single_request(SQUARE, Request(0, 2, 1.0, 3), EnergyLedger.empty(4), None)
+
+
+# -- admissions settled by the route search -----------------------------------
+
+# The benchmark geometries: 8 nodes in 100 x 100 m (admit8, and fair8 with a
+# threshold) and 15 nodes in 180 x 180 m (field15), both with hop bound 3.
+_FIELD8 = dict(node_count=8, region=(100.0, 100.0), path_loss_exponent=2.0, max_power=20000.0, bandwidth=60.0,
+               request_rate=1.0, mean_demand=10.0, hop_bound=3)
+_FIELD15 = dict(node_count=15, region=(180.0, 180.0), path_loss_exponent=2.0, max_power=65000.0, bandwidth=200.0,
+                request_rate=1.0, mean_demand=10.0, hop_bound=3)
+
+
+def _by_milp(net, req, ledger, threshold):
+    """The admission through the public MILP path, or None when lost."""
+    sol = solve(build_topology_milp(net, [req], ledger, threshold))
+    if sol.status is Status.INFEASIBLE:
+        return None
+    return decode_and_validate(net, [req], ledger, threshold, sol)
+
+
+def _assert_same_admission(got, want, where):
+    if want is None:
+        assert got.lost and not got.resource_limited and got.links == set(), where
+        assert np.array_equal(got.node_energy, np.zeros(got.node_energy.size)), where
+        return
+    assert got.routes == want.routes and got.max_energy == want.max_energy, where
+    assert got.links == want.links and np.array_equal(got.node_energy, want.node_energy), where
+
+
+def _counting_solves(monkeypatch):
+    solves = []
+
+    def counted(model, limits=None):
+        solves.append(model)
+        return solve(model, limits)
+
+    monkeypatch.setattr(formulation, "solve", counted)
+    return solves
+
+
+def test_route_search_admits_as_the_milp(monkeypatch):
+    # every request of seeded sequential runs, with the ledger the admissions
+    # leave, admitted by solve_single_request and by build + solve + decode:
+    # the same status, route, cap, node energy and links, whether the route
+    # search settles the request or HiGHS does
+    from qostopo import ScenarioParams, generate_scenario
+
+    solves = _counting_solves(monkeypatch)
+    cases = [(_FIELD8, threshold, hops, seed) for threshold in (None, 0, 5e2, 2e3, 2e4, 2e5)
+             for hops in (1, 2, 3, 4) for seed in range(2)]
+    cases += [(_FIELD15, threshold, 3, seed) for threshold in (None, 2e3, 2e5) for seed in range(2)]
+    settled = compared = 0
+    for field, threshold, hops, seed in cases:
+        net, reqs = generate_scenario(ScenarioParams(**dict(field, hop_bound=hops), threshold=threshold,
+                                                     seed=9_500_000 + seed))
+        ledger = EnergyLedger.empty(net.node_count)
+        for req in reqs:
+            before = len(solves)
+            got = solve_single_request(net, req, ledger, threshold)
+            settled += len(solves) == before
+            _assert_same_admission(got, _by_milp(net, req, ledger, threshold), (threshold, hops, seed, req))
+            if not got.lost:
+                ledger.charge(got.node_energy)
+            compared += 1
+    assert compared >= 400 and 0.2 * compared < settled < 0.9 * compared
+
+
+@pytest.mark.parametrize("variant", ["isolated", "starved", "overdemand"])
+def test_route_search_admits_as_the_milp_on_edge_fields(variant, monkeypatch):
+    # an endpoint out of every node's reach, a bandwidth that no relay can
+    # carry, a demand above the bandwidth: on random fields of 3 to 9
+    # nodes, with hop bounds 1 to 4 and non-empty ledgers
+    solves = _counting_solves(monkeypatch)
+    rng = np.random.default_rng({"isolated": 41, "starved": 42, "overdemand": 43}[variant])
+    settled = 0
+    for case in range(60):
+        n = int(rng.integers(3, 10))
+        positions = rng.uniform(0.0, 100.0, size=(n, 2))
+        demand = float(rng.uniform(5.0, 15.0))
+        bandwidth = {"isolated": 60.0, "starved": 1.5 * demand, "overdemand": 0.9 * demand}[variant]
+        s, d = (int(v) for v in rng.choice(n, size=2, replace=False))
+        if variant == "isolated":
+            positions[rng.choice([s, d])] = [1e3, 1e3]
+        net = NetworkModel(positions, max_power=20000.0, bandwidth=bandwidth)
+        ledger = EnergyLedger(rng.uniform(0.0, 5e3, size=n))
+        threshold = [None, 0.0, 2e3, 2e5][case % 4]
+        req = Request(s, d, demand, int(rng.integers(1, 5)))
+        before = len(solves)
+        got = solve_single_request(net, req, ledger, threshold)
+        settled += len(solves) == before
+        want = _by_milp(net, req, ledger, threshold)
+        _assert_same_admission(got, want, (case, threshold, req))
+        if variant == "isolated" or variant == "overdemand":
+            assert want is None
+    assert settled == 60
+
+
+def test_route_search_counts_the_oracle_routes():
+    # the routes the search finds, up to two, are the oracle's feasible simple
+    # paths over the model's open arcs (no arc dearer than the cap bound)
+    from oracles import _feasible_paths
+
+    rng = np.random.default_rng(44)
+    seen = set()
+    for _ in range(150):
+        n = int(rng.integers(3, 8))
+        net = random_net(rng, n, bandwidth=float(rng.uniform(5.0, 40.0)))
+        s, d = (int(v) for v in rng.choice(n, size=2, replace=False))
+        req = Request(s, d, float(rng.uniform(1.0, 10.0)), int(rng.integers(1, 5)))
+        ledger = EnergyLedger(rng.uniform(0.0, 50.0, size=n))
+        threshold = None if rng.random() < 0.4 else float(rng.uniform(0.0, 80.0))
+        bound = formulation._cap_bound(net, req, ledger, threshold)
+        found = formulation._feasible_routes(net, req, ledger, threshold, bound)
+        energy = net.energy_matrix
+        oracle = [path for _, path in _feasible_paths(net, req, ledger, threshold)
+                  if all(energy[i, j] <= bound for i, j in zip(path, path[1:]))]
+        assert [route for route, _, _ in found] == oracle[:2]
+        seen.add(min(len(oracle), 2))
+    assert seen == {0, 1, 2}
+
+
+def test_single_route_with_only_slack_goes_to_the_solver(monkeypatch):
+    # the relay carries twice the demand, 5e-8 of the bandwidth over it: the
+    # judge's slack passes the one route, its margin does not, so the search
+    # may not settle it; HiGHS finds the route infeasible
+    solves = _counting_solves(monkeypatch)
+    net = line(3, max_power=2.0, bandwidth=50.0)
+    req = Request(0, 2, 25.0 * (1.0 + 5e-8), 2)
+    ledger = EnergyLedger.empty(3)
+    bound = formulation._cap_bound(net, req, ledger, None)
+    assert [route for route, _, _ in formulation._feasible_routes(net, req, ledger, None, bound)] == [[0, 1, 2]]
+    got = solve_single_request(net, req, ledger, None)
+    assert len(solves) == 1
+    _assert_same_admission(got, _by_milp(net, req, ledger, None), req)
+    assert got.lost
+
+
+def test_spent_search_budget_goes_to_the_solver(monkeypatch):
+    # with the budget cut to one visit, every admission whose search gets
+    # that far reaches HiGHS, with the same answers as the full search
+    from qostopo import ScenarioParams, generate_scenario
+
+    runs = []
+    for visits in (formulation._ROUTE_SEARCH_VISITS, 1):
+        monkeypatch.setattr(formulation, "_ROUTE_SEARCH_VISITS", visits)
+        solves = _counting_solves(monkeypatch)
+        answers = []
+        for threshold in (None, 2e3):
+            for seed in range(3):
+                net, reqs = generate_scenario(ScenarioParams(**_FIELD8, threshold=threshold, seed=9_600_000 + seed))
+                ledger = EnergyLedger.empty(net.node_count)
+                for req in reqs:
+                    sol = solve_single_request(net, req, ledger, threshold)
+                    answers.append((sol.routes, sol.max_energy, sol.node_energy.tolist(), sorted(sol.links)))
+                    if not sol.lost:
+                        ledger.charge(sol.node_energy)
+        runs.append((answers, len(solves)))
+    (full, full_solves), (cut, cut_solves) = runs
+    assert cut == full and full_solves < cut_solves <= len(cut)
+
+
+def test_search_budget_covers_field15():
+    # 15 nodes with every arc open and hop bound 3: a threshold no route
+    # meets makes the search visit every path, 339 of them, within budget
+    net = NetworkModel(np.random.default_rng(45).uniform(0.0, 180.0, size=(15, 2)), max_power=1e6, bandwidth=200.0)
+    req = Request(0, 1, 10.0, 3)
+    ledger = EnergyLedger.empty(15)
+    assert formulation._cap_bound(net, req, ledger, -1.0) == net.max_power
+    assert formulation._feasible_routes(net, req, ledger, -1.0, net.max_power) == []
+    assert formulation._ROUTE_SEARCH_VISITS >= 339
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formulation, "_ROUTE_SEARCH_VISITS", 338)
+        assert formulation._feasible_routes(net, req, ledger, -1.0, net.max_power) is None
+
+
+def test_wrong_highs_optimum_is_solved_again():
+    # admit8 scenario 17001766, request 2 (1 -> 3, demand 13): HiGHS calls
+    # the model optimal at the cap bound 4287.27 with a route whose costliest
+    # arc is 3991.32; solved again under that cap it reaches the optimum
+    from qostopo import ScenarioParams, generate_scenario, run
+
+    params = ScenarioParams(**_FIELD8, threshold=None, seed=17_001_766)
+    net, reqs = generate_scenario(params)
+    ledger = EnergyLedger.empty(net.node_count)
+    ledger.charge(solve_single_request(net, reqs[0], ledger, None).node_energy)
+    expect = simple_path_bruteforce(net, reqs[1], ledger, None)
+    assert expect[1] == [1, 5, 6, 3] and expect[0] == pytest.approx(3759.3986800115554, rel=1e-12)
+    row = run(params).request_table[1]
+    assert (row.path, row.max_energy) == (expect[1], expect[0])
+
+
+def test_cap_above_the_route_is_solved_again_under_the_route_cap(monkeypatch):
+    # a solver whose cap sits above its route's costliest arc on the first
+    # `wrong` solves: the model is built again under the route's cap, and
+    # after three such solves the admission gives up; arcs that are not a
+    # sound route are reported as the decoder reports them
+    bounds = []
+
+    def inflated(model, limits=None):
+        bounds.append(model.variables[0].upper)
+        sol = solve(model, limits)
+        if len(bounds) > wrong:
+            return sol
+        values = sol.values.copy()
+        values[0] += 1.0
+        return Solution(sol.status, values, sol.objective_value + 1.0, sol.mip_node_count)
+
+    monkeypatch.setattr(formulation, "solve", inflated)
+    req, ledger = Request(0, 2, 1.0, 3), EnergyLedger.empty(4)
+    wrong = 1
+    got = solve_single_request(SQUARE, req, ledger, None)
+    _assert_same_admission(got, _by_milp(SQUARE, req, ledger, None), req)
+    assert bounds == [formulation._cap_bound(SQUARE, req, ledger, None), got.max_energy]
+    bounds.clear()
+    wrong = 3
+    with pytest.raises(SolverError, match="3 solves"):
+        solve_single_request(SQUARE, req, ledger, None)
+    assert len(bounds) == 3
+
+    # a cap above arcs that are no route at all is no bound to solve again under
+    def broken(model, limits=None):
+        bounds.append(model.variables[0].upper)
+        values = np.zeros(model.num_variables)
+        values[0], values[1 + formulation._topology_layout(4).pairs.index((0, 1))] = 5.0, 1.0
+        return Solution(Status.OPTIMAL, values, 5.0, 0)
+
+    bounds.clear()
+    monkeypatch.setattr(formulation, "solve", broken)
+    with pytest.raises(ValidationError, match="does not match the route arcs.*not one simple path"):
+        solve_single_request(SQUARE, req, ledger, None)
+    assert len(bounds) == 1

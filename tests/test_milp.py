@@ -3,7 +3,9 @@
 1. model building and introspection, row by row and in bulk blocks (also
    blocks whose triplets come out of row order), including every rejection
    path; each builder refuses what HiGHS would refuse or read as infinite,
-   and a refused call leaves the model as it was
+   and a refused call leaves the model as it was; a model keeps copies of
+   a block's arrays, and a block given in column order reads, solves and
+   grows as the same block given by rows
 2. hand-checkable LPs and MILPs hit their known optima exactly
 3. definite statuses: infeasible, unbounded, empty models, empty rows
 4. resource limits surface as RESOURCE_LIMIT, never as an exception; the
@@ -23,7 +25,8 @@
     bindings serves the next run; PyYAML loads with the first scenario file
 11. the direct HiGHS call passes the matrix column-wise, and for MILPs HiGHS
     then holds exactly the options and model (column-wise matrix included)
-    that scipy's milp wrapper gave it, and gives the same answers back; LPs
+    that scipy's milp wrapper gave it, and gives the same answers back (the
+    topology models of seeded admissions, built column-wise); LPs
     reach linprog's status and objective; arrays that disagree in size are
     refused before HiGHS is reached. One HiGHS instance serves the MILP
     runs, handed its options and model each time, and answers as a fresh
@@ -206,6 +209,58 @@ def test_bulk_block_equals_row_by_row_build():
     got, want = solve(bulk), solve(one)
     assert got.status is want.status is Status.OPTIMAL
     assert np.array_equal(got.values, want.values) and got.objective_value == want.objective_value
+
+
+def test_block_storage_is_its_own_and_a_column_ordered_block_reads_as_the_row_block():
+    # the block of test_bulk_block_equals_row_by_row_build, once through
+    # add_block and once column-ordered, with each row's terms keyed in the
+    # order add_block keeps them
+    lower, upper, binary = np.array([0.0, -1.0, 0.0]), np.array([1.0, 2.0, np.inf]), np.array([True, False, False])
+    rows, cols, coeffs = np.array([0, 0, 2, 2, 2]), np.array([1, 0, 2, 0, 1]), np.array([1.5, -2.0, 1.0, 1.0, -0.5])
+    senses, rhs = ["<=", ">=", "="], np.array([3.0, -1.0, 0.0])
+    rowwise = MilpModel()
+    rowwise.add_block(lower=lower, upper=upper, binary=binary, rows=rows, cols=cols, coeffs=coeffs,
+                      senses=senses, rhs=rhs)
+    # the model keeps copies: changing the arrays it was given changes nothing
+    for arr in (lower, upper, binary, rows, cols, coeffs, rhs):
+        arr[0] = arr[1]
+    first = rowwise.variables[0]
+    assert (first.lower, first.upper, first.is_binary) == (0.0, 1.0, True)
+    assert rowwise.constraints[0].coefficients == {1: 1.5, 0: -2.0}
+
+    # by column, then row; each triplet keyed by its place in row order
+    columnwise = MilpModel()
+    columnwise._fill_columnwise(np.array([0.0, -1.0, 0.0]), np.array([1.0, 2.0, np.inf]),
+                                np.array([True, False, False]), np.array([0, 2, 4, 5], dtype=np.int32),
+                                np.array([0, 2, 0, 2, 2], dtype=np.int32), np.array([-2.0, 1.0, 1.5, -0.5, 1.0]),
+                                np.array([1, 3, 0, 4, 2]), np.array([0, 1, 2], dtype=np.int8),
+                                np.array([3.0, -1.0, 0.0]))
+    for model in (rowwise, columnwise):
+        model.set_objective({0: -1.0, 1: 1.0, 2: 1.0})
+    got, want = solve(columnwise), solve(rowwise)
+    assert got.status is want.status is Status.OPTIMAL and np.array_equal(got.values, want.values)
+    for mine, ref in zip(columnwise._matrix() + columnwise._row_arrays(), rowwise._matrix() + rowwise._row_arrays()):
+        assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
+    assert _rows_of(columnwise) == _rows_of(rowwise) and lp_text(columnwise) == lp_text(rowwise)
+    assert check_solution(columnwise, [1.0, 0.0, 3.0]) == check_solution(rowwise, [1.0, 0.0, 3.0])
+    # both grow like any model after their block, and only by copies
+    for model in (rowwise, columnwise):
+        assert model._row_arrays()[0].flags.writeable is False
+        assert model.add_constraint({2: 1.0}, "<=", 4.0) == 3 and model.add_binary() == 3
+        assert model.add_block(rows=[0], cols=[3], coeffs=[1.0], senses=["<="], rhs=[1.0]) == (4, 4)
+    assert _rows_of(columnwise) == _rows_of(rowwise) and columnwise.variables == rowwise.variables
+    assert columnwise._columnwise is None and np.array_equal(solve(columnwise).values, solve(rowwise).values)
+
+    # the column-ordered block is checked for magnitudes and fills only an empty model
+    for coefficient, right in ((1e15, 0.0), (1.0, 1e20), (math.nan, 0.0)):
+        with pytest.raises(ModelError):
+            MilpModel()._fill_columnwise(np.zeros(1), np.ones(1), np.zeros(1, dtype=bool), np.array([0, 1], np.int32),
+                                         np.zeros(1, np.int32), np.array([coefficient]), np.zeros(1, np.int64),
+                                         np.zeros(1, np.int8), np.array([right]))
+    with pytest.raises(ModelError, match="empty model"):
+        columnwise._fill_columnwise(np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(1, np.int32),
+                                    np.zeros(0, np.int32), np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int8),
+                                    np.zeros(0))
 
 
 def test_bulk_building_rejections():
@@ -675,7 +730,8 @@ def _wrapper_solve(model, limits):
 
 
 def test_direct_highs_call_matches_scipy_wrappers(monkeypatch):
-    from qostopo import ScenarioParams, build_load_lp, formulation, generate_scenario, simulate
+    from qostopo import (EnergyLedger, ScenarioParams, build_load_lp, build_topology_milp, decode_and_validate,
+                         generate_scenario)
 
     option_names = [name for name in dir(highs.HighsOptions()) if not name.startswith("_")]
     inputs = []
@@ -734,11 +790,17 @@ def test_direct_highs_call_matches_scipy_wrappers(monkeypatch):
         compared(build_load_lp(net, reqs))
     assert solved == [(False, Status.OPTIMAL)] * 4
 
-    monkeypatch.setattr(formulation, "solve", compared)
+    # every admission's model, including those the route search settles
+    # without the solver, on the ledger simulate.run would keep
     field8 = dict(field, node_count=8, region=(100.0, 100.0), max_power=20000.0, bandwidth=60.0, request_rate=1.0)
     for threshold in (None, 2e3):
         for seed in range(6):
-            simulate.run(ScenarioParams(threshold=threshold, seed=9_200_000 + seed, **field8))
+            net, reqs = generate_scenario(ScenarioParams(threshold=threshold, seed=9_200_000 + seed, **field8))
+            ledger = EnergyLedger.empty(net.node_count)
+            for req in reqs:
+                got = compared(build_topology_milp(net, [req], ledger, threshold))
+                if got.status is Status.OPTIMAL:
+                    ledger.charge(decode_and_validate(net, [req], ledger, threshold, got).node_energy)
     statuses = [status for binary, status in solved[4:] if binary]
     assert len(statuses) == len(solved) - 4 >= 50
     assert {Status.OPTIMAL, Status.INFEASIBLE} <= set(statuses)
