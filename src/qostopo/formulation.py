@@ -21,19 +21,25 @@ Two models over a :class:`~qostopo.network.NetworkModel`:
   property (reaching a node implies reaching every closer node); it never
   costs more than the costliest arc, so it cannot move the cap.
 
-An admission whose model has at most one feasible route needs no solver.
-Before the model is built, a depth-first search over its open arcs counts
-its routes, judging each, and stops at two: with none the request is
-lost, and with exactly one that the judge passes with margin, that route
-is the answer, since it is the model's only integer point. Every other
-admission (two routes or more, a route that passes only with the judge's
-slack, a spent search budget) is solved by HiGHS, so no answer moves.
+An admission's answer is its optimal cap and, of the routes at that cap,
+the first by total energy (Toh's min-max with minimum total power), then
+hop count, then node sequence. Many admissions need no solver. Before the
+model is built, a depth-first search over its open arcs lists its routes,
+judging each: with none the request is lost, and the first route in that
+order is the answer when the judge passes it with margin and it is either
+the only route or within the judge's tolerance of the cap bound (the
+bound is attained). Any other admission goes to HiGHS for its optimal cap;
+the routes at that cap are then enumerated and ordered, and only a tie
+set too large to enumerate, or a first route that passes only with the
+judge's slack, goes to a second solve that minimizes the total energy at
+that cap.
 
 Solver output is decoded into plain topologies and node paths and then
-re-validated from scratch; one route judge, ``_route_problems``, holds the
-QoS rows and their tolerance for the cap bound, the route search and this
-re-check. An arc set that is not exactly one simple path, or any other
-failed re-check, is reported as :class:`ValidationError`, signalling a bug
+re-validated from scratch, and the decoder applies the same order at the
+solver's cap; one route judge, ``_route_problems``, holds the QoS rows and
+their tolerance for the cap bound, the route search and this re-check. An
+arc set that is not exactly one simple path, or any other failed
+re-check, is reported as :class:`ValidationError`, signalling a bug
 rather than an infeasible instance. Requests that admit no feasible route
 are "lost": reported as such with zero energy committed.
 """
@@ -240,6 +246,26 @@ class LoadLpResult:
         return float(self.flows[(sender, receiver)][i, j])
 
 
+class _OnFirstRead:
+    """A dataclass field that may be given a zero-argument callable instead
+    of its value: the callable runs on the first read, and its result is
+    stored in its place. It has no default."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self._slot)  # tells dataclass there is no default
+        value = obj.__dict__[self._slot]
+        if callable(value):
+            value = obj.__dict__[self._slot] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self._slot] = value
+
+
 @dataclass(eq=False)
 class TopologySolution:
     """Decoded topology MILP output.
@@ -251,11 +277,12 @@ class TopologySolution:
     for that route, and ``max_energy`` the minimized per-link
     transmission-energy cap.
     ``resource_limited`` distinguishes a loss forced by a solver budget from
-    a genuinely infeasible request.
+    a genuinely infeasible request. The admission functions here hand
+    ``links`` over as a callable, so the closure is computed only when read.
     """
 
     max_energy: float
-    links: set[tuple[int, int]]
+    links: set[tuple[int, int]] = _OnFirstRead()
     routes: list[list[int] | None]
     node_energy: np.ndarray
     resource_limited: bool = False
@@ -728,20 +755,32 @@ def _cap_bound(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold:
     return net.max_power
 
 
+def _arcs(path: list[int]) -> list[tuple[int, int]]:
+    return list(zip(path, path[1:]))
+
+
 # The most paths the route search visits (each path it extends or
 # completes) before it leaves the admission to HiGHS. With every arc open, a
 # request on 15 nodes with hop bound 3 (field15) visits 339 paths, 170 of
 # them routes.
 _ROUTE_SEARCH_VISITS = 512
 
+# The most paths the search for the best route at HiGHS's optimal cap visits
+# before a second HiGHS solve picks it. With every arc open, a request on 15
+# nodes visits 339 paths with hop bound 3 (field15) and 3,771 with hop
+# bound 4, 1,886 of them routes.
+_TIE_VISITS = 4096
+
 
 def _feasible_routes(
-    net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None, bound: float
+    net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None, bound: float,
+    visits: int | None = None,
 ) -> list[tuple[list[int], float, list[float]]] | None:
-    """Up to two routes for ``req`` in the topology model with cap bound
+    """Every route for ``req`` in the topology model with cap bound
     ``bound`` that the route judge passes with its slack, each with its cap
-    and node energy increments; ``None`` when the search visits
-    ``_ROUTE_SEARCH_VISITS`` paths before it has settled.
+    and node energy increments, in depth-first order; ``None`` when the
+    search visits more than ``visits`` paths (by default
+    ``_ROUTE_SEARCH_VISITS``).
 
     A route is a simple sender-to-receiver path of at most H arcs over the
     arcs the model leaves open: cost at most ``bound``, none into the sender
@@ -749,6 +788,8 @@ def _feasible_routes(
     the judge's bandwidth row refuses with its slack: a relay when twice the
     demand exceeds it, every route when the demand does.
     """
+    if visits is None:
+        visits = _ROUTE_SEARCH_VISITS
     s, d, hops = req.sender, req.receiver, req.hop_bound
     room = net.bandwidth + FEASIBILITY_TOL * max(1.0, net.bandwidth)
     if req.demand > room:
@@ -760,7 +801,6 @@ def _feasible_routes(
         return [j for j, e in enumerate(energy[i].tolist()) if e <= bound and j != i and j != s and (relays or j == d)]
 
     routes = []
-    visits = 0
     path = [s]
     stack = [iter(successors(s))]
     while stack:
@@ -769,17 +809,14 @@ def _feasible_routes(
             stack.pop()
             path.pop()
         elif nxt not in path:
-            visits += 1
-            if visits > _ROUTE_SEARCH_VISITS:
+            visits -= 1
+            if visits < 0:
                 return None
             if nxt == d:
                 route = path + [d]
-                cap, increments, problems = _route_problems(net, req, ledger, threshold,
-                                                            list(zip(route, route[1:])), 1.0)
+                cap, increments, problems = _route_problems(net, req, ledger, threshold, _arcs(route), 1.0)
                 if not problems:
                     routes.append((route, cap, increments))
-                    if len(routes) == 2:
-                        return routes
             elif len(path) < hops:
                 path.append(nxt)
                 if len(path) < hops:
@@ -818,14 +855,23 @@ def decode_and_validate(
     decoded arcs (not from solver values): the solver's cap, exact unit
     conservation, and the route judge's rows with slack, whose increments are
     exactly what the ledger is charged. The order variables only serve to
-    exclude cycles and are not read. ``links`` is the minimal symmetric
-    broadcast closure of the route arcs. Raises :class:`ValidationError`
-    with all violations on failure.
+    exclude cycles and are not read. Raises :class:`ValidationError` with
+    all violations on failure.
+
+    The route returned need not be the solver's. It is the one
+    :func:`solve_single_request` commits at the solver's cap: of the routes
+    over arcs no dearer than the solver's route, the first by (cap, total
+    energy, hop count, node sequence), when a search of at most
+    ``_TIE_VISITS`` paths enumerates them and that route passes the judge
+    with margin; else the solver's own route. ``links`` is the minimal
+    symmetric broadcast closure of the route's arcs.
     """
     if raw.status is not Status.OPTIMAL:
         raise ValidationError(f"cannot decode a solution with status {raw.status.value}")
     req = _single_request(net, requests)
-    return _validated(net, req, ledger, threshold, *_route_arcs(net, raw))
+    sol = _validated(net, req, ledger, threshold, *_route_arcs(net, raw))
+    ties = _feasible_routes(net, req, ledger, threshold, sol.max_energy, _TIE_VISITS)
+    return _best_route(net, req, ledger, threshold, ties) or sol
 
 
 def _route_arcs(net: NetworkModel, raw: Solution) -> tuple[float, set[tuple[int, int]]]:
@@ -878,7 +924,7 @@ def _validated(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold:
         raise ValidationError("; ".join(problems))
     return TopologySolution(
         max_energy=cap,
-        links=net.broadcast_closure(arcs),
+        links=functools.partial(net.broadcast_closure, arcs),
         routes=[path],
         node_energy=np.array(increments),
         resource_limited=False,
@@ -903,29 +949,43 @@ def solve_single_request(
     Optimal: decoded, validated topology and route. Infeasible: the request
     is lost — no route, no energy committed. A solver budget stop is also a
     loss but flagged ``resource_limited`` so it is never mistaken for a
-    proven-infeasible request.
+    proven-infeasible request. Of the routes at the optimal cap, the one
+    committed is the first by total energy (the sum of demand times link
+    energy over its arcs), then hop count, then node sequence.
 
-    Many admissions need no solver. Before any model is built, the routes
-    of the model :func:`build_topology_milp` would build (simple paths of at
-    most H open arcs) are searched until two pass the route judge with its
-    slack (:func:`_feasible_routes`). With none, the request is lost. With
-    exactly one, and that one passing with the judge's margin too, it is
-    the answer, reported as :func:`decode_and_validate` reports a route.
-    Anything else (two routes, a route that passes only with slack, a spent
-    search budget) goes to HiGHS. Answers cannot move: the model's integer
-    points are exactly these routes, since its order rows forbid cycles and
-    its degree and conservation rows force one path; the slack judge passes
-    every route HiGHS's 1e-9 tolerances accept, and a route passing with
-    margin is one HiGHS accepts, so with one such route HiGHS can return
-    only it. ``limits`` bounds only the solves; an admission settled by the
-    search spends no solver budget.
+    Many admissions need no solver. Before any model is built, every route
+    of the model :func:`build_topology_milp` would build (a simple path of
+    at most H open arcs) that the route judge passes with its slack is
+    enumerated (:func:`_feasible_routes`). The model's integer points are
+    exactly these routes, since its order rows forbid cycles and its degree
+    and conservation rows force one path; the slack judge passes every
+    route HiGHS's 1e-9 tolerances accept, and a route passing with margin
+    is one HiGHS accepts. With no route, the request is lost. The first
+    route by (cap, total energy, hop count, node sequence) is the answer,
+    reported as :func:`decode_and_validate` reports a route, when it passes
+    with margin too and either it is the only route or the cap bound is
+    attained: no route is cheaper than the bound by more than
+    ``FEASIBILITY_TOL`` x max(1, bound). Its cap is then the least that
+    HiGHS could reach.
 
-    When HiGHS calls the model optimal with its cap above the costliest arc
-    of its own route (seen with presolve on the HiGHS in scipy 1.17.1), and
-    that route is one simple path the judge passes with margin, the model
-    is built again with that route's cap as the bound and solved again;
-    :class:`SolverError` is raised if the cap still has not settled after
-    ``_SOLVE_ROUNDS`` solves. Any other mismatch is a
+    Any other admission (a cap bound that is not attained, a first route
+    that passes only with slack, a search that visits more than
+    ``_ROUTE_SEARCH_VISITS`` paths) goes to HiGHS for its optimal cap c*.
+    The routes over arcs of at most c* are then enumerated and ordered the
+    same way, and the first is the answer if it passes with margin. When
+    that search visits more than ``_TIE_VISITS`` paths, or its first route
+    fails the margin, a second solve decides: the same model under cap
+    bound c* with the total energy as its objective. So the two search
+    budgets change only how often HiGHS runs, not an answer. ``limits``
+    bounds each solve; an admission settled without a solve spends no
+    solver budget.
+
+    When HiGHS calls the cap model optimal with its cap above the costliest
+    arc of its own route (seen with presolve on the HiGHS in scipy 1.17.1),
+    and that route is one simple path the judge passes with margin, the
+    model is built again with that route's cap as the bound and solved
+    again; :class:`SolverError` is raised if the cap still has not settled
+    after ``_SOLVE_ROUNDS`` solves. Any other mismatch is a
     :class:`ValidationError`, as :func:`decode_and_validate` reports it.
     """
     req = _admission(net, [request], ledger, threshold)
@@ -933,12 +993,39 @@ def solve_single_request(
     routes = _feasible_routes(net, req, ledger, threshold, bound)
     if routes == []:
         return TopologySolution(0.0, set(), [None], np.zeros(net.node_count))
-    if routes is not None and len(routes) == 1:
-        path, cap, increments = routes[0]
-        arcs = set(zip(path, path[1:]))
-        if not _route_problems(net, req, ledger, threshold, arcs, -1.0)[2]:
-            return TopologySolution(cap, net.broadcast_closure(arcs), [path], np.array(increments))
+    if routes is not None and (len(routes) == 1
+                               or min(cap for _, cap, _ in routes) > bound - FEASIBILITY_TOL * max(1.0, bound)):
+        sol = _best_route(net, req, ledger, threshold, routes)
+        if sol is not None:
+            return sol
 
+    sol = _solve_for_cap(net, req, ledger, threshold, bound, limits)
+    if sol.lost:
+        return sol
+    ties = _feasible_routes(net, req, ledger, threshold, sol.max_energy, _TIE_VISITS)
+    return (_best_route(net, req, ledger, threshold, ties)
+            or _solve_for_energy(net, req, ledger, threshold, sol.max_energy, limits))
+
+
+def _best_route(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None,
+                routes: list[tuple[list[int], float, list[float]]] | None) -> TopologySolution | None:
+    """The admission of the first of ``routes`` (as :func:`_feasible_routes`
+    gives them) by (cap, total energy, hop count, node sequence), if the
+    judge passes it with margin too; ``None`` when it does not, or when
+    there is no route or no list."""
+    if not routes:
+        return None
+    path, cap, increments = min(routes, key=lambda route: (route[1], sum(route[2]), len(route[0]), route[0]))
+    arcs = _arcs(path)
+    if _route_problems(net, req, ledger, threshold, arcs, -1.0)[2]:
+        return None
+    return TopologySolution(cap, functools.partial(net.broadcast_closure, arcs), [path], np.array(increments))
+
+
+def _solve_for_cap(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None,
+                   bound: float, limits: SolveLimits | None) -> TopologySolution:
+    """HiGHS's admission on the model with cap bound ``bound``, solved again
+    under its route's cap while the cap sits above that route."""
     for _ in range(_SOLVE_ROUNDS):
         sol = solve(_topology_model(net, req, ledger, threshold, bound), limits)
         if sol.status is not Status.OPTIMAL:
@@ -956,3 +1043,19 @@ def solve_single_request(
     if sol.status is Status.RESOURCE_LIMIT:
         return TopologySolution(0.0, set(), [None], np.zeros(net.node_count), resource_limited=True)
     raise ValidationError(f"topology model unexpectedly {sol.status.value}")
+
+
+def _solve_for_energy(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None,
+                      cap: float, limits: SolveLimits | None) -> TopologySolution:
+    """HiGHS's least-energy route at the optimal cap ``cap``: the model with
+    cap bound ``cap`` and the route's total energy as its objective. The
+    route must attain ``cap``, as :func:`decode_and_validate` checks a cap."""
+    model = _topology_model(net, req, ledger, threshold, cap)
+    cost = net.energy_matrix.take(_topology_layout(net.node_count).cells)
+    model.set_objective(dict(enumerate((req.demand * cost).tolist(), start=1)))
+    sol = solve(model, limits)
+    if sol.status is Status.RESOURCE_LIMIT:
+        return TopologySolution(0.0, set(), [None], np.zeros(net.node_count), resource_limited=True)
+    if sol.status is not Status.OPTIMAL:
+        raise ValidationError(f"least-energy model at the optimal cap unexpectedly {sol.status.value}")
+    return _validated(net, req, ledger, threshold, cap, _route_arcs(net, sol)[1])

@@ -4,11 +4,11 @@ Nothing here calls into the solver wrappers under test: MILPs are settled by
 exhaustive enumeration of the binary variables (with direct dense linprog
 calls for any continuous remainder), and single-request routing is settled
 by brute force over every per-node power assignment crossed with every
-simple path inside the hop budget, or over the simple paths alone priced by
-their costliest arc. All are exponential and only meant for the small
-instances the tests generate. The load LP's optimum is settled by one
-scipy ``linprog`` call on a formulation written out here, one commodity
-per request and no arc closed.
+simple path inside the hop budget, or over the simple paths alone ordered
+by their costliest arc and then their total energy. All are exponential
+and only meant for the small instances the tests generate. The load LP's
+optimum is settled by one scipy ``linprog`` call on a formulation written
+out here, one commodity per request and no arc closed.
 """
 
 import numpy as np
@@ -255,16 +255,26 @@ def single_request_bruteforce(net, request, ledger, threshold):
 
 
 def simple_path_bruteforce(net, request, ledger, threshold):
-    """The cheapest feasible simple path by its costliest arc alone.
+    """The best feasible simple path by its costliest arc, then its energy.
 
     Same candidates as :func:`single_request_bruteforce`, without the power
     assignments: a path's symmetric broadcast closure costs no more than its
-    costliest arc, so that arc's energy is the path's cost. Returns
+    costliest arc, so that arc's energy is the path's cost, and a path whose
+    cost is above ``max_power`` is left out. Paths of equal
+    cost are ordered by their total energy (demand times link energy,
+    summed over the nodes), then hop count, then node sequence. Returns
     ``(energy, path)`` or ``None``; polynomial in the number of paths, so it
     reaches node counts the power meshgrid cannot.
     """
+    energy = net.energy_matrix
     best = None
     for need, path in _feasible_paths(net, request, ledger, threshold):
-        if best is None or need.max() < best[0]:
-            best = (float(need.max()), path)
-    return best
+        if need.max() > net.max_power + 1e-9 * max(1.0, net.max_power):
+            continue
+        inc = np.zeros(net.node_count)
+        for i, j in zip(path, path[1:]):
+            inc[i] += request.demand * energy[i, j]
+        key = (float(need.max()), sum(inc.tolist()), len(path), path)
+        if best is None or key < best:
+            best = key
+    return None if best is None else (best[0], best[3])

@@ -24,24 +24,33 @@
 4. infeasible requests come back as lost outcomes, not exceptions
 5. fairness threshold: binding and slack cases, ledger left untouched
 6. decode-time re-verification: a planted violation of each structural rule
-   is rejected, and so is any arc set that is not exactly one simple path
+   is rejected, and so is any arc set that is not exactly one simple path;
+   a route that passes only with the judge's slack is kept
 7. seeded relaxation properties: larger thresholds and hop budgets never
    hurt feasibility or the achieved energy cap
 8. small seeded instances match the exhaustive routing oracle; sequential
    7-node runs, with and without a threshold, match the simple-path oracle
    request by request
 9. solver budgets surface as SolverLimitError / resource-limited losses
-10. admissions the route search settles without HiGHS: on seeded sequential
-    runs (admit8 and field15 geometry, thresholds None to 2e5, hop bounds
-    1-4) and on edge fields (isolated endpoints, bandwidth-starved relays,
-    demand above bandwidth) every admission equals build + solve + decode;
-    the routes found are the oracle's; a lone route that passes only with
-    the judge's slack, and a spent search budget, go to HiGHS with the same
+10. admissions settled without HiGHS: on seeded sequential runs (admit8
+    and field15 geometry, thresholds None to 2e5, hop bounds 1-4) and on
+    edge fields (isolated endpoints, bandwidth-starved relays, demand above
+    bandwidth) every admission has the status and cap of build + solve +
+    decode and the simple-path oracle's route, node energy and links; the
+    routes found are the oracle's; a lone route that passes only with the
+    judge's slack, and a spent search budget, go to HiGHS with the same
     answers; the budget covers a field15 request with every arc open; a
     HiGHS optimum whose cap sits above its route is solved again under the
     route's cap (admit8 scenario 17001766 against the oracle), gives up
     with SolverError after three solves, and reports arcs that are no
     sound route as the decoder does
+11. routes at the optimal cap are ordered by total energy, then hop count,
+    then node sequence (a square's two equal routes, a cheaper detour with
+    an extra hop), by solve_single_request and by the decoder alike; on
+    seeded runs of 5-15 nodes, hop bounds 1-4, with and without a
+    threshold, admissions equal the oracle's, and with the tie search
+    budget cut to one visit the least-energy solve gives the same answers;
+    links are computed on first read
 """
 
 import numpy as np
@@ -919,6 +928,27 @@ def test_solution_lost_reads_its_one_route():
     assert TopologySolution(0.0, set(), [None], np.zeros(2), resource_limited=True).lost
 
 
+def test_links_are_computed_on_first_read(monkeypatch):
+    # an admission hands its links over unevaluated; the first read computes
+    # the closure once and keeps it, and the dataclass keeps its fields,
+    # their order, positional construction and dataclasses.replace
+    import dataclasses
+
+    closures = []
+    closure = NetworkModel.broadcast_closure
+    monkeypatch.setattr(NetworkModel, "broadcast_closure", lambda net, links: closures.append(1) or closure(net, links))
+    net = line(3)
+    sol = solve_single_request(net, Request(0, 2, 1.0, 2), EnergyLedger.empty(3), None)
+    assert sol.routes == [[0, 1, 2]] and closures == []
+    assert sol.links == closure(net, {(0, 1), (1, 2)}) and closures == [1]
+    assert sol.links is sol.links and closures == [1]
+    moved = dataclasses.replace(sol, routes=[[0, 2]])
+    assert moved.links == sol.links and moved.routes == [[0, 2]] and closures == [1]
+    assert [f.name for f in dataclasses.fields(TopologySolution)] == [
+        "max_energy", "links", "routes", "node_energy", "resource_limited"]
+    assert TopologySolution(1.0, {(0, 1)}, [[0, 1]], np.zeros(2)).links == {(0, 1)}
+
+
 # -- decode-time re-verification ---------------------------------------------
 
 
@@ -1160,9 +1190,11 @@ def test_thresholded_runs_match_simple_path_bruteforce():
 # -- solver budgets -----------------------------------------------------------
 
 
-# Corners of a unit square: 0 -> 2 has two routes at cap 1, round either
-# side, so the admission goes to the solver.
-SQUARE = NetworkModel([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], max_power=10.0, bandwidth=50.0)
+# Four nodes 1 apart on a line: 0 -> 3 over every node costs 1, below every
+# one- or two-hop route (4 or more), so the cap bound is not attained and
+# the admission goes to the solver.
+LINE4 = line(4)
+LINE4_REQUEST = Request(0, 3, 1.0, 3)
 
 
 def test_resource_limited_loss_is_flagged(monkeypatch):
@@ -1170,7 +1202,7 @@ def test_resource_limited_loss_is_flagged(monkeypatch):
         return Solution(Status.RESOURCE_LIMIT)
 
     monkeypatch.setattr(formulation, "solve", fake_solve)
-    sol = solve_single_request(SQUARE, Request(0, 2, 1.0, 3), EnergyLedger.empty(4), None)
+    sol = solve_single_request(LINE4, LINE4_REQUEST, EnergyLedger.empty(4), None)
     assert sol.lost and sol.resource_limited
 
 
@@ -1180,7 +1212,26 @@ def test_unbounded_status_is_an_internal_error(monkeypatch):
 
     monkeypatch.setattr(formulation, "solve", fake_solve)
     with pytest.raises(ValidationError):
-        solve_single_request(SQUARE, Request(0, 2, 1.0, 3), EnergyLedger.empty(4), None)
+        solve_single_request(LINE4, LINE4_REQUEST, EnergyLedger.empty(4), None)
+
+
+def test_least_energy_solve_reports_budget_stops_and_odd_statuses(monkeypatch):
+    # with the tie search cut to one visit, LINE4's ties go to the second,
+    # least-energy solve: a budget stop there is a resource-limited loss, and
+    # any other status but optimal an internal error
+    def energy_solve_ends(status):
+        def fake_solve(model, limits=None):
+            return solve(model, limits) if model.objective == {0: 1.0} else Solution(status)
+        return fake_solve
+
+    monkeypatch.setattr(formulation, "_TIE_VISITS", 1)
+    monkeypatch.setattr(formulation, "solve", energy_solve_ends(Status.RESOURCE_LIMIT))
+    sol = solve_single_request(LINE4, LINE4_REQUEST, EnergyLedger.empty(4), None)
+    assert sol.lost and sol.resource_limited
+    for status in (Status.INFEASIBLE, Status.UNBOUNDED):
+        monkeypatch.setattr(formulation, "solve", energy_solve_ends(status))
+        with pytest.raises(ValidationError, match="least-energy model"):
+            solve_single_request(LINE4, LINE4_REQUEST, EnergyLedger.empty(4), None)
 
 
 # -- admissions settled by the route search -----------------------------------
@@ -1201,13 +1252,26 @@ def _by_milp(net, req, ledger, threshold):
     return decode_and_validate(net, [req], ledger, threshold, sol)
 
 
-def _assert_same_admission(got, want, where):
+def _assert_same_admission(got, net, req, ledger, threshold, where):
+    """``got`` has the status and cap of build + solve + decode, and the
+    cap, route, node energy and links of the simple-path oracle, which
+    orders equal-cap routes independently of the route search (the decoder
+    applies that search's order too)."""
+    want = _by_milp(net, req, ledger, threshold)
+    expect = simple_path_bruteforce(net, req, ledger, threshold)
     if want is None:
+        assert expect is None, where
         assert got.lost and not got.resource_limited and got.links == set(), where
         assert np.array_equal(got.node_energy, np.zeros(got.node_energy.size)), where
         return
-    assert got.routes == want.routes and got.max_energy == want.max_energy, where
-    assert got.links == want.links and np.array_equal(got.node_energy, want.node_energy), where
+    assert not got.lost and got.max_energy == want.max_energy, where
+    assert got.max_energy == expect[0], where
+    path = expect[1]
+    energy = np.zeros(net.node_count)
+    for i, j in zip(path, path[1:]):
+        energy[i] += req.demand * net.energy_matrix[i, j]
+    assert got.routes == [path] and np.array_equal(got.node_energy, energy), where
+    assert got.links == net.broadcast_closure(set(zip(path, path[1:]))), where
 
 
 def _counting_solves(monkeypatch):
@@ -1223,15 +1287,16 @@ def _counting_solves(monkeypatch):
 
 def test_route_search_admits_as_the_milp(monkeypatch):
     # every request of seeded sequential runs, with the ledger the admissions
-    # leave, admitted by solve_single_request and by build + solve + decode:
-    # the same status, route, cap, node energy and links, whether the route
-    # search settles the request or HiGHS does
+    # leave, admitted by solve_single_request: the status and cap of build +
+    # solve + decode, and the oracle's cap, route, node energy and links,
+    # whether the route search settles the request or HiGHS does; field15
+    # runs four seeds so that more than a tenth of the admissions reach HiGHS
     from qostopo import ScenarioParams, generate_scenario
 
     solves = _counting_solves(monkeypatch)
     cases = [(_FIELD8, threshold, hops, seed) for threshold in (None, 0, 5e2, 2e3, 2e4, 2e5)
              for hops in (1, 2, 3, 4) for seed in range(2)]
-    cases += [(_FIELD15, threshold, 3, seed) for threshold in (None, 2e3, 2e5) for seed in range(2)]
+    cases += [(_FIELD15, threshold, 3, seed) for threshold in (None, 2e3, 2e5) for seed in range(4)]
     settled = compared = 0
     for field, threshold, hops, seed in cases:
         net, reqs = generate_scenario(ScenarioParams(**dict(field, hop_bound=hops), threshold=threshold,
@@ -1241,7 +1306,7 @@ def test_route_search_admits_as_the_milp(monkeypatch):
             before = len(solves)
             got = solve_single_request(net, req, ledger, threshold)
             settled += len(solves) == before
-            _assert_same_admission(got, _by_milp(net, req, ledger, threshold), (threshold, hops, seed, req))
+            _assert_same_admission(got, net, req, ledger, threshold, (threshold, hops, seed, req))
             if not got.lost:
                 ledger.charge(got.node_energy)
             compared += 1
@@ -1271,16 +1336,15 @@ def test_route_search_admits_as_the_milp_on_edge_fields(variant, monkeypatch):
         before = len(solves)
         got = solve_single_request(net, req, ledger, threshold)
         settled += len(solves) == before
-        want = _by_milp(net, req, ledger, threshold)
-        _assert_same_admission(got, want, (case, threshold, req))
+        _assert_same_admission(got, net, req, ledger, threshold, (case, threshold, req))
         if variant == "isolated" or variant == "overdemand":
-            assert want is None
+            assert got.lost
     assert settled == 60
 
 
 def test_route_search_counts_the_oracle_routes():
-    # the routes the search finds, up to two, are the oracle's feasible simple
-    # paths over the model's open arcs (no arc dearer than the cap bound)
+    # the routes the search finds are the oracle's feasible simple paths
+    # over the model's open arcs (no arc dearer than the cap bound)
     from oracles import _feasible_paths
 
     rng = np.random.default_rng(44)
@@ -1297,7 +1361,7 @@ def test_route_search_counts_the_oracle_routes():
         energy = net.energy_matrix
         oracle = [path for _, path in _feasible_paths(net, req, ledger, threshold)
                   if all(energy[i, j] <= bound for i, j in zip(path, path[1:]))]
-        assert [route for route, _, _ in found] == oracle[:2]
+        assert [route for route, _, _ in found] == oracle
         seen.add(min(len(oracle), 2))
     assert seen == {0, 1, 2}
 
@@ -1314,7 +1378,7 @@ def test_single_route_with_only_slack_goes_to_the_solver(monkeypatch):
     assert [route for route, _, _ in formulation._feasible_routes(net, req, ledger, None, bound)] == [[0, 1, 2]]
     got = solve_single_request(net, req, ledger, None)
     assert len(solves) == 1
-    _assert_same_admission(got, _by_milp(net, req, ledger, None), req)
+    _assert_same_admission(got, net, req, ledger, None, req)
     assert got.lost
 
 
@@ -1356,6 +1420,87 @@ def test_search_budget_covers_field15():
         assert formulation._feasible_routes(net, req, ledger, -1.0, net.max_power) is None
 
 
+def test_equal_cap_routes_are_ordered_by_energy_then_hops_then_nodes():
+    # corners of a unit square: 0 -> 2 round either side has cap 1 and total
+    # energy 2, so the node sequence picks [0, 1, 2]; on a line 0 (0), 3
+    # (0.5), 1 (1), 2 (2), the route 0 -> 3 -> 1 -> 2 has the cap of 0 -> 1
+    # -> 2 (1) at less energy (1.5 against 2), so it wins despite its extra
+    # hop; the direct arcs cost 2 and 4. The decoder turns a solver's other
+    # route at that cap into the same one.
+    square = NetworkModel([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], max_power=10.0, bandwidth=50.0)
+    detour = NetworkModel([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.5, 0.0]], max_power=10.0, bandwidth=50.0)
+    for net, best, other in ((square, [0, 1, 2], [0, 3, 2]), (detour, [0, 3, 1, 2], [0, 1, 2])):
+        req, ledger = Request(0, 2, 1.0, 3), EnergyLedger.empty(4)
+        got = solve_single_request(net, req, ledger, None)
+        assert got.routes == [best] and got.max_energy == 1.0
+        assert simple_path_bruteforce(net, req, ledger, None) == (1.0, best)
+        _assert_same_admission(got, net, req, ledger, None, best)
+        raw = _relay_layout(net, set(zip(other, other[1:])), 1.0)
+        assert decode_and_validate(net, [req], ledger, None, raw).routes == [best]
+
+
+def test_attained_bound_with_a_slack_only_first_route_solves_for_the_cap_first(monkeypatch):
+    # 0 -> 2 with energies in units of 4e4: direct, 1 (the cap bound); over
+    # node 1, 1 - 5e-8, the first route and within the judge's tolerance of
+    # the bound, but a ledger and threshold put node 1 half that tolerance
+    # over its fairness row, so it passes only with slack and HiGHS refuses
+    # it; over nodes 3 and 4, 1 - 2.5e-8 at more energy than the direct arc.
+    # The optimum is that 3-hop route: HiGHS's cap solve finds its cap before
+    # the least-energy solve picks among the routes at it.
+    from qostopo.milp import FEASIBILITY_TOL
+
+    solves = _counting_solves(monkeypatch)
+    a = np.sqrt(1.0 - 2.5e-8)
+    net = NetworkModel([[0.0, 0.0], [100.0, 100.0 * np.sqrt(3.0 - 2e-7)], [200.0, 0.0],
+                        [100.0 * (1.0 - a), -10.0], [100.0 * (1.0 + a), -10.0]], max_power=1e5, bandwidth=50.0)
+    energy = net.energy_matrix
+    req = Request(0, 2, 1.0, 3)
+    ledger = EnergyLedger(np.array([0.0, 1e6, 0.0, 0.0, 0.0]))
+    combined = ledger.consumed + [energy[0, 1], energy[1, 2], 0.0, 0.0, 0.0]
+    threshold = combined[1] - combined.mean() - 0.5 * FEASIBILITY_TOL * combined.max()
+    bound = formulation._cap_bound(net, req, ledger, threshold)
+    routes = formulation._feasible_routes(net, req, ledger, threshold, bound)
+    assert bound == energy[0, 2] and [route for route, _, _ in routes] == [[0, 1, 2], [0, 2], [0, 3, 4, 2]]
+    assert min(cap for _, cap, _ in routes) > bound - FEASIBILITY_TOL * bound
+    got = solve_single_request(net, req, ledger, threshold)
+    assert got.routes == [[0, 3, 4, 2]] and got.max_energy == energy[3, 4] < bound
+    assert [model.variables[0].upper for model in solves] == [bound, got.max_energy]
+    _assert_same_admission(got, net, req, ledger, threshold, req)
+
+
+def test_ties_go_to_the_least_energy_route_on_seeded_runs(monkeypatch):
+    # seeded sequential runs on 5 to 15 nodes (field15's geometry), hop bounds
+    # 1-4 (1-3 on 15 nodes, where HiGHS takes ~70 ms an admission at 4),
+    # with no threshold and at 2e3: every admission has the status and cap
+    # of build + solve + decode and the oracle's route; with _TIE_VISITS cut
+    # to 1 the ties of the admissions that reach HiGHS go to the second,
+    # least-energy solve instead, with the same answers
+    from qostopo import ScenarioParams, generate_scenario
+
+    cases = [(n, hops, threshold) for n, top in ((5, 4), (9, 4), (15, 3)) for hops in range(1, top + 1)
+             for threshold in (None, 2e3)]
+    runs = []
+    for tie_visits in (formulation._TIE_VISITS, 1):
+        monkeypatch.setattr(formulation, "_TIE_VISITS", tie_visits)
+        solves = _counting_solves(monkeypatch)
+        answers = []
+        for n, hops, threshold in cases:
+            net, reqs = generate_scenario(ScenarioParams(**dict(_FIELD15, node_count=n, hop_bound=hops),
+                                                         threshold=threshold, seed=9_700_000 + n))
+            ledger = EnergyLedger.empty(n)
+            for req in reqs:
+                got = solve_single_request(net, req, ledger, threshold)
+                if tie_visits > 1:
+                    _assert_same_admission(got, net, req, ledger, threshold, (n, hops, threshold, req))
+                answers.append((got.routes, got.max_energy, got.node_energy.tolist(), sorted(got.links)))
+                if not got.lost:
+                    ledger.charge(got.node_energy)
+        runs.append((answers, [len(model.objective) > 1 for model in solves]))
+    (full, full_energy_solves), (cut, cut_energy_solves) = runs
+    assert cut == full and len(full) >= 150
+    assert not any(full_energy_solves) and sum(cut_energy_solves) >= 15
+
+
 def test_wrong_highs_optimum_is_solved_again():
     # admit8 scenario 17001766, request 2 (1 -> 3, demand 13): HiGHS calls
     # the model optimal at the cap bound 4287.27 with a route whose costliest
@@ -1389,15 +1534,15 @@ def test_cap_above_the_route_is_solved_again_under_the_route_cap(monkeypatch):
         return Solution(sol.status, values, sol.objective_value + 1.0, sol.mip_node_count)
 
     monkeypatch.setattr(formulation, "solve", inflated)
-    req, ledger = Request(0, 2, 1.0, 3), EnergyLedger.empty(4)
+    req, ledger = LINE4_REQUEST, EnergyLedger.empty(4)
     wrong = 1
-    got = solve_single_request(SQUARE, req, ledger, None)
-    _assert_same_admission(got, _by_milp(SQUARE, req, ledger, None), req)
-    assert bounds == [formulation._cap_bound(SQUARE, req, ledger, None), got.max_energy]
+    got = solve_single_request(LINE4, req, ledger, None)
+    _assert_same_admission(got, LINE4, req, ledger, None, req)
+    assert bounds == [formulation._cap_bound(LINE4, req, ledger, None), got.max_energy]
     bounds.clear()
     wrong = 3
     with pytest.raises(SolverError, match="3 solves"):
-        solve_single_request(SQUARE, req, ledger, None)
+        solve_single_request(LINE4, req, ledger, None)
     assert len(bounds) == 3
 
     # a cap above arcs that are no route at all is no bound to solve again under
@@ -1410,5 +1555,5 @@ def test_cap_above_the_route_is_solved_again_under_the_route_cap(monkeypatch):
     bounds.clear()
     monkeypatch.setattr(formulation, "solve", broken)
     with pytest.raises(ValidationError, match="does not match the route arcs.*not one simple path"):
-        solve_single_request(SQUARE, req, ledger, None)
+        solve_single_request(LINE4, req, ledger, None)
     assert len(bounds) == 1
