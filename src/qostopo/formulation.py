@@ -64,7 +64,6 @@ from .milp import (
     SolveLimits,
     SolverError,
     Status,
-    _sense_codes,
     check_solution,
     solve,
 )
@@ -499,12 +498,12 @@ def build_topology_milp(
     their closure never costs more than the costliest arc
     (:meth:`NetworkModel.broadcast_closure`).
 
-    The model is assembled from index arrays, not row by row: every term
-    and row a model on n nodes can have is laid out once per n
-    (``_topology_layout``, its structure checked there), the open arcs pick
-    the ones that exist, and the columns and rows go in as one block in
-    column order, the order HiGHS reads. Rows, their order and the order of
-    terms within each row are exactly as listed above.
+    Each row's terms, sense and right-hand side are appended to plain lists
+    in the order listed above, each row's terms in the order it lists them
+    (cap rows end with the cap, conservation rows list outgoing arcs before
+    incoming ones, order rows read u_j, u_i, x_ij, and bandwidth rows list
+    arcs in order), and the columns and rows go in as one
+    :meth:`MilpModel.add_block`.
     """
     req = _admission(net, requests, ledger, threshold)
     return _topology_model(net, req, ledger, threshold, _cap_bound(net, req, ledger, threshold))
@@ -525,158 +524,67 @@ def _topology_model(net: NetworkModel, req: Request, ledger: EnergyLedger, thres
                     bound: float) -> MilpModel:
     """:func:`build_topology_milp`'s model with the cap bounded by ``bound``,
     which must be the cap of a route feasible in the model."""
-    n = net.node_count
+    n, s, d = net.node_count, req.sender, req.receiver
     hops = float(req.hop_bound)
-    layout = _topology_layout(n)
-    m = n * (n - 1)
+    pairs = _ordered_pairs(n)
+    energy = net.energy_matrix.tolist()
+    cost = [energy[i][j] for i, j in pairs]  # arc k is column 1 + k
+    u = 1 + len(pairs)  # the order variable of node v is column u + v
 
     # No simple path enters its sender or leaves its receiver, and no optimal
     # route uses an arc dearer than a route known to be feasible.
-    cost = net.energy_matrix.take(layout.cells)
-    is_open = cost <= bound
-    is_open[layout.into[req.sender]] = False
-    is_open[layout.out_of[req.receiver]] = False
+    is_open = [j != s and i != d and c <= bound for (i, j), c in zip(pairs, cost)]
+    open_arcs = list(itertools.compress(range(len(pairs)), is_open))
+    out, into = [[] for _ in range(n)], [[] for _ in range(n)]
+    for k in open_arcs:
+        i, j = pairs[k]
+        out[i].append(1 + k)
+        into[j].append(1 + k)
 
-    # The layout's terms that exist here, in column order, with their
-    # coefficients drawn from one value table, and the rows that hold them:
-    # every row with a term, and the empty conservation row of an endpoint
-    # with no open arc. (numpy's methods and ufuncs, not its module
-    # functions, which cost a Python call each.)
-    values = [(1.0, -1.0, -(hops + 1.0), req.demand), cost]
-    rhs = [(hops, 0.0, 1.0, -hops, net.bandwidth)]
-    terms, slots = layout.plain_terms, layout.codes.size - n
-    if threshold is not None:
-        terms, slots = layout.terms, layout.codes.size
-        values.append((req.demand * cost * layout.share).ravel())
-        rhs.append(threshold - ledger.consumed + ledger.average())
-    exists = np.concatenate((is_open, np.logical_or.reduce(is_open.reshape(n, n - 1), axis=1)))
-    _, slot, column, source, rank = terms.compress(exists[terms[0]], axis=1)
-    sender_flow, receiver_flow = 4 + 4 * req.sender, 4 + 4 * req.receiver
-    kept = np.zeros(slots, dtype=bool)
-    kept[slot] = True
-    kept[sender_flow] = kept[receiver_flow] = True
-    slot_rhs = np.concatenate(rhs)[layout.rhs_source[:slots]]
-    slot_rhs[sender_flow], slot_rhs[receiver_flow] = 1.0, -1.0
+    rows, cols, coeffs, senses, rhs = [], [], [], [], []
 
-    upper = np.concatenate(((bound,), is_open, (hops,) * n))
-    upper[1 + m + req.sender] = 0.0
+    def add(columns: list[int], values: list[float], sense: str, value: float) -> None:
+        rows.extend([len(rhs)] * len(columns))
+        cols.extend(columns)
+        coeffs.extend(values)
+        senses.append(sense)
+        rhs.append(value)
+
+    if open_arcs:
+        add([1 + k for k in open_arcs], [1.0] * len(open_arcs), "<=", hops)
+    for v in range(n):
+        if out[v]:
+            add(out[v] + [0], [cost[x - 1] for x in out[v]] + [-1.0], "<=", 0.0)
+            add(out[v], [1.0] * len(out[v]), "<=", 1.0)
+        if into[v]:
+            add(into[v], [1.0] * len(into[v]), "<=", 1.0)
+        flow = 1.0 if v == s else -1.0 if v == d else 0.0
+        if out[v] or into[v] or flow:
+            add(out[v] + into[v], [1.0] * len(out[v]) + [-1.0] * len(into[v]), "=", flow)
+    for k in open_arcs:
+        i, j = pairs[k]
+        add([u + j, u + i, 1 + k], [1.0, -1.0, -(hops + 1.0)], ">=", -hops)
+    for v in range(n):
+        if out[v] or into[v]:
+            arcs = sorted(out[v] + into[v])
+            add(arcs, [req.demand] * len(arcs), "<=", net.bandwidth)
+    if threshold is not None and open_arcs:
+        # node v's share of the energy an arc adds: its own use when v is the
+        # tail, less the 1/n that every use adds to the average
+        added = [req.demand * cost[k] for k in open_arcs]
+        tails = [pairs[k][0] for k in open_arcs]
+        own, other, average = 1.0 - 1.0 / n, 0.0 - 1.0 / n, ledger.average()
+        for v, consumed in enumerate(ledger.consumed.tolist()):
+            add([1 + k for k in open_arcs], [a * (own if t == v else other) for a, t in zip(added, tails)], "<=",
+                threshold - consumed + average)
+
+    upper = [bound] + [1.0 if o else 0.0 for o in is_open] + [hops] * n
+    upper[u + s] = 0.0
     model = MilpModel()
-    model._fill_columnwise(
-        lower=layout.lower,
-        upper=upper,
-        binary=np.concatenate((layout.continuous[:1], is_open, layout.continuous)),
-        start=column.searchsorted(layout.column_edges).astype(np.int32),
-        index=(np.add.accumulate(kept, dtype=np.int32) - 1)[slot],
-        value=np.concatenate(values)[source],
-        row_key=rank,
-        codes=layout.codes[:slots][kept],
-        rhs=slot_rhs[kept],
-    )
+    model.add_block(lower=[0.0] * len(upper), upper=upper, binary=[False] + is_open + [False] * n, rows=rows,
+                    cols=cols, coeffs=coeffs, senses=senses, rhs=rhs)
     model.set_objective({0: 1.0})  # the cap
     return model
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """Every term and row the topology MILP on n nodes can have, with every
-    arc open, for :func:`build_topology_milp` to pick from; m = n(n-1).
-
-    Arc k is ``pairs[k]``, the flat cell ``cells[k]`` of an n-by-n matrix.
-    ``into[v]`` and ``out_of[v]`` list the arcs entering and leaving node v.
-    ``share[v, k]`` is node v's share of the energy arc k adds: its own use
-    when v is the tail, less the 1/n that every use adds to the average.
-    ``lower`` holds the 1 + m + n lower column bounds (all 0) and
-    ``continuous`` n binary flags (all False).
-
-    Rows have slots: the hop row 0; the cap, out-degree, in-degree and
-    conservation rows of node v at 1 + 4v + 0..3; the order row of arc k at
-    1 + 4n + k; then per node its bandwidth row, and per node its fairness
-    row. Per slot, ``codes`` holds the sense code and ``rhs_source`` the index
-    of the right-hand side in ``[H, 0, 1, -H, bandwidth, fairness rhs per
-    node]``; the conservation rows of the sender and the receiver take 1
-    and -1 instead.
-
-    ``terms`` has one column per term, in column order and each column's
-    terms in row order; ``plain_terms`` is ``terms`` without the fairness
-    terms. Its rows are: the term's key, arc k for a term that exists when
-    k is open and m + v for the cap term of node v, which exists when v has
-    an open outgoing arc; its slot; its column; the index of its
-    coefficient in ``[1, -1, -(H+1), demand, energy of each arc, fairness
-    coefficient of each (v, k) in row-major order]``; and its rank in row
-    order, each row's terms in the order the row lists them. The terms of
-    column c are those from ``column_edges[c]`` up to ``column_edges[c + 1]``.
-
-    The structure is checked once per n, as :meth:`MilpModel.add_block`
-    checks a block's, so that each model can skip those checks.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    cells: np.ndarray
-    into: tuple[np.ndarray, ...]
-    out_of: tuple[np.ndarray, ...]
-    share: np.ndarray
-    lower: np.ndarray
-    continuous: np.ndarray
-    codes: np.ndarray
-    rhs_source: np.ndarray
-    terms: np.ndarray
-    plain_terms: np.ndarray
-    column_edges: np.ndarray
-
-
-@functools.lru_cache(maxsize=8)
-def _topology_layout(n: int) -> _Layout:
-    m, arc, nodes = n * (n - 1), np.arange(n * (n - 1)), np.arange(n)
-    # arc k = i*(n-1) + t runs from node i to its t-th other node
-    tails = arc // (n - 1)
-    heads = arc % (n - 1) + (arc % (n - 1) >= tails)
-    x, order, band, fair = 1 + arc, 1 + 4 * n + arc, 1 + 4 * n + m + nodes, 1 + 5 * n + m + nodes
-    one, minus_one, step, demand, energy, fairness = 0, 1, 2, 3, 4, 4 + m
-
-    # (key, slot, column, source) per group of terms; a stable sort by slot
-    # puts each row's terms in the order it lists them: cap rows end with
-    # the cap, conservation rows list outgoing arcs before incoming ones,
-    # order rows read u_j, u_i, x_ij, and bandwidth rows list arcs in order;
-    # a stable sort of that by column gives the column order
-    twice = np.repeat(arc, 2)
-    groups = [
-        (arc, 0, x, one),  # hop row
-        (arc, 1 + 4 * tails, x, energy + arc),  # cap rows
-        (m + nodes, 1 + 4 * nodes, 0, minus_one),
-        (arc, 2 + 4 * tails, x, one),  # out-degree
-        (arc, 3 + 4 * heads, x, one),  # in-degree
-        (arc, 4 + 4 * tails, x, one),  # conservation
-        (arc, 4 + 4 * heads, x, minus_one),
-        (np.repeat(arc, 3), np.repeat(order, 3),  # order rows
-         np.column_stack([1 + m + heads, 1 + m + tails, x]).ravel(), np.tile([one, minus_one, step], m)),
-        (twice, band[np.column_stack([tails, heads]).ravel()], 1 + twice, demand),  # bandwidth
-        (np.tile(arc, n), np.repeat(fair, m), np.tile(x, n), fairness + np.arange(n * m)),
-    ]
-    terms = np.concatenate([np.array(np.broadcast_arrays(*group), dtype=np.int64) for group in groups], axis=1)
-    terms = terms[:, np.argsort(terms[1], kind="stable")]
-    ranked = np.concatenate((terms, np.arange(terms.shape[1])[None, :]))
-    by_column = ranked[:, np.argsort(terms[2], kind="stable")]
-    senses = ["<="] + ["<=", "<=", "<=", "="] * n + [">="] * m + ["<="] * (2 * n)
-    layout = _Layout(
-        pairs=tuple(_ordered_pairs(n)),
-        cells=tails * n + heads,
-        into=tuple(arc[heads == v] for v in nodes),
-        out_of=tuple(arc[tails == v] for v in nodes),
-        share=(tails == nodes[:, None]).astype(float) - 1.0 / n,
-        lower=np.zeros(1 + m + n),
-        continuous=np.zeros(n, dtype=bool),
-        codes=_sense_codes(senses),
-        rhs_source=np.concatenate([[0], np.tile([1, 2, 2, 1], n), np.full(m, 3), np.full(n, 4), 5 + nodes]),
-        terms=by_column,
-        plain_terms=by_column[:, by_column[1] < fair[0]],
-        column_edges=np.arange(2 + m + n),
-    )
-    MilpModel().add_block(lower=layout.lower, upper=np.ones(1 + m + n), rows=terms[1], cols=terms[2],
-                          coeffs=np.ones(terms.shape[1]), senses=senses, rhs=np.zeros(len(senses)))
-    for arr in (layout.cells, *layout.into, *layout.out_of, layout.share, layout.lower, layout.continuous,
-                layout.codes, layout.rhs_source, layout.terms, layout.plain_terms, layout.column_edges):
-        arr.flags.writeable = False
-    return layout
 
 
 def _route_problems(
@@ -884,7 +792,7 @@ def _route_arcs(net: NetworkModel, raw: Solution) -> tuple[float, set[tuple[int,
         raise ValidationError("solution vector does not match the model layout")
 
     indicators = values[1:1 + m].tolist()
-    pairs = _topology_layout(n).pairs
+    pairs = _ordered_pairs(n)
     if _ZERO_ONE.issuperset(indicators):  # HiGHS mostly hands back exact 0s and 1s
         return float(values[0]), set(itertools.compress(pairs, indicators))
     problems = [f"indicator variable {1 + k} = {v} is not integral"
@@ -1051,8 +959,8 @@ def _solve_for_energy(net: NetworkModel, req: Request, ledger: EnergyLedger, thr
     cap bound ``cap`` and the route's total energy as its objective. The
     route must attain ``cap``, as :func:`decode_and_validate` checks a cap."""
     model = _topology_model(net, req, ledger, threshold, cap)
-    cost = net.energy_matrix.take(_topology_layout(net.node_count).cells)
-    model.set_objective(dict(enumerate((req.demand * cost).tolist(), start=1)))
+    pairs = _ordered_pairs(net.node_count)
+    model.set_objective({1 + k: req.demand * net.energy_matrix.item(i, j) for k, (i, j) in enumerate(pairs)})
     sol = solve(model, limits)
     if sol.status is Status.RESOURCE_LIMIT:
         return TopologySolution(0.0, set(), [None], np.zeros(net.node_count), resource_limited=True)

@@ -6,27 +6,21 @@ column bounds and binary flags, coefficient triplets in row order, and
 each row as ``lower <= Ax <= upper``. The builder refuses what HiGHS would
 refuse or read as infinite: a matrix coefficient of magnitude 1e15 or
 more, a finite bound, right-hand side or cost of magnitude 1e20 or more.
-A model filled by one block keeps the block's arrays as they are, and one
-filled by a block in column order (the topology model, built from a
-layout checked once per node count) skips the block's index checks and
-keeps its triplets column-wise, putting them in row order only when read
-(:func:`check_solution`, ``constraints``, :func:`lp_text`).
-:func:`solve` hands HiGHS those arrays, the triplets column-wise, as
-HiGHS keeps them (sorted by column here unless a block brought them so),
-and solves to proven optimality (zero MIP gap) or an explicit status; a
-node or iteration
-limit is a status, never a silently wrong answer. Only the model status,
-the column values, the objective and the node count are read back. Models
-with binaries get scipy ``milp``'s layout, options and presolve, so their
-answers match it bit for bit; continuous ones are solved without
-presolve, which on the load LP costs several times what it saves, and
-without scaling, which the load LP's coefficients (±1, 2 and the
-bandwidth) do not need. HiGHS occasionally gives up on a small model with
-"Solve error"; a solve that ends on such a status is retried once with
-the other presolve setting, and if that attempt fails too,
-:class:`SolverError` is raised. HiGHS writes some diagnostics straight to
-file descriptor 1, so fd 1 is pointed at the null device (opened once
-and kept open) for each run.
+A model filled by one block keeps the block's arrays as they are.
+:func:`solve` hands HiGHS those arrays, the triplets sorted by column, as
+HiGHS keeps them, and solves to proven optimality (zero MIP gap) or an
+explicit status; a node or iteration limit is a status, never a silently
+wrong answer. Only the model status, the column values, the objective and
+the node count are read back. Models with binaries get scipy ``milp``'s
+layout, options and presolve, so their answers match it bit for bit;
+continuous ones are solved without presolve, which on the load LP costs
+several times what it saves, and without scaling, which the load LP's
+coefficients (±1, 2 and the bandwidth) do not need. HiGHS occasionally
+gives up on a small model with "Solve error"; a solve that ends on such a
+status is retried once with the other presolve setting, and if that
+attempt fails too, :class:`SolverError` is raised. HiGHS writes some
+diagnostics straight to file descriptor 1, so fd 1 is pointed at the null
+device (opened once and kept open) for each run.
 
 One HiGHS instance serves the runs in the process, and one HighsOptions
 object each distinct option set (a few are kept); each run hands the
@@ -65,6 +59,7 @@ import functools
 import importlib.util
 import io
 import math
+import numbers
 import os
 import sys
 from array import array
@@ -136,17 +131,20 @@ class SolveLimits:
 
     ``max_nodes`` caps branch-and-bound nodes for models with binaries;
     ``max_lp_iterations`` caps simplex iterations for continuous models.
-    Exceeding either yields ``Status.RESOURCE_LIMIT``.
+    Exceeding either yields ``Status.RESOURCE_LIMIT``. Each is an integer
+    (numpy's included, not a bool) in [1, 2**31 - 1], the range of the
+    HiGHS options they set, and is stored as a built-in ``int``.
     """
 
     max_nodes: int = 200_000
     max_lp_iterations: int = 100_000
 
     def __post_init__(self) -> None:
-        if int(self.max_nodes) < 1:
-            raise ValueError(f"max_nodes must be at least 1, got {self.max_nodes}")
-        if int(self.max_lp_iterations) < 1:
-            raise ValueError(f"max_lp_iterations must be at least 1, got {self.max_lp_iterations}")
+        for name in ("max_nodes", "max_lp_iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 1 <= value <= 2**31 - 1:
+                raise ValueError(f"{name} must be an integer in [1, 2**31 - 1], got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -266,8 +264,7 @@ class MilpModel:
     ``variables`` and ``constraints`` are read-only views rebuilt from that
     storage on each access. A block that fills an empty model is kept as
     read-only numpy arrays, copied into growable buffers by the first
-    append after it; a column-ordered block (:meth:`_fill_columnwise`) also
-    keeps its triplets column-wise.
+    append after it.
     """
 
     def __init__(self) -> None:
@@ -276,22 +273,15 @@ class MilpModel:
         for name, _, dtype in _STORAGE:
             setattr(self, name, _NOTHING[dtype])
         self.objective: dict[int, float] = {}
-        # A model filled by one block in column order (_fill_columnwise)
-        # keeps its triplets as HiGHS reads them, and per triplet its place
-        # in row order until the row order is first read.
-        self._columnwise = None
-        self._row_key = None
 
     def _growable(self) -> None:
         """Copy storage that a block left as numpy arrays into buffers that
         grow; appends call it first."""
         if not isinstance(self._lower, array):
-            self._triplets()
             for name, typecode, _ in _STORAGE:
                 buf = array(typecode)
                 _append(buf, getattr(self, name))
                 setattr(self, name, buf)
-            self._columnwise = None
 
     # -- building ---------------------------------------------------------
 
@@ -389,7 +379,7 @@ class MilpModel:
             by_row = np.argsort(rows_, kind="stable")
             rows_, cols_, coeffs_ = rows_[by_row], cols_[by_row], coeffs_[by_row]
         _check_column_kinds(lo, up, flags)
-        row_bounds = _checked_row_bounds(lo, up, coeffs_, codes, rhs_, cols_.__getitem__)
+        row_bounds = _checked_row_bounds(lo, up, coeffs_, codes, rhs_, cols_)
 
         first_var, first_row = self.num_variables, self.num_constraints
         arrays = (lo, up, flags, rows_ + first_row if first_row else rows_, cols_, coeffs_, *row_bounds)
@@ -403,34 +393,6 @@ class MilpModel:
             for (name, _, dtype), values in zip(_STORAGE, arrays):
                 setattr(self, name, _held(values, dtype))
         return first_var, first_row
-
-    def _fill_columnwise(self, lower: np.ndarray, upper: np.ndarray, binary: np.ndarray, start: np.ndarray,
-                         index: np.ndarray, value: np.ndarray, row_key: np.ndarray, codes: np.ndarray,
-                         rhs: np.ndarray) -> None:
-        """Fill an empty model with one block whose triplets come in column
-        order, as HiGHS reads them: column ``c`` holds the triplets from
-        ``start[c]`` to ``start[c + 1]``, each with its row ``index`` (int32,
-        ascending within the column) and coefficient ``value``; ``start`` is
-        int32. Column bounds are float arrays, flags bool, sense codes those
-        of ``_SENSES`` and right-hand sides floats; the structure is checked
-        by the caller: indices in range, each variable at most once per row. Sorting the triplets by
-        ``row_key`` (distinct keys) gives the row order, each row's terms in
-        the order the row lists them; it is made when first read, while
-        :func:`solve` hands the triplets on as they are. The structure here
-        includes the kinds of the columns, lower bounds at most upper ones
-        and binary columns in [0, 1], which the caller sets up itself; the
-        magnitudes of the values are checked as :meth:`add_block` checks
-        them.
-        """
-        if self.num_variables or self.num_constraints:
-            raise ModelError("a column-ordered block must fill an empty model")
-        row_bounds = _checked_row_bounds(lower, upper, value, codes, rhs,
-                                         lambda k: int(np.searchsorted(start, k, side="right")) - 1)
-        for name, values in (("_lower", lower), ("_upper", upper), ("_binary", binary),
-                             ("_row_lower", row_bounds[0]), ("_row_upper", row_bounds[1])):
-            setattr(self, name, _held(values, float if name != "_binary" else bool))
-        self._columnwise = (start, index, value)
-        self._row_key = row_key
 
     def set_objective(self, coefficients: Mapping[int, float]) -> None:
         """Set the (minimized) objective; omitted variables have coefficient 0."""
@@ -486,23 +448,13 @@ class MilpModel:
         return _view(self._row_lower, float), _view(self._row_upper, float)
 
     def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of the triplets (row, variable, coefficient) in row order,
-        made from a column-ordered block on first use."""
-        if self._row_key is not None:
-            start, index, value = self._columnwise
-            order = np.argsort(self._row_key)
-            column = np.repeat(np.arange(start.size - 1), np.diff(start))
-            self._row, self._col, self._coeff = (_held(index[order], np.int64), _held(column[order], np.int64),
-                                                 _held(value[order], float))
-            self._row_key = None
+        """Views of the triplets (row, variable, coefficient) in row order."""
         return _view(self._row, np.int64), _view(self._col, np.int64), _view(self._coeff, float)
 
     def _matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The triplets column-wise, as HiGHS keeps them: int32 column
+        """The triplets column-wise, as HiGHS keeps them: new int32 column
         starts and row indices, and the coefficients, rows ascending within
-        each column; new arrays unless a column-ordered block holds them."""
-        if self._columnwise is not None:
-            return self._columnwise
+        each column."""
         # The canonical column-wise form scipy's wrappers handed on: the
         # stored triplets are in row order, so a stable sort by column keeps
         # rows ascending within each column.
@@ -539,11 +491,11 @@ def _check_column_kinds(lower: np.ndarray, upper: np.ndarray, binary: np.ndarray
         raise ModelError(f"binary variable bounds must be [0, 1], got [{lower[k]}, {upper[k]}]")
 
 
-def _checked_row_bounds(lower, upper, coeffs, codes, rhs, variable_of) -> np.ndarray:
+def _checked_row_bounds(lower, upper, coeffs, codes, rhs, cols) -> np.ndarray:
     """The lower and upper bound of each row of a block (its rhs, or
-    infinite), once the magnitudes of the block's values are checked as
-    :meth:`MilpModel.add_block` checks them; ``variable_of(k)`` names the
-    variable of triplet k in the message on a coefficient too large.
+    infinite), once the magnitudes of the block's values are checked;
+    ``cols[k]`` is the variable of triplet k, named in the message on a
+    coefficient too large.
     """
     # All bounds and right-hand sides finite and small, as they mostly are,
     # need no closer look; the cheap test fails on NaN too.
@@ -557,7 +509,7 @@ def _checked_row_bounds(lower, upper, coeffs, codes, rhs, variable_of) -> np.nda
             raise _magnitude_error("rhs", float(rhs[np.argmin(small)]), _INFINITE)
     if not _largest(coeffs) < _LARGE_COEFFICIENT:
         k = int(np.argmin(abs(coeffs) < _LARGE_COEFFICIENT))
-        raise _magnitude_error(f"coefficient of variable {variable_of(k)}", float(coeffs[k]), _LARGE_COEFFICIENT)
+        raise _magnitude_error(f"coefficient of variable {cols[k]}", float(coeffs[k]), _LARGE_COEFFICIENT)
     return np.where(codes == _OPEN_SIDE, _INFINITE_SIDE, rhs)
 
 

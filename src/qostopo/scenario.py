@@ -100,8 +100,10 @@ def _get_threshold(doc: dict):
         raise ScenarioParseError(f"'threshold' must be a number or null, got {value!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioParseError(f"'threshold' must be a number or null, got {value!r}")
-    if math.isinf(value):
+    if value == math.inf:
         return None
+    if math.isinf(value):
+        raise ScenarioValueError(f"'threshold' must be finite, +inf or null, got {value!r}")
     return float(value)
 
 

@@ -338,6 +338,10 @@ def test_exit_codes_for_unusable_values(tmp_path, capsys):
     tiny.write_text("nodes: 1\nregion: [5, 5]\nmax_power: 5\nbandwidth: 5\nhop_bound: 1\n")
     assert main(["run", "--scenario", str(tiny), "--out", str(tmp_path / "o")]) == 2
 
+    minus_inf = tmp_path / "minus_inf.yaml"
+    minus_inf.write_text(LINE3.read_text().replace("threshold: null", "threshold: -.inf"))
+    assert main(["run", "--scenario", str(minus_inf), "--out", str(tmp_path / "o")]) == 2
+
     assert main(["sweep", "--scenario", str(LINE3), "--out", str(tmp_path / "o"),
                  "--axis", "lambda", "--values", "0,1"]) == 2
     assert main(["sweep", "--scenario", str(LINE3), "--out", str(tmp_path / "o"),

@@ -18,9 +18,9 @@
    two-hop route that meets every row with room to spare bounds the cap
    and closes every dearer arc; a node with no open arc gets no rows, and
    the only empty rows kept are unsatisfiable (an isolated endpoint, or no
-   open arc at all); one model is pinned byte for byte, and the
-   array-built model equals a row-by-row reference byte for byte on seeded
-   fields; the model and its decoder take exactly one request
+   open arc at all); one model is pinned byte for byte, and the model,
+   added in one block, equals a row-by-row reference byte for byte on
+   seeded fields; the model and its decoder take exactly one request
 4. infeasible requests come back as lost outcomes, not exceptions
 5. fairness threshold: binding and slack cases, ledger left untouched
 6. decode-time re-verification: a planted violation of each structural rule
@@ -1549,7 +1549,7 @@ def test_cap_above_the_route_is_solved_again_under_the_route_cap(monkeypatch):
     def broken(model, limits=None):
         bounds.append(model.variables[0].upper)
         values = np.zeros(model.num_variables)
-        values[0], values[1 + formulation._topology_layout(4).pairs.index((0, 1))] = 5.0, 1.0
+        values[0], values[1 + formulation._ordered_pairs(4).index((0, 1))] = 5.0, 1.0
         return Solution(Status.OPTIMAL, values, 5.0, 0)
 
     bounds.clear()

@@ -4,8 +4,8 @@
    blocks whose triplets come out of row order), including every rejection
    path; each builder refuses what HiGHS would refuse or read as infinite,
    and a refused call leaves the model as it was; a model keeps copies of
-   a block's arrays, and a block given in column order reads, solves and
-   grows as the same block given by rows
+   a block's arrays and grows past them by copies; SolveLimits takes only
+   integers in HiGHS's option range
 2. hand-checkable LPs and MILPs hit their known optima exactly
 3. definite statuses: infeasible, unbounded, empty models, empty rows
 4. resource limits surface as RESOURCE_LIMIT, never as an exception; the
@@ -26,7 +26,7 @@
 11. the direct HiGHS call passes the matrix column-wise, and for MILPs HiGHS
     then holds exactly the options and model (column-wise matrix included)
     that scipy's milp wrapper gave it, and gives the same answers back (the
-    topology models of seeded admissions, built column-wise); LPs
+    topology models of seeded admissions); LPs
     reach linprog's status and objective; arrays that disagree in size are
     refused before HiGHS is reached. One HiGHS instance serves the MILP
     runs, handed its options and model each time, and answers as a fresh
@@ -211,10 +211,8 @@ def test_bulk_block_equals_row_by_row_build():
     assert np.array_equal(got.values, want.values) and got.objective_value == want.objective_value
 
 
-def test_block_storage_is_its_own_and_a_column_ordered_block_reads_as_the_row_block():
-    # the block of test_bulk_block_equals_row_by_row_build, once through
-    # add_block and once column-ordered, with each row's terms keyed in the
-    # order add_block keeps them
+def test_block_storage_is_its_own_and_grows_by_copies():
+    # the block of test_bulk_block_equals_row_by_row_build, through add_block
     lower, upper, binary = np.array([0.0, -1.0, 0.0]), np.array([1.0, 2.0, np.inf]), np.array([True, False, False])
     rows, cols, coeffs = np.array([0, 0, 2, 2, 2]), np.array([1, 0, 2, 0, 1]), np.array([1.5, -2.0, 1.0, 1.0, -0.5])
     senses, rhs = ["<=", ">=", "="], np.array([3.0, -1.0, 0.0])
@@ -227,40 +225,12 @@ def test_block_storage_is_its_own_and_a_column_ordered_block_reads_as_the_row_bl
     first = rowwise.variables[0]
     assert (first.lower, first.upper, first.is_binary) == (0.0, 1.0, True)
     assert rowwise.constraints[0].coefficients == {1: 1.5, 0: -2.0}
-
-    # by column, then row; each triplet keyed by its place in row order
-    columnwise = MilpModel()
-    columnwise._fill_columnwise(np.array([0.0, -1.0, 0.0]), np.array([1.0, 2.0, np.inf]),
-                                np.array([True, False, False]), np.array([0, 2, 4, 5], dtype=np.int32),
-                                np.array([0, 2, 0, 2, 2], dtype=np.int32), np.array([-2.0, 1.0, 1.5, -0.5, 1.0]),
-                                np.array([1, 3, 0, 4, 2]), np.array([0, 1, 2], dtype=np.int8),
-                                np.array([3.0, -1.0, 0.0]))
-    for model in (rowwise, columnwise):
-        model.set_objective({0: -1.0, 1: 1.0, 2: 1.0})
-    got, want = solve(columnwise), solve(rowwise)
-    assert got.status is want.status is Status.OPTIMAL and np.array_equal(got.values, want.values)
-    for mine, ref in zip(columnwise._matrix() + columnwise._row_arrays(), rowwise._matrix() + rowwise._row_arrays()):
-        assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
-    assert _rows_of(columnwise) == _rows_of(rowwise) and lp_text(columnwise) == lp_text(rowwise)
-    assert check_solution(columnwise, [1.0, 0.0, 3.0]) == check_solution(rowwise, [1.0, 0.0, 3.0])
-    # both grow like any model after their block, and only by copies
-    for model in (rowwise, columnwise):
-        assert model._row_arrays()[0].flags.writeable is False
-        assert model.add_constraint({2: 1.0}, "<=", 4.0) == 3 and model.add_binary() == 3
-        assert model.add_block(rows=[0], cols=[3], coeffs=[1.0], senses=["<="], rhs=[1.0]) == (4, 4)
-    assert _rows_of(columnwise) == _rows_of(rowwise) and columnwise.variables == rowwise.variables
-    assert columnwise._columnwise is None and np.array_equal(solve(columnwise).values, solve(rowwise).values)
-
-    # the column-ordered block is checked for magnitudes and fills only an empty model
-    for coefficient, right in ((1e15, 0.0), (1.0, 1e20), (math.nan, 0.0)):
-        with pytest.raises(ModelError):
-            MilpModel()._fill_columnwise(np.zeros(1), np.ones(1), np.zeros(1, dtype=bool), np.array([0, 1], np.int32),
-                                         np.zeros(1, np.int32), np.array([coefficient]), np.zeros(1, np.int64),
-                                         np.zeros(1, np.int8), np.array([right]))
-    with pytest.raises(ModelError, match="empty model"):
-        columnwise._fill_columnwise(np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(1, np.int32),
-                                    np.zeros(0, np.int32), np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int8),
-                                    np.zeros(0))
+    # it grows like any model after its block, and only by copies
+    assert rowwise._row_arrays()[0].flags.writeable is False
+    assert rowwise.add_constraint({2: 1.0}, "<=", 4.0) == 3 and rowwise.add_binary() == 3
+    assert rowwise.add_block(rows=[0], cols=[3], coeffs=[1.0], senses=["<="], rhs=[1.0]) == (4, 4)
+    assert _rows_of(rowwise)[3:] == [([(2, 1.0)], "<=", 4.0), ([(3, 1.0)], "<=", 1.0)]
+    assert rowwise.variables[3] == rowwise.variables[0]
 
 
 def test_bulk_building_rejections():
@@ -453,6 +423,16 @@ def test_solve_limits_validation():
         SolveLimits(max_nodes=0)
     with pytest.raises(ValueError):
         SolveLimits(max_lp_iterations=-1)
+    # only integers in HiGHS's option range; anything else would reach the
+    # bindings and fail there with a raw TypeError
+    for bad in (2.5, 1.0, "7", 2**40, 2**31, True, None):
+        for field in ("max_nodes", "max_lp_iterations"):
+            with pytest.raises(ValueError, match=field):
+                SolveLimits(**{field: bad})
+    limits = SolveLimits(max_nodes=np.int64(2**31 - 1), max_lp_iterations=np.int32(1))
+    assert (limits.max_nodes, limits.max_lp_iterations) == (2**31 - 1, 1)
+    assert type(limits.max_nodes) is int and type(limits.max_lp_iterations) is int
+    assert solve(_market_split(), limits).status is Status.OPTIMAL
 
 
 def _random_model(rng):

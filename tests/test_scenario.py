@@ -8,7 +8,7 @@
    YAML, non-mapping documents, unknown keys (top level and per request),
    wrong types
 5. unusable values raise ScenarioValueError: too few nodes, nonpositive
-   scalars, endpoint and coordinate-count mismatches
+   scalars, endpoint and coordinate-count mismatches, a threshold of -inf
 6. the seed override wins over the file's seed
 """
 
@@ -145,6 +145,7 @@ def test_value_errors(tmp_path):
         MINIMAL + "coordinates: [[0, 0], [1, 0]]\n",  # count mismatch
         MINIMAL + "coordinates: [[0, 0], [0, 0], [1, 0]]\n",  # coincident
         MINIMAL + "replications: 0\n",
+        MINIMAL + "threshold: -.inf\n",  # only +inf means no threshold
     ]
     for text in cases:
         with pytest.raises(ScenarioValueError):
