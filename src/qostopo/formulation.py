@@ -106,8 +106,9 @@ class Request:
 
     ``demand`` is the bandwidth the request occupies, ``hop_bound`` the
     maximum number of links its route may use. Any integer type (numpy's
-    included) is accepted for the node ids and the hop bound, and any real
-    type for the demand; they are stored as built-in ``int`` and ``float``.
+    included, not bool) is accepted for the node ids and the hop bound, and
+    any real type but bool for the demand; they are stored as built-in
+    ``int`` and ``float``.
     """
 
     sender: int
@@ -117,14 +118,16 @@ class Request:
 
     def __post_init__(self):
         for label, node in (("sender", self.sender), ("receiver", self.receiver)):
-            if not (isinstance(node, numbers.Integral) and node >= 0):
+            if isinstance(node, bool) or not (isinstance(node, numbers.Integral) and node >= 0):
                 raise ValueError(f"{label} must be a nonnegative integer, got {node!r}")
         if self.sender == self.receiver:
             raise ValueError("sender and receiver must differ")
-        if not (isinstance(self.demand, numbers.Real) and math.isfinite(self.demand) and self.demand > 0):
-            raise ValueError(f"demand must be positive and finite, got {self.demand!r}")
-        if not (isinstance(self.hop_bound, numbers.Integral) and self.hop_bound >= 1):
-            raise ValueError(f"hop_bound must be an integer >= 1, got {self.hop_bound!r}")
+        demand = self.demand
+        if isinstance(demand, bool) or not (isinstance(demand, numbers.Real) and math.isfinite(demand) and demand > 0):
+            raise ValueError(f"demand must be positive and finite, got {demand!r}")
+        hops = self.hop_bound
+        if isinstance(hops, bool) or not (isinstance(hops, numbers.Integral) and hops >= 1):
+            raise ValueError(f"hop_bound must be an integer >= 1, got {hops!r}")
         for name, kind in (("sender", int), ("receiver", int), ("demand", float), ("hop_bound", int)):
             object.__setattr__(self, name, kind(getattr(self, name)))
 
@@ -352,8 +355,9 @@ def build_load_lp(net: NetworkModel, requests: list[Request]) -> MilpModel:
     reads ``2 * relayed outflow - bandwidth * bound <= -2 * endpoint
     demand``. Fixed arcs appear in no row. A conservation row lists node
     v's arcs to and from each other node j in turn; a load row lists its
-    outgoing arcs commodity by commodity and ends with the bound. The rows
-    are built as index arrays and added in one :meth:`MilpModel.add_block`.
+    outgoing arcs commodity by commodity and ends with the bound. The
+    columns and rows are built as arrays and added in one
+    :meth:`MilpModel.add_block`.
     """
     reqs = _check_requests(net, requests)
     n = net.node_count
@@ -364,9 +368,7 @@ def build_load_lp(net: NetworkModel, requests: list[Request]) -> MilpModel:
     rates = np.array([lam for _, _, lam in commodities], dtype=float)
     count = len(commodities)
 
-    model = MilpModel()
-    util = model.add_continuous(0.0, math.inf)
-    model.set_objective({util: 1.0})
+    util = 0  # the utilization bound; the flows follow it
 
     # Flow (c, i, j) is variable 1 + c*m + k, where k = i*(n-1) + j - (j > i)
     # is the position of (i, j) in _ordered_pairs. Node v's t-th other node
@@ -406,9 +408,10 @@ def build_load_lp(net: NetworkModel, requests: list[Request]) -> MilpModel:
         np.column_stack([senders, receivers]).ravel(), weights=np.repeat(rates, 2), minlength=n
     ).astype(float)
 
+    model = MilpModel()
     model.add_block(
-        lower=np.zeros(count * m),
-        upper=upper,
+        lower=np.zeros(1 + count * m),
+        upper=np.concatenate([[math.inf], upper]),
         rows=np.concatenate([
             np.repeat(np.arange(count * n), 2 * (n - 1))[conservation_keep.ravel()],
             np.repeat(np.arange(count * n, count * n + n), load_cols.shape[1])[load_keep.ravel()],
@@ -418,6 +421,7 @@ def build_load_lp(net: NetworkModel, requests: list[Request]) -> MilpModel:
         senses=["="] * (count * n) + ["<="] * n,
         rhs=np.concatenate([conservation_rhs.ravel(), -2.0 * endpoint_demand]),
     )
+    model.set_objective({util: 1.0})
     return model
 
 

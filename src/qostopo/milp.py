@@ -1,12 +1,14 @@
 """Exact solver for small mixed binary/continuous linear programs.
 
 Models are assembled through :class:`MilpModel`, one variable or row at a
-time or in array blocks, and kept as arrays in the form HiGHS reads:
-column bounds and binary flags, coefficient triplets in row order, and
-each row as ``lower <= Ax <= upper``. The builder refuses what HiGHS would
-refuse or read as infinite: a matrix coefficient of magnitude 1e15 or
-more, a finite bound, right-hand side or cost of magnitude 1e20 or more.
-A model filled by one block keeps the block's arrays as they are.
+time or in array blocks, and kept as read-only numpy arrays in the form
+HiGHS reads: column bounds and binary flags, coefficient triplets in row
+order, and each row as ``lower <= Ax <= upper``. The builder refuses what
+HiGHS would refuse or read as infinite: a matrix coefficient of magnitude
+1e15 or more, a finite bound, right-hand side or cost of magnitude 1e20 or
+more. Every addition is a block. An empty model keeps a block's own
+arrays; a later block replaces each array it extends with one
+concatenation, so an array read from a model never changes.
 :func:`solve` hands HiGHS those arrays, the triplets sorted by column, as
 HiGHS keeps them, and solves to proven optimality (zero MIP gap) or an
 explicit status; a node or iteration limit is a status, never a silently
@@ -62,7 +64,6 @@ import math
 import numbers
 import os
 import sys
-from array import array
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
 from types import MappingProxyType
@@ -102,12 +103,11 @@ _INFINITE_SIDE = np.array([[-math.inf], [math.inf]])
 # (its large_matrix_value) and reads a bound, right-hand side or cost of
 # magnitude _INFINITE or more as infinite (infinite_bound, infinite_cost).
 _LARGE_COEFFICIENT, _INFINITE = 1e15, 1e20
-# A model's storage, by attribute, array typecode and the numpy type it is
-# read as: per variable its lower and upper bound and binary flag, per
-# triplet its row, variable and coefficient, per row its lower and upper
-# bound.
-_STORAGE = (("_lower", "d", float), ("_upper", "d", float), ("_binary", "b", bool), ("_row", "q", np.int64),
-            ("_col", "q", np.int64), ("_coeff", "d", float), ("_row_lower", "d", float), ("_row_upper", "d", float))
+# A model's storage, by attribute and numpy type: per variable its lower
+# and upper bound and binary flag, per triplet its row, variable and
+# coefficient, per row its lower and upper bound.
+_STORAGE = (("_lower", float), ("_upper", float), ("_binary", bool), ("_row", np.int64), ("_col", np.int64),
+            ("_coeff", float), ("_row_lower", float), ("_row_upper", float))
 
 
 class Status(enum.Enum):
@@ -188,13 +188,6 @@ def _magnitude_error(what: str, value: float, limit: float) -> ModelError:
     return ModelError(f"{what} must be finite and below {limit:g} in magnitude, got {value!r}")
 
 
-def _require_below(value: float, limit: float, what: str) -> float:
-    v = float(value)
-    if not abs(v) < limit:  # NaN fails too
-        raise _magnitude_error(what, v, limit)
-    return v
-
-
 def _bounds_ok(lower, upper):
     """Whether lower <= upper and HiGHS takes both as given: each below
     _INFINITE in magnitude or infinite on its own side. Elementwise on
@@ -214,11 +207,6 @@ def _inequality(lower: float, upper: float) -> tuple[str, float]:
 def _bounds_error(lower: float, upper: float) -> ModelError:
     return ModelError(f"lower bound {lower} exceeds upper bound {upper}" if lower > upper else
                       f"bounds [{lower}, {upper}] must be below {_INFINITE:g} in magnitude, or -inf and +inf")
-
-
-def _append(buf: array, values: np.ndarray) -> None:
-    # one copy of the raw bytes, with no Python object per item
-    buf.frombytes(memoryview(np.ascontiguousarray(values, dtype=buf.typecode)).cast("B"))
 
 
 def _largest(values: np.ndarray) -> float:
@@ -252,67 +240,43 @@ def _reals(values, what: str) -> np.ndarray:
     return arr
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+_NOTHING = {dtype: _read_only(np.zeros(0, dtype)) for _, dtype in _STORAGE}
+
+
 class MilpModel:
     """Builder for a minimization model over continuous and binary variables.
 
     Storage is columnar: per variable a lower bound, an upper bound and a
     binary flag; per coefficient a (row, variable, value) triplet, ordered
     by row and within a row by insertion; per row a lower and an upper bound
-    on its left-hand side. :meth:`add_continuous`,
-    :meth:`add_binary` and :meth:`add_constraint` append one item at a time,
-    :meth:`add_block` appends whole arrays with the same input checks.
-    ``variables`` and ``constraints`` are read-only views rebuilt from that
-    storage on each access. A block that fills an empty model is kept as
-    read-only numpy arrays, copied into growable buffers by the first
-    append after it.
+    on its left-hand side. Each is a read-only numpy array, extended only by
+    :meth:`add_block`; :meth:`add_continuous`, :meth:`add_binary` and
+    :meth:`add_constraint` add a block of one item. A block that fills an
+    empty model is kept as it is. A later block replaces each array it
+    extends with a concatenated copy, so an array read from the model keeps
+    its values. ``variables`` and ``constraints`` are read-only views
+    rebuilt from that storage on each access.
     """
 
     def __init__(self) -> None:
-        # empty read-only arrays until the first block fills them or the
-        # first append turns them into buffers
-        for name, _, dtype in _STORAGE:
+        for name, dtype in _STORAGE:
             setattr(self, name, _NOTHING[dtype])
         self.objective: dict[int, float] = {}
-
-    def _growable(self) -> None:
-        """Copy storage that a block left as numpy arrays into buffers that
-        grow; appends call it first."""
-        if not isinstance(self._lower, array):
-            for name, typecode, _ in _STORAGE:
-                buf = array(typecode)
-                _append(buf, getattr(self, name))
-                setattr(self, name, buf)
 
     # -- building ---------------------------------------------------------
 
     def add_continuous(self, lower: float = 0.0, upper: float = math.inf) -> int:
         """Add a continuous variable with bounds [lower, upper]; returns its id."""
-        lo, up = float(lower), float(upper)
-        if not _bounds_ok(lo, up):
-            raise _bounds_error(lo, up)
-        self._growable()
-        self._lower.append(lo)
-        self._upper.append(up)
-        self._binary.append(0)
-        return len(self._binary) - 1
+        return self.add_block(lower=[lower], upper=[upper])[0]
 
     def add_binary(self) -> int:
         """Add a 0/1 variable; returns its id."""
-        self._growable()
-        self._lower.append(0.0)
-        self._upper.append(1.0)
-        self._binary.append(1)
-        return len(self._binary) - 1
-
-    def _check_coefficients(self, coefficients: Mapping[int, float], limit: float) -> dict[int, float]:
-        out: dict[int, float] = {}
-        n = len(self._lower)
-        for var, coeff in coefficients.items():
-            v = int(var)
-            if not 0 <= v < n:
-                raise ModelError(f"unknown variable id {var}")
-            out[v] = _require_below(coeff, limit, f"coefficient of variable {var}")
-        return out
+        return self.add_block(lower=[0.0], upper=[1.0], binary=[True])[0]
 
     def add_constraint(self, coefficients: Mapping[int, float], sense: str, rhs: float) -> int:
         """Append the row ``sum(coeff * var) <sense> rhs``; returns its index.
@@ -321,18 +285,8 @@ class MilpModel:
         mapping is accepted; whether it is vacuously true or makes the model
         infeasible is resolved at solve time.
         """
-        if sense not in _SENSES:
-            raise ModelError(f"sense must be one of {_SENSES}, got {sense!r}")
-        coeffs = self._check_coefficients(coefficients, _LARGE_COEFFICIENT)
-        value = _require_below(rhs, _INFINITE, "rhs")
-        r = self.num_constraints
-        self._growable()
-        self._row.extend([r] * len(coeffs))
-        self._col.extend(coeffs)
-        self._coeff.extend(coeffs.values())
-        self._row_lower.append(-math.inf if sense == "<=" else value)
-        self._row_upper.append(math.inf if sense == ">=" else value)
-        return r
+        return self.add_block(rows=[0] * len(coefficients), cols=list(coefficients),
+                              coeffs=list(coefficients.values()), senses=[sense], rhs=[rhs])[1]
 
     def add_block(self, *, lower=(), upper=(), binary=(), rows=(), cols=(), coeffs=(), senses=(),
                   rhs=()) -> tuple[int, int]:
@@ -345,10 +299,8 @@ class MilpModel:
         row, and the row's terms are the triplets with ``rows == k``: the
         variable ``cols`` (an existing id or one added here) and its
         coefficient ``coeffs``. A variable appears at most once per row.
-        Every input is checked as :meth:`add_continuous` and
-        :meth:`add_constraint` check theirs, before anything is appended.
-        Returns the id of the first new variable and the index of the first
-        new row.
+        Every input is checked before anything is appended. Returns the id
+        of the first new variable and the index of the first new row.
         """
         lo, up = _reals(lower, "lower"), _reals(upper, "upper")
         flags = np.array(binary) if len(binary) else np.zeros(lo.size, dtype=bool)
@@ -383,20 +335,23 @@ class MilpModel:
 
         first_var, first_row = self.num_variables, self.num_constraints
         arrays = (lo, up, flags, rows_ + first_row if first_row else rows_, cols_, coeffs_, *row_bounds)
-        if first_var or first_row:
-            self._growable()
-            for (name, _, _), values in zip(_STORAGE, arrays):
-                _append(getattr(self, name), values)
-        else:
-            # A block that fills an empty model is kept as it is, and read
-            # as the buffers are, without their copy in and view out.
-            for (name, _, dtype), values in zip(_STORAGE, arrays):
-                setattr(self, name, _held(values, dtype))
+        for (name, _), values in zip(_STORAGE, arrays):
+            if values.size:
+                held = getattr(self, name)
+                setattr(self, name, _read_only(np.concatenate((held, values)) if held.size else values))
         return first_var, first_row
 
     def set_objective(self, coefficients: Mapping[int, float]) -> None:
         """Set the (minimized) objective; omitted variables have coefficient 0."""
-        self.objective = self._check_coefficients(coefficients, _INFINITE)
+        objective: dict[int, float] = {}
+        for var, coeff in coefficients.items():
+            if isinstance(var, bool) or not isinstance(var, numbers.Integral) or not 0 <= var < self.num_variables:
+                raise ModelError(f"unknown variable id {var}")
+            value = float(coeff)
+            if not abs(value) < _INFINITE:  # NaN fails too
+                raise _magnitude_error(f"coefficient of variable {var}", value, _INFINITE)
+            objective[int(var)] = value
+        self.objective = objective
 
     # -- introspection ----------------------------------------------------
 
@@ -410,19 +365,18 @@ class MilpModel:
 
     @property
     def binary_ids(self) -> list[int]:
-        return np.flatnonzero(np.array(self._binary)).tolist()
+        return np.flatnonzero(self._binary).tolist()
 
     @property
     def variables(self) -> tuple[_Variable, ...]:
         """Every variable's bounds and kind, in id order."""
-        return tuple(map(_Variable, self._lower.tolist(), self._upper.tolist(), map(bool, self._binary)))
+        return tuple(map(_Variable, self._lower.tolist(), self._upper.tolist(), self._binary.tolist()))
 
     @property
     def constraints(self) -> tuple[_Constraint, ...]:
         """Every row in index order; a row's terms keep their insertion order."""
-        row, col, coeff = self._triplets()
-        cols, coeffs = col.tolist(), coeff.tolist()
-        ends = np.cumsum(np.bincount(row, minlength=self.num_constraints)).tolist()
+        cols, coeffs = self._col.tolist(), self._coeff.tolist()
+        ends = np.cumsum(np.bincount(self._row, minlength=self.num_constraints)).tolist()
         out, start = [], 0
         for end, lower, upper in zip(ends, self._row_lower.tolist(), self._row_upper.tolist()):
             terms = MappingProxyType(dict(zip(cols[start:end], coeffs[start:end])))
@@ -430,26 +384,17 @@ class MilpModel:
             start = end
         return tuple(out)
 
-    # The two readers below return read-only views of the storage, not
-    # copies. The storage cannot grow while a view of it is alive (array
-    # raises BufferError), so they are for use inside one call only.
+    # The two readers below return the storage itself, not copies; it is
+    # read-only, and a later block replaces it rather than changing it.
 
     def _column_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of the lower bounds, upper bounds and binary flags."""
-        return _view(self._lower, float), _view(self._upper, float), _view(self._binary, bool)
+        """The lower bounds, upper bounds and binary flags."""
+        return self._lower, self._upper, self._binary
 
     def _row_arrays(self) -> tuple[np.ndarray, ...]:
-        """Views of the triplets (row, variable, coefficient) in row order,
-        then of the row lower and upper bounds."""
-        return (*self._triplets(), *self._row_bounds())
-
-    def _row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the row lower and upper bounds."""
-        return _view(self._row_lower, float), _view(self._row_upper, float)
-
-    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of the triplets (row, variable, coefficient) in row order."""
-        return _view(self._row, np.int64), _view(self._col, np.int64), _view(self._coeff, float)
+        """The triplets (row, variable, coefficient) in row order, then the
+        row lower and upper bounds."""
+        return self._row, self._col, self._coeff, self._row_lower, self._row_upper
 
     def _matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The triplets column-wise, as HiGHS keeps them: new int32 column
@@ -458,22 +403,10 @@ class MilpModel:
         # The canonical column-wise form scipy's wrappers handed on: the
         # stored triplets are in row order, so a stable sort by column keeps
         # rows ascending within each column.
-        row, col, coeff = self._triplets()
-        by_col = np.argsort(col, kind="stable")
+        by_col = np.argsort(self._col, kind="stable")
         start = np.zeros(self.num_variables + 1, dtype=np.int32)
-        np.cumsum(np.bincount(col, minlength=self.num_variables), out=start[1:])
-        return start, row.astype(np.int32)[by_col], coeff[by_col]
-
-
-def _held(values: np.ndarray, dtype) -> np.ndarray:
-    """``values`` as storage: contiguous, of type ``dtype`` (converted only
-    if it differs) and read-only."""
-    held = np.ascontiguousarray(values, dtype=dtype)
-    held.flags.writeable = False
-    return held
-
-
-_NOTHING = {dtype: _held(np.zeros(0), dtype) for dtype in (float, bool, np.int64)}
+        np.cumsum(np.bincount(self._col, minlength=self.num_variables), out=start[1:])
+        return start, self._row.astype(np.int32)[by_col], self._coeff[by_col]
 
 
 def _check_column_kinds(lower: np.ndarray, upper: np.ndarray, binary: np.ndarray) -> None:
@@ -513,14 +446,6 @@ def _checked_row_bounds(lower, upper, coeffs, codes, rhs, cols) -> np.ndarray:
     return np.where(codes == _OPEN_SIDE, _INFINITE_SIDE, rhs)
 
 
-def _view(buf, dtype) -> np.ndarray:
-    if isinstance(buf, np.ndarray):  # storage a block left, held read-only
-        return buf
-    arr = np.frombuffer(buf, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
-
-
 def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     """Solve ``model`` to proven optimality or a definite status.
 
@@ -537,7 +462,7 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     n = model.num_variables
 
     matrix = model._matrix()
-    row_lower, row_upper = model._row_bounds()
+    row_lower, row_upper = model._row_arrays()[3:]
     # An empty row reads "lower <= 0 <= upper".
     empty = np.bincount(matrix[1], minlength=row_lower.size) == 0
     if np.logical_or.reduce(empty) and np.logical_or.reduce(empty & ((row_lower > 0.0) | (row_upper < 0.0))):

@@ -69,13 +69,13 @@ class ScenarioParams:
             raise ValueError(f"region sides must be positive and finite, got {self.region!r}")
         for name in ("path_loss_exponent", "max_power", "bandwidth", "request_rate", "mean_demand"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        if not (isinstance(self.hop_bound, int) and self.hop_bound >= 1):
+        if isinstance(self.hop_bound, bool) or not (isinstance(self.hop_bound, int) and self.hop_bound >= 1):
             raise ValueError(f"hop_bound must be an integer >= 1, got {self.hop_bound!r}")
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite or None, got {self.threshold!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 

@@ -110,7 +110,8 @@ def test_request_validation():
         Request(0, 1, 1.0, 0)
     base = dict(sender=0, receiver=2, demand=1.0, hop_bound=3)
     for name, bad in (("sender", 2.0), ("receiver", np.float64(1.0)), ("hop_bound", 3.0),
-                      ("sender", np.int64(-1)), ("demand", np.float64(np.nan)), ("demand", "1.0")):
+                      ("sender", np.int64(-1)), ("demand", np.float64(np.nan)), ("demand", "1.0"),
+                      ("sender", True), ("receiver", False), ("demand", True), ("hop_bound", True)):
         with pytest.raises(ValueError, match=name):
             Request(**{**base, name: bad})
 

@@ -3,9 +3,10 @@
 1. model building and introspection, row by row and in bulk blocks (also
    blocks whose triplets come out of row order), including every rejection
    path; each builder refuses what HiGHS would refuse or read as infinite,
-   and a refused call leaves the model as it was; a model keeps copies of
-   a block's arrays and grows past them by copies; SolveLimits takes only
-   integers in HiGHS's option range
+   and bool or float variable ids, and a refused call leaves the model as it
+   was; a model keeps copies of a block's arrays and grows past them by
+   copies, so arrays read before an append keep their values; SolveLimits
+   takes only integers in HiGHS's option range
 2. hand-checkable LPs and MILPs hit their known optima exactly
 3. definite statuses: infeasible, unbounded, empty models, empty rows
 4. resource limits surface as RESOURCE_LIMIT, never as an exception; the
@@ -100,6 +101,13 @@ def test_building_rejections():
         m.add_constraint({x: 1.0}, "<=", math.inf)
     with pytest.raises(ModelError):
         m.set_objective({99: 1.0})
+    # variable ids are integers, not bools or floats that would read as one
+    for var in (False, 0.0, 0.5):
+        with pytest.raises(ModelError):
+            m.add_constraint({var: 1.0}, "<=", 0.0)
+        with pytest.raises(ModelError):
+            m.set_objective({var: 1.0})
+    assert m.num_constraints == 0 and m.objective == {}
 
 
 def test_add_continuous_refuses_bounds_highs_reads_otherwise():
@@ -225,12 +233,18 @@ def test_block_storage_is_its_own_and_grows_by_copies():
     first = rowwise.variables[0]
     assert (first.lower, first.upper, first.is_binary) == (0.0, 1.0, True)
     assert rowwise.constraints[0].coefficients == {1: 1.5, 0: -2.0}
-    # it grows like any model after its block, and only by copies
-    assert rowwise._row_arrays()[0].flags.writeable is False
+    # it grows like any model after its block, and only by copies: arrays
+    # read before the appends keep their values after them
+    before = rowwise._row_arrays() + rowwise._column_arrays()
+    kept = [arr.copy() for arr in before]
+    assert all(arr.flags.writeable is False for arr in before)
     assert rowwise.add_constraint({2: 1.0}, "<=", 4.0) == 3 and rowwise.add_binary() == 3
     assert rowwise.add_block(rows=[0], cols=[3], coeffs=[1.0], senses=["<="], rhs=[1.0]) == (4, 4)
     assert _rows_of(rowwise)[3:] == [([(2, 1.0)], "<=", 4.0), ([(3, 1.0)], "<=", 1.0)]
     assert rowwise.variables[3] == rowwise.variables[0]
+    for old, copy in zip(before, kept):
+        assert np.array_equal(old, copy) and old.dtype == copy.dtype
+    assert [arr.size for arr in rowwise._row_arrays() + rowwise._column_arrays()] == [7, 7, 7, 5, 5, 4, 4, 4]
 
 
 def test_bulk_building_rejections():
@@ -251,6 +265,8 @@ def test_bulk_building_rejections():
         dict(lower=[math.nan]),
         dict(lower=[2.0]),
         dict(cols=[0.0, 1.0]),
+        dict(cols=[False, True]),
+        dict(rows=[False, False]),
     ]
     for change in bad_inputs:
         with pytest.raises(ModelError):
@@ -886,8 +902,9 @@ def test_one_highs_instance_serves_every_run(monkeypatch):
 
 
 def test_model_grows_after_solve_and_check():
-    # solve and check_solution read the storage through views; none may
-    # outlive the call, or the next append would raise BufferError
+    # solve and check_solution read the storage itself, not copies; it is
+    # read-only, and each append replaces the arrays it extends rather than
+    # writing into them, so the model grows after both and solves again
     m = MilpModel()
     x = m.add_continuous()
     m.add_constraint({x: 1.0}, ">=", 1.0)

@@ -87,6 +87,9 @@ def test_params_validation():
         dict(seed=-1),
         dict(seed=2**64),
         dict(seed=1.0),
+        dict(hop_bound=True),
+        dict(seed=False),
+        dict(max_power=True),
     ):
         with pytest.raises(ValueError):
             params(**bad)
