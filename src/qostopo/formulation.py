@@ -5,7 +5,8 @@ Two models over a :class:`~qostopo.network.NetworkModel`:
 * a load-balancing LP that routes a set of demands fractionally over all
   node pairs and minimizes the worst per-node bandwidth utilization (a
   node's channel is occupied by the flow it forwards in either direction
-  plus the demand it originates or terminates);
+  plus the demand it originates or terminates), which HiGHS starts from
+  its optimal basis, every commodity on its direct arc;
 * a topology-control MILP over route arcs that admits one request: it
   picks one unsplittable route and minimizes the maximum per-link
   transmission energy subject to the hop bound, per-node bandwidth, and —
@@ -56,6 +57,9 @@ from typing import Collection, Iterable, Mapping
 import numpy as np
 
 from .milp import (
+    AT_LOWER,
+    AT_UPPER,
+    BASIC,
     FEASIBILITY_TOL,
     INTEGRALITY_TOL,
     MilpModel,
@@ -179,18 +183,23 @@ class EnergyLedger:
 
 
 class _FlowMatrices(Mapping):
-    """Per-commodity n-by-n flow matrices, stored as their nonzero cells.
+    """Per-commodity n-by-n flow matrices, stored as their nonzero cells in
+    three flat arrays.
 
-    Entry e is the flow ``values[e]`` in flat row-major cell ``cells[e]`` of
-    the matrix of the ``commodity[e]``-th key; entries come grouped by
-    commodity in key order. Keys iterate in the order given; each lookup
-    builds the dense matrix anew and marks it read-only.
+    ``keys`` holds commodity (s, d) as ``s * n + d``, ascending, which is
+    sorted key order. Entry e is the flow ``values[e]`` in cell ``cells[e]``
+    of the commodities' matrices stacked in key order: cell ``c * n * n +
+    i * n + j`` is arc (i, j) of the c-th key, and cells ascend. Keys iterate
+    as (s, d) tuples in sorted order; each lookup builds the dense matrix
+    anew and marks it read-only. Anything that is not a key, node ids
+    outside 0..n-1 included, raises :class:`KeyError`.
     """
 
-    def __init__(self, n: int, keys, commodity: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
+    __slots__ = ("_n", "_keys", "_cells", "_values")
+
+    def __init__(self, n: int, keys: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
         self._n = n
-        self._slot = {key: c for c, key in enumerate(keys)}
-        self._offsets = np.searchsorted(commodity, np.arange(len(self._slot) + 1))
+        self._keys = keys
         self._cells = cells
         self._values = values
 
@@ -202,35 +211,47 @@ class _FlowMatrices(Mapping):
         n = mats[0].shape[0] if mats else 0
         if any(mat.shape != (n, n) for mat in mats):
             raise ValueError("flow matrices must all be n-by-n for one n")
-        stack = np.array(mats).reshape(len(mats), n * n)
-        commodity, cells = np.nonzero(stack)
-        return cls(n, keys, commodity, cells, stack[commodity, cells])
+        if not all(s in range(n) and d in range(n) for s, d in keys):
+            raise ValueError(f"flow keys must be (sender, receiver) pairs of nodes 0..{n - 1}")
+        stack = np.array(mats).ravel()
+        cells = np.flatnonzero(stack)
+        return cls(n, np.array([s * n + d for s, d in keys], dtype=np.int64), cells, stack[cells])
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
-        c = self._slot[key]
-        lo, hi = self._offsets[c], self._offsets[c + 1]
-        mat = np.zeros((self._n, self._n))
-        mat.put(self._cells[lo:hi], self._values[lo:hi])
+        n = self._n
+        try:
+            s, d = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        # s * n + d alone would alias an out-of-range pair onto another key
+        if not (s in range(n) and d in range(n)):
+            raise KeyError(key)
+        c = int(self._keys.searchsorted(s * n + d))
+        if c == self._keys.size or self._keys[c] != s * n + d:
+            raise KeyError(key)
+        lo, hi = self._cells.searchsorted((c * n * n, (c + 1) * n * n))
+        mat = np.zeros((n, n))
+        mat.put(self._cells[lo:hi] - c * n * n, self._values[lo:hi])
         mat.flags.writeable = False
         return mat
 
     def __iter__(self):
-        return iter(self._slot)
+        return (divmod(key, self._n) for key in self._keys.tolist())
 
     def __len__(self) -> int:
-        return len(self._slot)
+        return self._keys.size
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LoadLpResult:
     """Solved load LP: worst utilization plus the optimal flow assignment.
 
     ``flows`` is a read-only mapping from each commodity (sender, receiver),
     in sorted order, to its n-by-n matrix of per-arc flow. Only the nonzero
-    flows are stored; each lookup returns a fresh read-only dense matrix.
-    A plain dict of matrices passed in is stored the same way.
-    ``max_utilization`` > 1 means some node needs more channel capacity
-    than it has.
+    flows are stored, as three flat arrays (:class:`_FlowMatrices`); each
+    lookup returns a fresh read-only dense matrix. A plain dict of matrices
+    passed in is stored the same way. ``max_utilization`` > 1 means some
+    node needs more channel capacity than it has.
     """
 
     max_utilization: float
@@ -336,6 +357,22 @@ def _merge_commodities(requests: list[Request]) -> list[tuple[int, int, float]]:
     return [(s, d, demand[(s, d)]) for (s, d) in sorted(demand)]
 
 
+def _commodity_arrays(requests: list[Request]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The senders, receivers and demands of the merged commodities."""
+    commodities = _merge_commodities(requests)
+    return (np.array([s for s, _, _ in commodities], dtype=np.int64),
+            np.array([d for _, d, _ in commodities], dtype=np.int64),
+            np.array([lam for _, _, lam in commodities], dtype=float))
+
+
+def _endpoint_demand(n: int, senders: np.ndarray, receivers: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Per node the demand it sends or receives, summed in commodity order,
+    each commodity adding at its sender and then at its receiver."""
+    # bincount gives integers when there is nothing to sum
+    return np.bincount(np.column_stack([senders, receivers]).ravel(), weights=np.repeat(rates, 2),
+                       minlength=n).astype(float)
+
+
 def build_load_lp(net: NetworkModel, requests: list[Request]) -> MilpModel:
     """Build the LP minimizing the worst per-node bandwidth utilization.
 
@@ -362,11 +399,8 @@ def build_load_lp(net: NetworkModel, requests: list[Request]) -> MilpModel:
     reqs = _check_requests(net, requests)
     n = net.node_count
     m = n * (n - 1)
-    commodities = _merge_commodities(reqs)
-    senders = np.array([s for s, _, _ in commodities], dtype=np.int64)
-    receivers = np.array([d for _, d, _ in commodities], dtype=np.int64)
-    rates = np.array([lam for _, _, lam in commodities], dtype=float)
-    count = len(commodities)
+    senders, receivers, rates = _commodity_arrays(reqs)
+    count = senders.size
 
     util = 0  # the utilization bound; the flows follow it
 
@@ -402,11 +436,7 @@ def build_load_lp(net: NetworkModel, requests: list[Request]) -> MilpModel:
     load_cols = np.concatenate([1 + outgoing.reshape(n, -1), np.full((n, 1), util)], axis=1)
     load_coeffs = np.full(load_cols.shape, 2.0)
     load_coeffs[:, -1] = -net.bandwidth
-    # sequential sums in commodity order, each commodity adding at its
-    # sender and then at its receiver (bincount gives integers when empty)
-    endpoint_demand = np.bincount(
-        np.column_stack([senders, receivers]).ravel(), weights=np.repeat(rates, 2), minlength=n
-    ).astype(float)
+    endpoint_demand = _endpoint_demand(n, senders, receivers, rates)
 
     model = MilpModel()
     model.add_block(
@@ -432,15 +462,21 @@ def solve_load_lp(
 ) -> LoadLpResult:
     """Solve the load LP and decode per-commodity flow matrices.
 
-    The solution is re-checked against every row before being returned.
-    Only the nonzero flows are kept (an optimal vertex has at most one per
-    basic variable). Raises :class:`SolverLimitError` if the iteration
-    budget runs out and :class:`ValidationError` on any internal
-    inconsistency (the LP is feasible and bounded for every valid input).
+    HiGHS starts from the direct-arc basis (:func:`_direct_arc_basis`),
+    which is optimal, so it proves the optimum in no simplex iterations;
+    the LP stays the authority, and a start HiGHS refuses only costs it
+    iterations. The solution is re-checked against every row before being
+    returned. Only the nonzero flows are kept (an optimal vertex has at most
+    one per basic variable), as three flat arrays. Raises
+    :class:`SolverLimitError` if the iteration budget runs out and
+    :class:`ValidationError` on any internal inconsistency (the LP is
+    feasible and bounded for every valid input).
     """
     reqs = _check_requests(net, requests)
     model = build_load_lp(net, reqs)
-    sol = solve(model, limits)
+    n = net.node_count
+    senders, receivers, rates = _commodity_arrays(reqs)
+    sol = solve(model, limits, _direct_arc_basis(n, senders, receivers, rates))
     if sol.status is Status.RESOURCE_LIMIT:
         raise SolverLimitError("load LP hit the iteration limit")
     if sol.status is not Status.OPTIMAL:
@@ -449,16 +485,42 @@ def solve_load_lp(
     if problems:
         raise ValidationError("load LP solution failed re-check: " + "; ".join(problems))
 
-    n = net.node_count
-    m = n * (n - 1)
-    keys = [(s, d) for s, d, _ in _merge_commodities(reqs)]
     # flow variable 1 + c*m + k is commodity c's k-th ordered pair, and a
     # row-major walk of the off-diagonal cells visits the pairs in that order
     nonzero = np.flatnonzero(sol.values[1:])
-    commodity, k = divmod(nonzero, m)
-    cells = np.flatnonzero(~np.eye(n, dtype=bool))[k]
-    flows = _FlowMatrices(n, keys, commodity, cells, sol.values[1 + nonzero])
+    commodity, k = divmod(nonzero, n * (n - 1))
+    cells = commodity * (n * n) + np.flatnonzero(~np.eye(n, dtype=bool))[k]
+    flows = _FlowMatrices(n, senders * n + receivers, cells, sol.values[1 + nonzero])
     return LoadLpResult(max_utilization=float(sol.values[0]), flows=flows)
+
+
+def _direct_arc_basis(n: int, senders: np.ndarray, receivers: np.ndarray,
+                      rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column and row codes of the load LP's optimal basis, in
+    :func:`build_load_lp`'s layout, for the commodities ``senders`` ->
+    ``receivers`` with demands ``rates`` (merged, in sorted order).
+
+    Every commodity goes on its direct arc. Basic: the utilization bound;
+    per commodity the n-1 arcs out of its sender (a star tree, so the basis
+    is nonsingular) and its sender's conservation row; every load row but
+    the one of the node with the largest endpoint demand (the first on
+    ties), which sits at its upper bound. Every other column and every
+    other conservation row is at its lower bound. The point is feasible:
+    each arc out of the sender carries the flow its head's conservation row
+    asks for, the demand into the receiver and 0 elsewhere, so no node
+    relays, and the bound is ``2 * max endpoint demand / bandwidth``. It is
+    optimal: the tight load row's dual is -1/bandwidth, which prices every
+    relayed arc at +2/bandwidth, so every reduced cost has the right sign.
+    """
+    count, m = senders.size, n * (n - 1)
+    columns = np.full(1 + count * m, AT_LOWER, dtype=np.int8)
+    columns[0] = BASIC
+    columns[1 + np.arange(count)[:, None] * m + senders[:, None] * (n - 1) + np.arange(n - 1)] = BASIC
+    rows = np.full(count * n + n, AT_LOWER, dtype=np.int8)
+    rows[np.arange(count) * n + senders] = BASIC
+    rows[count * n:] = BASIC
+    rows[count * n + int(np.argmax(_endpoint_demand(n, senders, receivers, rates)))] = AT_UPPER
+    return columns, rows
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +560,17 @@ def build_topology_milp(
     within ``threshold`` of the network average. Hop and fairness rows range
     over open arcs only and are left out when no arc is open. The order rows
     alone imply the hop bound and the degree rows; the hop and degree rows
-    stay as cuts that tighten the LP relaxation. Links need no variables:
-    their closure never costs more than the costliest arc
-    (:meth:`NetworkModel.broadcast_closure`).
+    stay as cuts that tighten the LP relaxation, and both earn their place.
+    Over the first 945 HiGHS solves of sequential runs of perfbench's
+    admit8 scenarios 9000 on (2-CPU VM, the HiGHS in scipy 1.17.1, two
+    rounds), leaving out the hop row raised HiGHS's mean time from 6.2-6.5
+    to 10.2-11.9 ms and its p90 from 10.0-10.6 to 19.2-21.3 ms, with the
+    same routes. Leaving out the degree rows keeps the time flat (mean
+    5.5-5.7 against 6.0-6.1 ms) but gives a wrong verdict: with presolve
+    on, HiGHS calls scenario 9248's request 1 (0 -> 7) infeasible, although
+    its routes [0, 1, 5, 7] (cap 934.25) and [0, 6, 7] (1418.12) are in the
+    model. Links need no variables: their closure never costs more than the
+    costliest arc (:meth:`NetworkModel.broadcast_closure`).
 
     Each row's terms, sense and right-hand side are appended to plain lists
     in the order listed above, each row's terms in the order it lists them
@@ -899,6 +969,11 @@ def solve_single_request(
     again; :class:`SolverError` is raised if the cap still has not settled
     after ``_SOLVE_ROUNDS`` solves. Any other mismatch is a
     :class:`ValidationError`, as :func:`decode_and_validate` reports it.
+    When HiGHS calls the cap model infeasible although the complete route
+    list holds a route the judge passes with margin (a route HiGHS must
+    accept), the verdict is wrong: the list's first route settles the
+    admission if it passes with margin, and :class:`SolverError` is raised
+    if it does not.
     """
     req = _admission(net, [request], ledger, threshold)
     bound = _cap_bound(net, req, ledger, threshold)
@@ -911,7 +986,7 @@ def solve_single_request(
         if sol is not None:
             return sol
 
-    sol = _solve_for_cap(net, req, ledger, threshold, bound, limits)
+    sol = _solve_for_cap(net, req, ledger, threshold, bound, limits, routes)
     if sol.lost:
         return sol
     ties = _feasible_routes(net, req, ledger, threshold, sol.max_energy, _TIE_VISITS)
@@ -935,9 +1010,18 @@ def _best_route(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold
 
 
 def _solve_for_cap(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None,
-                   bound: float, limits: SolveLimits | None) -> TopologySolution:
+                   bound: float, limits: SolveLimits | None,
+                   routes: list[tuple[list[int], float, list[float]]] | None) -> TopologySolution:
     """HiGHS's admission on the model with cap bound ``bound``, solved again
-    under its route's cap while the cap sits above that route."""
+    under its route's cap while the cap sits above that route.
+
+    ``routes`` is the route list made before the solve (``None`` when its
+    search ran out of visits). A route on it that the judge passes with
+    margin is feasible in the model, so an "infeasible" from HiGHS then
+    contradicts the list: the admission is settled from the list's first
+    route, as without a solve, and :class:`SolverError` is raised when that
+    route passes only with slack.
+    """
     for _ in range(_SOLVE_ROUNDS):
         sol = solve(_topology_model(net, req, ledger, threshold, bound), limits)
         if sol.status is not Status.OPTIMAL:
@@ -951,6 +1035,12 @@ def _solve_for_cap(net: NetworkModel, req: Request, ledger: EnergyLedger, thresh
     else:
         raise SolverError(f"HiGHS left the cap above its route's costliest arc in {_SOLVE_ROUNDS} solves")
     if sol.status is Status.INFEASIBLE:
+        if routes and any(not _route_problems(net, req, ledger, threshold, _arcs(path), -1.0)[2]
+                          for path, _, _ in routes):
+            settled = _best_route(net, req, ledger, threshold, routes)
+            if settled is None:
+                raise SolverError("HiGHS calls a model infeasible that has a route passing with margin")
+            return settled
         return TopologySolution(0.0, set(), [None], np.zeros(net.node_count))
     if sol.status is Status.RESOURCE_LIMIT:
         return TopologySolution(0.0, set(), [None], np.zeros(net.node_count), resource_limited=True)

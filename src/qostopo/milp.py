@@ -17,7 +17,13 @@ the node count are read back. Models with binaries get scipy ``milp``'s
 layout, options and presolve, so their answers match it bit for bit;
 continuous ones are solved without presolve, which on the load LP costs
 several times what it saves, and without scaling, which the load LP's
-coefficients (±1, 2 and the bandwidth) do not need. HiGHS occasionally
+coefficients (±1, 2 and the bandwidth) do not need. A caller that knows a
+basis of its LP may hand :func:`solve` one code per column and row (basic,
+or nonbasic at the lower or upper bound); HiGHS's simplex starts from it,
+so an optimal one is proven in no iterations. HiGHS takes any such codes
+as an "alien" basis, which it repairs when they are no basis (too many or
+too few basic entries, or a singular choice), and runs from its own start
+if it refuses them. Nothing else changes with it. HiGHS occasionally
 gives up on a small model with "Solve error"; a solve that ends on such a
 status is retried once with the other presolve setting, and if that
 attempt fails too, :class:`SolverError` is raised. HiGHS writes some
@@ -77,6 +83,9 @@ highs = None
 __all__ = [
     "FEASIBILITY_TOL",
     "INTEGRALITY_TOL",
+    "AT_LOWER",
+    "BASIC",
+    "AT_UPPER",
     "Status",
     "ModelError",
     "SolverError",
@@ -92,6 +101,10 @@ __all__ = [
 FEASIBILITY_TOL = 1e-7
 #: How far a binary's value may sit from {0, 1}.
 INTEGRALITY_TOL = 1e-6
+#: The codes of a starting basis (:func:`solve`), numbered as HiGHS numbers
+#: its basis statuses: nonbasic at the lower bound, basic, nonbasic at the
+#: upper bound.
+AT_LOWER, BASIC, AT_UPPER = 0, 1, 2
 
 _SENSES = ("<=", ">=", "=")
 _SENSE_CODES = {sense: code for code, sense in enumerate(_SENSES)}
@@ -446,7 +459,7 @@ def _checked_row_bounds(lower, upper, coeffs, codes, rhs, cols) -> np.ndarray:
     return np.where(codes == _OPEN_SIDE, _INFINITE_SIDE, rhs)
 
 
-def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
+def solve(model: MilpModel, limits: SolveLimits | None = None, basis=None) -> Solution:
     """Solve ``model`` to proven optimality or a definite status.
 
     Deterministic: identical models produce identical solutions. Returns
@@ -457,9 +470,21 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     unbounded (such as "Solve error") is retried once with the other
     presolve setting; :class:`SolverError` is raised if the retry ends on
     one too.
+
+    ``basis``, if given, is HiGHS's starting basis on every run: a pair of
+    integer sequences, one code per variable and one per row, each
+    :data:`AT_LOWER`, :data:`BASIC` or :data:`AT_UPPER`; anything else
+    raises :class:`ModelError`. A row's code says where its left-hand side
+    sits. From an optimal basis the simplex proves optimality in no
+    iterations, so an iteration cap cannot bind. HiGHS repairs codes that
+    are no basis and runs from its own start if it refuses them. A basis
+    moves where the simplex starts, not the status it reaches, though on an
+    LP with several optima it may reach another one.
     """
     limits = limits or SolveLimits()
     n = model.num_variables
+    if basis is not None:
+        basis = _basis_codes(basis, n, model.num_constraints)
 
     matrix = model._matrix()
     row_lower, row_upper = model._row_arrays()[3:]
@@ -480,13 +505,31 @@ def solve(model: MilpModel, limits: SolveLimits | None = None) -> Solution:
     with _stdout_silenced():
         for options in _attempts(mip, limits):
             status, values, objective, nodes = _highs(c_vec, (lower, upper), matrix, (row_lower, row_upper),
-                                                      binary.astype(np.int32) if mip else None, options)
+                                                      binary.astype(np.int32) if mip else None, options, basis)
             solution = _interpret(status, values, objective, nodes, mip)
             if solution is None or not mip:
                 _drop_instance()
             if solution is not None:
                 return solution
         raise SolverError(f"HiGHS ended with model status {_instance().modelStatusToString(status)!r}")
+
+
+def _basis_codes(basis, columns: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``basis`` as int8 arrays of codes, once its shape and codes are
+    checked against a model of ``columns`` variables and ``rows`` rows."""
+    try:
+        column_codes, row_codes = basis
+    except (TypeError, ValueError):
+        raise ModelError("basis must be a pair: one code per variable, one per row") from None
+    arrays = []
+    for codes, size, what in ((column_codes, columns, "variable"), (row_codes, rows, "row")):
+        arr = np.asarray(codes)
+        if arr.shape != (size,) or (size and arr.dtype.kind not in "iu"):
+            raise ModelError(f"basis needs one integer code per {what}, {size} in all")
+        if not np.logical_and.reduce((arr >= AT_LOWER) & (arr <= AT_UPPER)):
+            raise ModelError(f"unknown basis code {arr[(arr < AT_LOWER) | (arr > AT_UPPER)][0]} for a {what}")
+        arrays.append(arr.astype(np.int8))
+    return arrays[0], arrays[1]
 
 
 @functools.lru_cache(maxsize=8)
@@ -548,14 +591,17 @@ def _options(options: Mapping):
     return held
 
 
-def _highs(cost, bounds, matrix, row_bounds, integrality, options: Mapping):
+def _highs(cost, bounds, matrix, row_bounds, integrality, options: Mapping, basis=None):
     """Run HiGHS once on ``min cost @ x`` s.t. ``row_bounds`` bound ``A @ x``
     and ``bounds`` bound ``x``; ``matrix`` is ``A`` as CSC (start, index,
     value), the form HiGHS keeps, and ``integrality`` flags integer columns
-    as int32 (``None``: continuous). Returns the model status, column
-    values, objective and node count. HiGHS copies each array in one go
-    (``passModel``'s array overload) and reads as many items as the sizes
-    say, so those are checked first.
+    as int32 (``None``: continuous). ``basis``, if not ``None``, holds the
+    column and row codes of a starting basis (see :func:`solve`), handed to
+    HiGHS with ``setBasis`` as an alien basis, which HiGHS repairs if need
+    be; it keeps its own start if it refuses them.
+    Returns the model status, column values, objective and node count.
+    HiGHS copies each array in one go (``passModel``'s array overload) and
+    reads as many items as the sizes say, so those are checked first.
 
     The run goes to the one instance the process keeps (:func:`_instance`),
     handed its options and its model afresh: ``passModel`` drops the
@@ -577,9 +623,26 @@ def _highs(cost, bounds, matrix, row_bounds, integrality, options: Mapping):
                               int(highs.ObjSense.kMinimize), 0.0, cost, *bounds, *row_bounds, *matrix, kinds)
     if status == highs.HighsStatus.kError:
         return highs.HighsModelStatus.kModelError, None, math.inf, 0
+    if basis is not None:
+        start = highs.HighsBasis()
+        start.col_status, start.row_status = map(_basis_statuses, basis)
+        solver.setBasis(start)
     solver.run()
     nodes = solver.getInfoValue("mip_node_count")[1]
     return solver.getModelStatus(), solver.getSolution().col_value, solver.getObjectiveValue(), nodes
+
+
+def _basis_statuses(codes: np.ndarray) -> list:
+    """HiGHS's basis statuses for int8 ``codes``. A start list of one shared
+    status, with only the entries that differ set, costs a fraction of a
+    conversion per entry (a load LP has ~10k columns, a few hundred basic)."""
+    kinds = highs.HighsBasisStatus
+    members = (kinds.kLower, kinds.kBasic, kinds.kUpper)
+    statuses = [members[AT_LOWER]] * codes.size
+    other = np.flatnonzero(codes != AT_LOWER)
+    for k, code in zip(other.tolist(), codes[other].tolist()):
+        statuses[k] = members[code]
+    return statuses
 
 
 _CORE = "scipy.optimize._highspy._core"

@@ -153,11 +153,11 @@ def test_run_and_loadcheck_write_only_their_output_to_fd_1(tmp_path, capfd, monk
     calls = []
     real = qostopo.milp._highs
 
-    def noisy(cost, bounds, matrix, row_bounds, integrality, options):
+    def noisy(cost, bounds, matrix, row_bounds, integrality, options, basis):
         name = "continuous" if integrality is None else "binary"
         calls.append(name)
         os.write(1, f"{name} chatter on fd 1\n".encode())
-        return real(cost, bounds, matrix, row_bounds, integrality, options)
+        return real(cost, bounds, matrix, row_bounds, integrality, options, basis)
 
     monkeypatch.setattr(qostopo.milp, "_highs", noisy)
     assert main(["run", "--scenario", str(LINE3), "--out", str(tmp_path / "out")]) == 0

@@ -11,7 +11,12 @@
    nonzero entries and come back read-only, in sorted commodity order,
    equal to the dense decode;
    on seeded fields of 5-20 nodes, some tuned to a utilization within 1e-6
-   of 1, the utilization and overload verdict equal a linprog reference
+   of 1, the utilization and overload verdict equal a linprog reference;
+   started from its direct-arc basis, the LP needs no simplex iteration and
+   equals a solve from HiGHS's own start bit for bit on fields of 2-30
+   nodes (reversed and merged pairs, ties in the largest endpoint demand),
+   another basis reaches the same optimum, and a flow lookup refuses node
+   ids outside the field; only the load LP hands HiGHS a basis
 3. topology optimization on hand-checkable instances: direct vs relayed
    routing, link sets, per-node energy commitments; the model holds the
    cap, route arcs and order variables only, and the cheapest one- or
@@ -21,7 +26,9 @@
    open arc at all); one model is pinned byte for byte, and the model,
    added in one block, equals a row-by-row reference byte for byte on
    seeded fields; the model and its decoder take exactly one request
-4. infeasible requests come back as lost outcomes, not exceptions
+4. infeasible requests come back as lost outcomes, not exceptions; an
+   "infeasible" from HiGHS that a listed route passing with margin
+   contradicts is settled from the route list, or raises SolverError
 5. fairness threshold: binding and slack cases, ledger left untouched
 6. decode-time re-verification: a planted violation of each structural rule
    is rejected, and so is any arc set that is not exactly one simple path;
@@ -32,6 +39,7 @@
    7-node runs, with and without a threshold, match the simple-path oracle
    request by request
 9. solver budgets surface as SolverLimitError / resource-limited losses
+   (the load LP's iteration cap binds only without its starting basis)
 10. admissions settled without HiGHS: on seeded sequential runs (admit8
     and field15 geometry, thresholds None to 2e5, hop bounds 1-4) and on
     edge fields (isolated endpoints, bandwidth-starved relays, demand above
@@ -52,6 +60,8 @@
     budget cut to one visit the least-energy solve gives the same answers;
     links are computed on first read
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -488,8 +498,13 @@ def test_load_flows_are_sparse_read_only_and_sorted():
                 res.flows[key][0, 1] = 1.0
         # far fewer flows are kept than the LP has flow variables
         assert sum(np.count_nonzero(res.flows[key]) for key in keys) < m
-        with pytest.raises(KeyError):
-            res.flows[(0, 0)]
+        # keys are kept as s * n + d: pairs with a node id out of range that
+        # would land on a key that way are no keys
+        s, d = keys[1]
+        for key in [(0, 0), (s + 1, d - n), (s - 1, d + n), (n, 0), (s, d, 0), (s,), "ab", 7, None]:
+            assert key not in res.flows
+            with pytest.raises(KeyError):
+                res.flows[key]
 
         # a caller's dense dict is kept the same way, in sorted order
         rebuilt = LoadLpResult(res.max_utilization, flows=dict(reversed(list(dense.items()))))
@@ -530,7 +545,12 @@ def test_load_utilization_matches_linprog_reference():
     assert len(cases) == 42 and sum(verdicts[32:]) == 5
 
 
-def test_load_iteration_budget_raises_limit_error():
+def test_load_iteration_budget_raises_limit_error(monkeypatch):
+    # solve_load_lp starts HiGHS at the optimum, so an iteration cap of one
+    # binds only on a solve without that start: there it is a limit status,
+    # and solve_load_lp turns a limit status into SolverLimitError
+    import qostopo.milp
+
     rng = np.random.default_rng(0)
     net = random_net(rng, 25, box=100.0, max_power=20000.0, bandwidth=500.0)
     reqs = []
@@ -538,9 +558,87 @@ def test_load_iteration_budget_raises_limit_error():
         s, d = (int(v) for v in rng.integers(0, 25, size=2))
         if s != d:
             reqs.append(Request(s, d, float(rng.uniform(1.0, 5.0)), 3))
-    with pytest.raises(SolverLimitError):
-        solve_load_lp(net, reqs, SolveLimits(max_lp_iterations=1))
-    assert solve_load_lp(net, reqs).max_utilization < 1.0
+    assert solve(build_load_lp(net, reqs), SolveLimits(max_lp_iterations=1)).status is Status.RESOURCE_LIMIT
+    assert solve_load_lp(net, reqs, SolveLimits(max_lp_iterations=1)).max_utilization < 1.0
+
+    def stopped(cost, bounds, matrix, row_bounds, integrality, options, basis):
+        assert basis is not None
+        return qostopo.milp.highs.HighsModelStatus.kIterationLimit, [], math.inf, 0
+
+    monkeypatch.setattr(qostopo.milp, "_highs", stopped)
+    with pytest.raises(SolverLimitError, match="iteration limit"):
+        solve_load_lp(net, reqs)
+
+
+def _load_fields():
+    """Seeded fields of 2 to 30 nodes: on even node counts every commodity
+    has a reverse twice as large, so the largest endpoint demand is tied
+    (each end of a pair sends and receives the same); on odd ones every
+    request is repeated, so pairs merge; plus two 20-node scenarios."""
+    rng = np.random.default_rng(9_500_000)
+    fields = []
+    for n in range(2, 31):
+        net = random_net(rng, n, box=60.0, bandwidth=float(rng.uniform(20.0, 200.0)))
+        reqs = []
+        for _ in range(1 + n % 4):
+            s, d = (int(v) for v in rng.choice(n, 2, replace=False))
+            demand = float(rng.uniform(0.5, 4.0))
+            reqs += [Request(s, d, demand, 3), Request(d, s, demand, 3), Request(d, s, demand, 3)] if n % 2 == 0 \
+                else [Request(s, d, demand, 3)] * 2
+        fields.append((net, reqs))
+    return fields + [_field20(9_100_004), _field20(9_100_005)]
+
+
+def test_load_lp_from_its_direct_arc_basis_equals_a_cold_solve():
+    # solve_load_lp, which hands HiGHS the direct-arc basis, gives the
+    # utilization and every flow of a solve from HiGHS's own start bit for
+    # bit, and the utilization of the linprog reference; under an iteration
+    # cap of one, since that basis is optimal and HiGHS needs no iteration
+    from qostopo.formulation import _endpoint_demand
+
+    ties = merged = 0
+    for net, reqs in _load_fields():
+        got = solve_load_lp(net, reqs, SolveLimits(max_lp_iterations=1))
+        cold = solve(build_load_lp(net, reqs))
+        assert cold.status is Status.OPTIMAL
+        n, m = net.node_count, net.node_count * (net.node_count - 1)
+        assert got.max_utilization == float(cold.values[0])
+        assert got.max_utilization == pytest.approx(load_lp_linprog(net, reqs), rel=1e-9, abs=0.0)
+        for c, key in enumerate(got.flows):
+            mat = np.zeros((n, n))
+            mat[~np.eye(n, dtype=bool)] = cold.values[1 + c * m: 1 + (c + 1) * m]
+            assert np.array_equal(got.flows[key], mat)
+        senders, receivers, rates = formulation._commodity_arrays(reqs)
+        endpoint = _endpoint_demand(n, senders, receivers, rates)
+        ties += np.count_nonzero(endpoint == endpoint.max()) > 1
+        merged += len(got.flows) < len(reqs)
+        assert len({(r.sender, r.receiver) for r in reqs}) == len(got.flows)
+    assert ties >= 15 and merged >= 29
+
+
+def test_load_lp_reaches_the_optimum_from_another_basis():
+    # a well-formed basis that is not optimal only moves HiGHS's start: the
+    # direct-arc basis with the load row of the least loaded node at its
+    # bound instead (primal infeasible), and the slack basis
+    from qostopo import check_solution
+    from qostopo.milp import AT_LOWER, AT_UPPER, BASIC
+
+    for seed in (9_100_006, 9_100_007):
+        net, reqs = _field20(seed)
+        n = net.node_count
+        want = solve_load_lp(net, reqs)
+        model = build_load_lp(net, reqs)
+        senders, receivers, rates = formulation._commodity_arrays(reqs)
+        columns, rows = formulation._direct_arc_basis(n, senders, receivers, rates)
+        endpoint = formulation._endpoint_demand(n, senders, receivers, rates)
+        rows = rows.copy()
+        rows[-n:] = BASIC
+        rows[rows.size - n + int(np.argmin(endpoint))] = AT_UPPER
+        slack = (np.full(columns.size, AT_LOWER), np.full(rows.size, BASIC))
+        for basis in ((columns, rows), slack):
+            sol = solve(model, basis=basis)
+            assert sol.status is Status.OPTIMAL and check_solution(model, sol.values) == []
+            assert sol.values[0] == pytest.approx(want.max_utilization, rel=1e-12, abs=0.0)
 
 
 # -- topology optimization --------------------------------------------------
@@ -1216,6 +1314,78 @@ def test_unbounded_status_is_an_internal_error(monkeypatch):
         solve_single_request(LINE4, LINE4_REQUEST, EnergyLedger.empty(4), None)
 
 
+def _infeasible_milps(monkeypatch):
+    """A stand-in for HiGHS that calls every MILP infeasible and solves LPs;
+    returns the list of MILP runs it answered."""
+    import qostopo.milp
+
+    real, answered = qostopo.milp._highs, []
+
+    def infeasible(cost, bounds, matrix, row_bounds, integrality, options, basis):
+        if integrality is None:
+            return real(cost, bounds, matrix, row_bounds, integrality, options, basis)
+        answered.append(cost.size)
+        return qostopo.milp.highs.HighsModelStatus.kInfeasible, [], math.inf, 0
+
+    monkeypatch.setattr(qostopo.milp, "_highs", infeasible)
+    return answered
+
+
+def _judged_without_margin(judge):
+    """``judge`` that refuses every route when asked for margin."""
+    def without_margin(net, req, ledger, threshold, arcs, sign):
+        cap, increments, problems = judge(net, req, ledger, threshold, arcs, sign)
+        return cap, increments, problems + ["no margin"] * (sign < 0)
+    return without_margin
+
+
+def test_infeasible_verdict_against_a_route_with_margin_is_not_a_loss(monkeypatch):
+    # LINE4's route list holds 0 -> 3 over every node (cap 1) and dearer
+    # ones, each passing with margin; a HiGHS that calls the cap model
+    # infeasible contradicts it, and the list's first route is committed
+    ledger = EnergyLedger.empty(4)
+    want = solve_single_request(LINE4, LINE4_REQUEST, ledger, None)
+    answered = _infeasible_milps(monkeypatch)
+    got = solve_single_request(LINE4, LINE4_REQUEST, ledger, None)
+    assert answered and got.routes == want.routes == [[0, 1, 2, 3]]
+    assert (got.max_energy, got.node_energy.tolist(), got.links) == (want.max_energy, want.node_energy.tolist(),
+                                                                       want.links)
+    # with no route on the list passing with margin, the verdict stands
+    monkeypatch.setattr(formulation, "_route_problems", _judged_without_margin(formulation._route_problems))
+    assert solve_single_request(LINE4, LINE4_REQUEST, ledger, None).lost
+
+
+def test_infeasible_verdict_with_a_slack_only_first_route_raises(monkeypatch):
+    # the five-node field of the slack-only first route: its list holds
+    # routes that pass with margin, so an infeasible verdict is wrong, but the
+    # first route by cap passes only with slack and cannot be committed
+    net, req, ledger, threshold = _slack_only_first_route_field()
+    _infeasible_milps(monkeypatch)
+    with pytest.raises(SolverError, match="infeasible"):
+        solve_single_request(net, req, ledger, threshold)
+
+
+def test_milp_runs_never_get_a_starting_basis(monkeypatch):
+    # only the load LP hands HiGHS a basis: admissions on seeded admit8
+    # runs, some settled by HiGHS, pass none
+    import qostopo.milp
+    from qostopo import ScenarioParams, run
+
+    real, seen = qostopo.milp._highs, []
+
+    def watched(cost, bounds, matrix, row_bounds, integrality, options, basis):
+        seen.append((integrality is not None, basis is None))
+        return real(cost, bounds, matrix, row_bounds, integrality, options, basis)
+
+    monkeypatch.setattr(qostopo.milp, "_highs", watched)
+    for seed in range(9_600_000, 9_600_004):
+        run(ScenarioParams(**_FIELD8, threshold=None, seed=seed))
+    solve_single_request(LINE4, LINE4_REQUEST, EnergyLedger.empty(4), None)
+    assert len(seen) >= 4 and set(seen) == {(True, True)}
+    solve_load_lp(LINE4, [LINE4_REQUEST])
+    assert seen[-1] == (False, False)
+
+
 def test_least_energy_solve_reports_budget_stops_and_odd_statuses(monkeypatch):
     # with the tie search cut to one visit, LINE4's ties go to the second,
     # least-energy solve: a budget stop there is a resource-limited loss, and
@@ -1440,25 +1610,34 @@ def test_equal_cap_routes_are_ordered_by_energy_then_hops_then_nodes():
         assert decode_and_validate(net, [req], ledger, None, raw).routes == [best]
 
 
-def test_attained_bound_with_a_slack_only_first_route_solves_for_the_cap_first(monkeypatch):
-    # 0 -> 2 with energies in units of 4e4: direct, 1 (the cap bound); over
-    # node 1, 1 - 5e-8, the first route and within the judge's tolerance of
-    # the bound, but a ledger and threshold put node 1 half that tolerance
-    # over its fairness row, so it passes only with slack and HiGHS refuses
-    # it; over nodes 3 and 4, 1 - 2.5e-8 at more energy than the direct arc.
-    # The optimum is that 3-hop route: HiGHS's cap solve finds its cap before
-    # the least-energy solve picks among the routes at it.
+def _slack_only_first_route_field():
+    """0 -> 2 with energies in units of 4e4: direct, 1 (the cap bound); over
+    node 1, 1 - 5e-8, the first route and within the judge's tolerance of
+    the bound, but a ledger and threshold put node 1 half that tolerance
+    over its fairness row, so it passes only with slack and HiGHS refuses
+    it; over nodes 3 and 4, 1 - 2.5e-8 at more energy than the direct arc.
+    Returns the network, request, ledger and threshold."""
     from qostopo.milp import FEASIBILITY_TOL
 
-    solves = _counting_solves(monkeypatch)
     a = np.sqrt(1.0 - 2.5e-8)
     net = NetworkModel([[0.0, 0.0], [100.0, 100.0 * np.sqrt(3.0 - 2e-7)], [200.0, 0.0],
                         [100.0 * (1.0 - a), -10.0], [100.0 * (1.0 + a), -10.0]], max_power=1e5, bandwidth=50.0)
     energy = net.energy_matrix
-    req = Request(0, 2, 1.0, 3)
     ledger = EnergyLedger(np.array([0.0, 1e6, 0.0, 0.0, 0.0]))
     combined = ledger.consumed + [energy[0, 1], energy[1, 2], 0.0, 0.0, 0.0]
     threshold = combined[1] - combined.mean() - 0.5 * FEASIBILITY_TOL * combined.max()
+    return net, Request(0, 2, 1.0, 3), ledger, threshold
+
+
+def test_attained_bound_with_a_slack_only_first_route_solves_for_the_cap_first(monkeypatch):
+    # _slack_only_first_route_field: the optimum is the 3-hop route over
+    # nodes 3 and 4; HiGHS's cap solve finds its cap before the least-energy
+    # solve picks among the routes at it.
+    from qostopo.milp import FEASIBILITY_TOL
+
+    solves = _counting_solves(monkeypatch)
+    net, req, ledger, threshold = _slack_only_first_route_field()
+    energy = net.energy_matrix
     bound = formulation._cap_bound(net, req, ledger, threshold)
     routes = formulation._feasible_routes(net, req, ledger, threshold, bound)
     assert bound == energy[0, 2] and [route for route, _, _ in routes] == [[0, 1, 2], [0, 2], [0, 3, 4, 2]]

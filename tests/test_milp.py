@@ -37,6 +37,12 @@
     next run uses
 12. solve and check_solution read the model's storage without copying it,
     and the model can still grow after both and solve again
+13. a starting basis: a malformed one (not a pair, a wrong length, codes
+    that are no integers or unknown) is refused before HiGHS is reached;
+    HiGHS gets the codes as given, on the retry too; an optimal basis
+    needs no simplex iteration, so an iteration cap of one cannot bind;
+    a feasible but not optimal basis, and codes with too many basic
+    entries, which HiGHS repairs, reach the optimum of a solve without one
 """
 
 import json
@@ -596,11 +602,15 @@ def test_presolve_solve_error_is_retried_to_a_definite_status(capfd):
     assert capfd.readouterr().out == ""
 
 
-def _fake_highs(status, calls):
-    """A stand-in for one HiGHS run that ends on ``status`` with no solution."""
+def _fake_highs(status, calls, bases=None):
+    """A stand-in for one HiGHS run that ends on ``status`` with no solution;
+    it notes whether each run presolves in ``calls`` and, when ``bases`` is
+    given, each run's basis codes there."""
 
-    def fake(cost, bounds, matrix, row_bounds, integrality, options):
+    def fake(cost, bounds, matrix, row_bounds, integrality, options, basis):
         calls.append(options["presolve"] == "on")
+        if bases is not None:
+            bases.append(None if basis is None else [codes.tolist() for codes in basis])
         return status, [], math.inf, 0
 
     return fake
@@ -651,6 +661,75 @@ def test_lp_limit_stop_is_not_retried(monkeypatch):
     monkeypatch.setattr(qostopo.milp, "_highs", _fake_highs(highs.HighsModelStatus.kIterationLimit, calls))
     assert solve(_small_lp()).status is Status.RESOURCE_LIMIT
     assert calls == [False]
+
+
+def test_malformed_basis_is_refused_before_highs(monkeypatch):
+    from qostopo.milp import AT_LOWER, AT_UPPER, BASIC
+
+    def unreachable(*args):
+        raise AssertionError("HiGHS reached")
+
+    monkeypatch.setattr(qostopo.milp, "_highs", unreachable)
+    m = _small_lp()  # one variable, one row
+    for basis, message in [
+        ([BASIC], "pair"),
+        (([BASIC], [AT_LOWER], [AT_LOWER]), "pair"),
+        (7, "pair"),
+        (([BASIC, AT_LOWER], [AT_LOWER]), "one integer code per variable, 1 in all"),
+        (([BASIC], []), "one integer code per row, 1 in all"),
+        (([1.0], [AT_LOWER]), "one integer code per variable"),
+        (([True], [AT_LOWER]), "one integer code per variable"),
+        (([BASIC], [AT_UPPER + 1]), "unknown basis code 3 for a row"),
+        (([AT_LOWER - 1], [BASIC]), "unknown basis code -1 for a variable"),
+    ]:
+        with pytest.raises(ModelError, match=message):
+            solve(m, basis=basis)
+
+
+def _two_variable_lp():
+    """min x + 2y s.t. x + y >= 1 (row 0) and x - y <= 3 (row 1), x, y >= 0:
+    the optimum is x = 1, y = 0, with x basic and row 0 at its bound."""
+    m = MilpModel()
+    x, y = m.add_continuous(), m.add_continuous()
+    m.add_constraint({x: 1.0, y: 1.0}, ">=", 1.0)
+    m.add_constraint({x: 1.0, y: -1.0}, "<=", 3.0)
+    m.set_objective({x: 1.0, y: 2.0})
+    return m
+
+
+def test_a_starting_basis_moves_the_start_not_the_optimum(monkeypatch):
+    from qostopo.milp import AT_LOWER, BASIC
+
+    real, runs = qostopo.milp._highs, []
+
+    def counted(cost, bounds, matrix, row_bounds, integrality, options, basis):
+        out = real(cost, bounds, matrix, row_bounds, integrality, options, basis)
+        iterations = qostopo.milp._solver.getInfoValue("simplex_iteration_count")[1]
+        runs.append((None if basis is None else [codes.tolist() for codes in basis], iterations))
+        return out
+
+    monkeypatch.setattr(qostopo.milp, "_highs", counted)
+    m = _two_variable_lp()
+    cold = solve(m)
+    optimal = ([BASIC, AT_LOWER], [AT_LOWER, BASIC])
+    feasible = ([AT_LOWER, BASIC], [AT_LOWER, BASIC])  # y = 1, cost 2
+    repaired = ([BASIC, BASIC], [BASIC, BASIC])  # four basic entries for two rows
+    for basis in (optimal, feasible, repaired):
+        sol = solve(m, basis=basis)
+        assert sol.status is Status.OPTIMAL and sol.values.tolist() == cold.values.tolist() == [1.0, 0.0]
+        assert sol.objective_value == cold.objective_value == 1.0
+    assert [basis for basis, _ in runs] == [None, list(optimal), list(feasible), list(repaired)]
+    iterations = [count for _, count in runs]
+    assert iterations[1] == 0 and iterations[0] > 0 and iterations[2] > 0
+    assert solve(m, SolveLimits(max_lp_iterations=1), basis=optimal).status is Status.OPTIMAL
+
+    # a run that fails is retried with the same basis
+    calls = []
+    monkeypatch.setattr(qostopo.milp, "_highs", _fake_highs(highs.HighsModelStatus.kSolveError, calls, runs))
+    runs.clear()
+    with pytest.raises(SolverError):
+        solve(m, basis=optimal)
+    assert calls == [False, True] and runs == [list(optimal)] * 2
 
 
 def test_missing_highs_bindings_name_the_installed_scipy(monkeypatch):
@@ -961,7 +1040,7 @@ m.add_constraint({x: 1.0}, ">=", 0.5)
 m.set_objective({x: 1.0})
 
 calls = []
-def fake_highs(cost, bounds, matrix, row_bounds, integrality, options):
+def fake_highs(cost, bounds, matrix, row_bounds, integrality, options, basis):
     calls.append(options["presolve"] == "on")
     return qostopo.milp.highs.HighsModelStatus.kInfeasible, [], float("inf"), 0
 real_highs = qostopo.milp._highs
