@@ -710,33 +710,6 @@ def _route_problems(
     return cap, increments, problems
 
 
-def _cap_bound(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None) -> float:
-    """Cap of the cheapest one- or two-hop route for ``req`` that the route
-    judge passes with its margin, else ``max_power``. A passed route stays
-    feasible in the model, so no optimal route has an arc dearer than that.
-
-    The bound also fixes the arcs :func:`_feasible_routes` walks, the ones
-    the model leaves open. The same margin argument lets that search settle
-    an admission without HiGHS: a route the judge passes with margin meets
-    every model row with room beyond HiGHS's 1e-9 tolerances, so HiGHS
-    accepts it, and a route the judge refuses even with its slack breaks a
-    row by more than those tolerances, so HiGHS refuses it. A model whose
-    only slack-passing route also passes with margin therefore has exactly
-    one feasible route, which HiGHS would return; one with no slack-passing
-    route is infeasible.
-    """
-    s, d = req.sender, req.receiver
-    out_of_s, into_d = net.energy_matrix[s].tolist(), net.energy_matrix[:, d].tolist()
-    relays = [v for v in range(net.node_count) if v not in (s, d)]
-    routes = [[(s, d)]] + [[(s, v), (v, d)] for v in relays]
-    caps = [out_of_s[d]] + [max(out_of_s[v], into_d[v]) for v in relays]
-    for k in sorted(range(len(routes)), key=caps.__getitem__):
-        cap, _, problems = _route_problems(net, req, ledger, threshold, routes[k], -1.0)
-        if not problems:
-            return cap
-    return net.max_power
-
-
 def _arcs(path: list[int]) -> list[tuple[int, int]]:
     return list(zip(path, path[1:]))
 
@@ -753,59 +726,150 @@ _ROUTE_SEARCH_VISITS = 512
 # bound 4, 1,886 of them routes.
 _TIE_VISITS = 4096
 
+# A plain-float fairness reading this near its bound (times the row's scale)
+# goes to the judge: numpy sums in another order, ~1e-16 of that scale off.
+_GUARD = 1e-9
 
-def _feasible_routes(
-    net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None, bound: float,
-    visits: int | None = None,
-) -> list[tuple[list[int], float, list[float]]] | None:
-    """Every route for ``req`` in the topology model with cap bound
-    ``bound`` that the route judge passes with its slack, each with its cap
-    and node energy increments, in depth-first order; ``None`` when the
-    search visits more than ``visits`` paths (by default
-    ``_ROUTE_SEARCH_VISITS``).
 
-    A route is a simple sender-to-receiver path of at most H arcs over the
-    arcs the model leaves open: cost at most ``bound``, none into the sender
-    and none out of the receiver. The depth-first search prunes only what
-    the judge's bandwidth row refuses with its slack: a relay when twice the
-    demand exceeds it, every route when the demand does.
-    """
-    if visits is None:
-        visits = _ROUTE_SEARCH_VISITS
-    s, d, hops = req.sender, req.receiver, req.hop_bound
-    room = net.bandwidth + FEASIBILITY_TOL * max(1.0, net.bandwidth)
-    if req.demand > room:
-        return []
-    relays = req.demand + req.demand <= room
-    energy = net.energy_matrix
+class _RouteSearch:
+    """One request's solver-free route search (cap bound, walk, best route),
+    which judges the routes it meets, all within the hop bound, by
+    :func:`_route_problems`'s rows in plain floats. ``limits[sign]``, for
+    slack (``sign=+1``) or margin (-1), holds the request's power and
+    bandwidth rows: the costliest cap that passes and the most nodes a route
+    may visit (all; 2 when a relay's twice the demand breaks bandwidth; 0
+    when the demand does). Fairness is read per route (:meth:`fair`)."""
 
-    def successors(i: int) -> list[int]:
-        return [j for j, e in enumerate(energy[i].tolist()) if e <= bound and j != i and j != s and (relays or j == d)]
+    __slots__ = ("net", "req", "ledger", "threshold", "energy", "limits", "consumed", "total", "most")
 
-    routes = []
-    path = [s]
-    stack = [iter(successors(s))]
-    while stack:
-        nxt = next(stack[-1], None)
-        if nxt is None:
-            stack.pop()
-            path.pop()
-        elif nxt not in path:
-            visits -= 1
-            if visits < 0:
-                return None
-            if nxt == d:
-                route = path + [d]
-                cap, increments, problems = _route_problems(net, req, ledger, threshold, _arcs(route), 1.0)
-                if not problems:
-                    routes.append((route, cap, increments))
-            elif len(path) < hops:
-                path.append(nxt)
-                if len(path) < hops:
-                    stack.append(iter(successors(nxt)))
-                else:  # with one arc left, only the one into the receiver can finish a route
-                    stack.append(iter((d,) if energy.item(nxt, d) <= bound else ()))
-    return routes
+    def __init__(self, net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None) -> None:
+        self.net, self.req, self.ledger, self.threshold = net, req, ledger, threshold
+        self.energy = net.energy_matrix.tolist()
+        power, bandwidth, demand, self.limits = net.max_power, net.bandwidth, req.demand, {}
+        for sign in (1.0, -1.0):
+            room = bandwidth + sign * FEASIBILITY_TOL * max(1.0, bandwidth)
+            self.limits[sign] = (power + sign * FEASIBILITY_TOL * max(1.0, power),
+                                 len(self.energy) if demand + demand <= room else 2 if demand <= room else 0)
+        if threshold is not None:
+            self.consumed = ledger.consumed.tolist()
+            self.total, self.most = sum(self.consumed), max(self.consumed)
+
+    def passes(self, path: list[int], cap: float, sign: float) -> bool:
+        """Whether the judge passes the route ``path`` of cap ``cap`` with
+        slack (``sign=+1``) or margin (-1)."""
+        power, nodes = self.limits[sign]
+        return cap <= power and len(path) <= nodes and (self.threshold is None or self.fair(path, sign))
+
+    def fair(self, path: list[int], sign: float) -> bool:
+        """Whether the route ``path`` meets the fullest node's fairness row with
+        slack or margin, read in plain floats or, near its bound, by the judge."""
+        energy, consumed, demand = self.energy, self.consumed, self.req.demand
+        added = [demand * energy[i][j] for i, j in zip(path, path[1:])]
+        most = max(self.most, max([consumed[i] + a for i, a in zip(path, added)]))
+        allowed = (self.total + sum(added)) / len(consumed) + self.threshold
+        excess = most - allowed - sign * FEASIBILITY_TOL * max(1.0, abs(self.threshold), most)
+        if abs(excess) > _GUARD * max(1.0, abs(allowed), most):
+            return excess < 0.0
+        return not _route_problems(self.net, self.req, self.ledger, self.threshold, _arcs(path), sign)[2]
+
+    def cap_bound(self) -> float:
+        """Cap of the cheapest one- or two-hop route (two-hop for H >= 2)
+        that the judge passes with margin, else ``max_power``. Such a route
+        meets every model row with room beyond HiGHS's 1e-9 tolerances, so
+        HiGHS accepts it (one refused even with slack breaks a row by more,
+        so HiGHS refuses it), and no optimal route has an arc dearer than
+        its cap: the bound fixes the open arcs :meth:`feasible_routes` walks."""
+        s, d, energy = self.req.sender, self.req.receiver, self.energy
+        routes = [(energy[s][d], [s, d])]
+        if self.req.hop_bound >= 2:
+            routes += [(max(energy[s][v], energy[v][d]), [s, v, d]) for v in range(len(energy)) if v != s and v != d]
+        for cap, path in sorted(routes):  # the least cap that passes, whichever route has it
+            if self.passes(path, cap, -1.0):
+                return cap
+        return self.net.max_power
+
+    def feasible_routes(self, bound: float, visits: int | None = None) -> list[tuple[list[int], float]] | None:
+        """Every route of the model with cap bound ``bound`` that the judge
+        passes with slack, with its cap, in depth-first order; ``None`` when
+        the walk visits more than ``visits`` paths (``_ROUTE_SEARCH_VISITS``
+        by default). A route is a simple sender-to-receiver path of at most
+        H open arcs (cost at most ``bound``, none into the sender or out of
+        the receiver). The walk prunes relays when bandwidth refuses them,
+        and carries each path's running cap; with ``bound`` <= ``max_power``
+        a complete route leaves only its fairness row to judge."""
+        visits = _ROUTE_SEARCH_VISITS if visits is None else visits
+        s, d, hops = self.req.sender, self.req.receiver, self.req.hop_bound
+        nodes = self.limits[1.0][1]
+        if not nodes:
+            return []
+        relays, threshold, energy = nodes > 2, self.threshold, self.energy
+
+        def successors(i: int) -> list[int]:
+            return [j for j, e in enumerate(energy[i]) if e <= bound and j != i and j != s and (relays or j == d)]
+
+        routes = []
+        path, caps = [s], [0.0]
+        stack = [iter(successors(s))]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                path.pop()
+                caps.pop()
+            elif nxt not in path:
+                visits -= 1
+                if visits < 0:
+                    return None
+                cap = max(caps[-1], energy[path[-1]][nxt])
+                if nxt == d:
+                    route = path + [d]
+                    if threshold is None or self.fair(route, 1.0):
+                        routes.append((route, cap))
+                elif len(path) < hops:
+                    path.append(nxt)
+                    caps.append(cap)
+                    if len(path) < hops:
+                        stack.append(iter(successors(nxt)))
+                    else:  # with one arc left, only the one into the receiver can finish a route
+                        stack.append(iter((d,) if energy[nxt][d] <= bound else ()))
+        return routes
+
+    def best_route(self, routes: list[tuple[list[int], float]] | None,
+                   bound: float | None = None) -> TopologySolution | None:
+        """The admission of the first of ``routes`` (as :meth:`feasible_routes`
+        gives them) by (cap, total energy, hop count, node sequence) if the
+        judge passes it with margin too, else ``None``: so for no route or no
+        list, and, given the cap bound ``bound``, for two or more routes whose
+        least cap falls short of it. Only the routes at that cap are summed."""
+        if not routes:
+            return None
+        low = min([cap for _, cap in routes])
+        if bound is not None and len(routes) > 1 and low <= bound - FEASIBILITY_TOL * max(1.0, bound):
+            return None
+        ties = [path for path, cap in routes if cap == low]
+        path = ties[0] if len(ties) == 1 else min(ties, key=lambda tie: (sum(self.increments(tie)), len(tie), tie))
+        if not self.passes(path, low, -1.0):
+            return None
+        return TopologySolution(low, functools.partial(self.net.broadcast_closure, _arcs(path)), [path],
+                                np.array(self.increments(path)))
+
+    def increments(self, path: list[int]) -> list[float]:
+        """The energy each node adds on the route ``path``, as the judge sums it."""
+        increments = [0.0] * len(self.energy)
+        for i, j in zip(path, path[1:]):
+            increments[i] += self.req.demand * self.energy[i][j]
+        return increments
+
+
+def _cap_bound(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None) -> float:
+    """:meth:`_RouteSearch.cap_bound` of ``req``."""
+    return _RouteSearch(net, req, ledger, threshold).cap_bound()
+
+
+def _feasible_routes(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None, bound: float,
+                     visits: int | None = None) -> list[tuple[list[int], float]] | None:
+    """:meth:`_RouteSearch.feasible_routes` of ``req``."""
+    return _RouteSearch(net, req, ledger, threshold).feasible_routes(bound, visits)
 
 
 def _simple_path(arcs: set[tuple[int, int]], start: int, goal: int) -> list[int] | None:
@@ -852,8 +916,8 @@ def decode_and_validate(
         raise ValidationError(f"cannot decode a solution with status {raw.status.value}")
     req = _single_request(net, requests)
     sol = _validated(net, req, ledger, threshold, *_route_arcs(net, raw))
-    ties = _feasible_routes(net, req, ledger, threshold, sol.max_energy, _TIE_VISITS)
-    return _best_route(net, req, ledger, threshold, ties) or sol
+    search = _RouteSearch(net, req, ledger, threshold)
+    return search.best_route(search.feasible_routes(sol.max_energy, _TIE_VISITS)) or sol
 
 
 def _route_arcs(net: NetworkModel, raw: Solution) -> tuple[float, set[tuple[int, int]]]:
@@ -935,32 +999,25 @@ def solve_single_request(
     committed is the first by total energy (the sum of demand times link
     energy over its arcs), then hop count, then node sequence.
 
-    Many admissions need no solver. Before any model is built, every route
-    of the model :func:`build_topology_milp` would build (a simple path of
-    at most H open arcs) that the route judge passes with its slack is
-    enumerated (:func:`_feasible_routes`). The model's integer points are
-    exactly these routes, since its order rows forbid cycles and its degree
-    and conservation rows force one path; the slack judge passes every
-    route HiGHS's 1e-9 tolerances accept, and a route passing with margin
-    is one HiGHS accepts. With no route, the request is lost. The first
-    route by (cap, total energy, hop count, node sequence) is the answer,
-    reported as :func:`decode_and_validate` reports a route, when it passes
-    with margin too and either it is the only route or the cap bound is
-    attained: no route is cheaper than the bound by more than
-    ``FEASIBILITY_TOL`` x max(1, bound). Its cap is then the least that
-    HiGHS could reach.
+    Many admissions need no solver. A :class:`_RouteSearch` first lists
+    every route of :func:`build_topology_milp`'s model (its integer points
+    are the simple paths of at most H open arcs) that the route judge passes
+    with slack, judging power and bandwidth once for the request and
+    fairness once per route. With no route, the request is lost.
+    The first route by (cap, total energy, hop count, node sequence) is the
+    answer when it passes with margin too (so HiGHS accepts it) and either
+    it is the only route or it attains the cap bound to within
+    ``FEASIBILITY_TOL`` x max(1, bound), the least cap HiGHS could reach.
 
-    Any other admission (a cap bound that is not attained, a first route
-    that passes only with slack, a search that visits more than
-    ``_ROUTE_SEARCH_VISITS`` paths) goes to HiGHS for its optimal cap c*.
-    The routes over arcs of at most c* are then enumerated and ordered the
-    same way, and the first is the answer if it passes with margin. When
-    that search visits more than ``_TIE_VISITS`` paths, or its first route
-    fails the margin, a second solve decides: the same model under cap
-    bound c* with the total energy as its objective. So the two search
-    budgets change only how often HiGHS runs, not an answer. ``limits``
-    bounds each solve; an admission settled without a solve spends no
-    solver budget.
+    Any other admission (a bound not attained, a first route passing only
+    with slack, a search past ``_ROUTE_SEARCH_VISITS`` visits) goes to HiGHS
+    for its optimal cap c*. The routes over arcs of at most c* are then
+    listed and ordered the same way, and the first is the answer if it
+    passes with margin; when that search passes ``_TIE_VISITS`` visits or
+    its first route fails the margin, a second solve, under cap bound c*
+    with the total energy as objective, decides. The budgets change only
+    how often HiGHS runs, not an answer. ``limits`` bounds each solve; an
+    admission settled without one spends no solver budget.
 
     When HiGHS calls the cap model optimal with its cap above the costliest
     arc of its own route (seen with presolve on the HiGHS in scipy 1.17.1),
@@ -976,42 +1033,24 @@ def solve_single_request(
     if it does not.
     """
     req = _admission(net, [request], ledger, threshold)
-    bound = _cap_bound(net, req, ledger, threshold)
-    routes = _feasible_routes(net, req, ledger, threshold, bound)
+    search = _RouteSearch(net, req, ledger, threshold)
+    bound = search.cap_bound()
+    routes = search.feasible_routes(bound)
     if routes == []:
         return TopologySolution(0.0, set(), [None], np.zeros(net.node_count))
-    if routes is not None and (len(routes) == 1
-                               or min(cap for _, cap, _ in routes) > bound - FEASIBILITY_TOL * max(1.0, bound)):
-        sol = _best_route(net, req, ledger, threshold, routes)
-        if sol is not None:
-            return sol
+    sol = search.best_route(routes, bound)
+    if sol is not None:
+        return sol
 
-    sol = _solve_for_cap(net, req, ledger, threshold, bound, limits, routes)
+    sol = _solve_for_cap(search, bound, limits, routes)
     if sol.lost:
         return sol
-    ties = _feasible_routes(net, req, ledger, threshold, sol.max_energy, _TIE_VISITS)
-    return (_best_route(net, req, ledger, threshold, ties)
+    return (search.best_route(search.feasible_routes(sol.max_energy, _TIE_VISITS))
             or _solve_for_energy(net, req, ledger, threshold, sol.max_energy, limits))
 
 
-def _best_route(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None,
-                routes: list[tuple[list[int], float, list[float]]] | None) -> TopologySolution | None:
-    """The admission of the first of ``routes`` (as :func:`_feasible_routes`
-    gives them) by (cap, total energy, hop count, node sequence), if the
-    judge passes it with margin too; ``None`` when it does not, or when
-    there is no route or no list."""
-    if not routes:
-        return None
-    path, cap, increments = min(routes, key=lambda route: (route[1], sum(route[2]), len(route[0]), route[0]))
-    arcs = _arcs(path)
-    if _route_problems(net, req, ledger, threshold, arcs, -1.0)[2]:
-        return None
-    return TopologySolution(cap, functools.partial(net.broadcast_closure, arcs), [path], np.array(increments))
-
-
-def _solve_for_cap(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None,
-                   bound: float, limits: SolveLimits | None,
-                   routes: list[tuple[list[int], float, list[float]]] | None) -> TopologySolution:
+def _solve_for_cap(search: _RouteSearch, bound: float, limits: SolveLimits | None,
+                   routes: list[tuple[list[int], float]] | None) -> TopologySolution:
     """HiGHS's admission on the model with cap bound ``bound``, solved again
     under its route's cap while the cap sits above that route.
 
@@ -1022,6 +1061,7 @@ def _solve_for_cap(net: NetworkModel, req: Request, ledger: EnergyLedger, thresh
     route, as without a solve, and :class:`SolverError` is raised when that
     route passes only with slack.
     """
+    net, req, ledger, threshold = search.net, search.req, search.ledger, search.threshold
     for _ in range(_SOLVE_ROUNDS):
         sol = solve(_topology_model(net, req, ledger, threshold, bound), limits)
         if sol.status is not Status.OPTIMAL:
@@ -1036,8 +1076,8 @@ def _solve_for_cap(net: NetworkModel, req: Request, ledger: EnergyLedger, thresh
         raise SolverError(f"HiGHS left the cap above its route's costliest arc in {_SOLVE_ROUNDS} solves")
     if sol.status is Status.INFEASIBLE:
         if routes and any(not _route_problems(net, req, ledger, threshold, _arcs(path), -1.0)[2]
-                          for path, _, _ in routes):
-            settled = _best_route(net, req, ledger, threshold, routes)
+                          for path, _ in routes):
+            settled = search.best_route(routes)
             if settled is None:
                 raise SolverError("HiGHS calls a model infeasible that has a route passing with margin")
             return settled

@@ -980,31 +980,33 @@ def test_topology_model_matches_row_by_row_reference():
     assert cases == 14 * 3 * 4
 
 
-@pytest.mark.parametrize(
-    "net, req, threshold, bound",
-    [
-        # the direct link (4) beats the only relay, which sits far off the line
-        (NetworkModel([[0.0, 0.0], [2.0, 0.0], [1.0, 5.0]], max_power=30.0, bandwidth=50.0),
-         Request(0, 1, 1.0, 2), None, 4.0),
-        # relaying through node 1 (1 per hop) beats the direct link (4)
-        (line(3), Request(0, 2, 2.0, 3), None, 1.0),
-        # the relay would carry 2 x 2 over bandwidth 3: only the direct link counts
-        (line(3, bandwidth=3.0), Request(0, 2, 2.0, 3), None, 4.0),
-        # hop bound 1 leaves the direct link alone
-        (line(3), Request(0, 2, 2.0, 1), None, 4.0),
-        # the direct link is over max_power and no relay may be used: no bound
-        (line(3, max_power=3.0), Request(0, 2, 2.0, 1), None, 3.0),
-        # the direct link (9) needs threshold >= 4.5 on an empty two-node
-        # ledger; the margin is 1e-7 x 9, so it counts only with more room
-        (line(2, spacing=3.0), Request(0, 1, 1.0, 1), 4.5 + 2e-6, 9.0),
-        (line(2, spacing=3.0), Request(0, 1, 1.0, 1), 4.5 + 4e-7, 10.0),
-        (line(2, spacing=3.0), Request(0, 1, 1.0, 1), 4.5 - 4e-7, 10.0),
-        # the relay carries 2 x 1; the margin is 1e-7 x 2, so the relay counts
-        # only with bandwidth above 2 + 2e-7, and 2 - 5e-8 leaves the direct link
-        (line(3, bandwidth=2 - 5e-8), Request(0, 2, 1.0, 3), None, 4.0),
-        (line(3, bandwidth=2 + 5e-7), Request(0, 2, 1.0, 3), None, 1.0),
-    ],
-)
+# (network, request, threshold, cap bound) on an empty ledger, some of them
+# within the judge's tolerance of a row
+_CAP_BOUND_FIELDS = [
+    # the direct link (4) beats the only relay, which sits far off the line
+    (NetworkModel([[0.0, 0.0], [2.0, 0.0], [1.0, 5.0]], max_power=30.0, bandwidth=50.0),
+     Request(0, 1, 1.0, 2), None, 4.0),
+    # relaying through node 1 (1 per hop) beats the direct link (4)
+    (line(3), Request(0, 2, 2.0, 3), None, 1.0),
+    # the relay would carry 2 x 2 over bandwidth 3: only the direct link counts
+    (line(3, bandwidth=3.0), Request(0, 2, 2.0, 3), None, 4.0),
+    # hop bound 1 leaves the direct link alone
+    (line(3), Request(0, 2, 2.0, 1), None, 4.0),
+    # the direct link is over max_power and no relay may be used: no bound
+    (line(3, max_power=3.0), Request(0, 2, 2.0, 1), None, 3.0),
+    # the direct link (9) needs threshold >= 4.5 on an empty two-node
+    # ledger; the margin is 1e-7 x 9, so it counts only with more room
+    (line(2, spacing=3.0), Request(0, 1, 1.0, 1), 4.5 + 2e-6, 9.0),
+    (line(2, spacing=3.0), Request(0, 1, 1.0, 1), 4.5 + 4e-7, 10.0),
+    (line(2, spacing=3.0), Request(0, 1, 1.0, 1), 4.5 - 4e-7, 10.0),
+    # the relay carries 2 x 1; the margin is 1e-7 x 2, so the relay counts
+    # only with bandwidth above 2 + 2e-7, and 2 - 5e-8 leaves the direct link
+    (line(3, bandwidth=2 - 5e-8), Request(0, 2, 1.0, 3), None, 4.0),
+    (line(3, bandwidth=2 + 5e-7), Request(0, 2, 1.0, 3), None, 1.0),
+]
+
+
+@pytest.mark.parametrize("net, req, threshold, bound", _CAP_BOUND_FIELDS)
 def test_cap_bound_from_one_and_two_hop_routes(net, req, threshold, bound):
     from qostopo.formulation import _ordered_pairs
 
@@ -1484,14 +1486,15 @@ def test_route_search_admits_as_the_milp(monkeypatch):
     assert compared >= 400 and 0.2 * compared < settled < 0.9 * compared
 
 
-@pytest.mark.parametrize("variant", ["isolated", "starved", "overdemand"])
-def test_route_search_admits_as_the_milp_on_edge_fields(variant, monkeypatch):
-    # an endpoint out of every node's reach, a bandwidth that no relay can
-    # carry, a demand above the bandwidth: on random fields of 3 to 9
-    # nodes, with hop bounds 1 to 4 and non-empty ledgers
-    solves = _counting_solves(monkeypatch)
+_EDGE_VARIANTS = ["isolated", "starved", "overdemand"]
+
+
+def _edge_fields(variant):
+    """60 (network, request, ledger, threshold) cases of one edge variant:
+    an endpoint out of every node's reach, a bandwidth that no relay can
+    carry, a demand above the bandwidth; on random fields of 3 to 9 nodes,
+    with hop bounds 1 to 4 and non-empty ledgers."""
     rng = np.random.default_rng({"isolated": 41, "starved": 42, "overdemand": 43}[variant])
-    settled = 0
     for case in range(60):
         n = int(rng.integers(3, 10))
         positions = rng.uniform(0.0, 100.0, size=(n, 2))
@@ -1502,8 +1505,16 @@ def test_route_search_admits_as_the_milp_on_edge_fields(variant, monkeypatch):
             positions[rng.choice([s, d])] = [1e3, 1e3]
         net = NetworkModel(positions, max_power=20000.0, bandwidth=bandwidth)
         ledger = EnergyLedger(rng.uniform(0.0, 5e3, size=n))
-        threshold = [None, 0.0, 2e3, 2e5][case % 4]
-        req = Request(s, d, demand, int(rng.integers(1, 5)))
+        yield net, Request(s, d, demand, int(rng.integers(1, 5))), ledger, [None, 0.0, 2e3, 2e5][case % 4]
+
+
+@pytest.mark.parametrize("variant", _EDGE_VARIANTS)
+def test_route_search_admits_as_the_milp_on_edge_fields(variant, monkeypatch):
+    # _edge_fields: every admission is settled without HiGHS, as the MILP
+    # and the oracle admit it, and lost where no route can exist
+    solves = _counting_solves(monkeypatch)
+    settled = 0
+    for case, (net, req, ledger, threshold) in enumerate(_edge_fields(variant)):
         before = len(solves)
         got = solve_single_request(net, req, ledger, threshold)
         settled += len(solves) == before
@@ -1530,11 +1541,136 @@ def test_route_search_counts_the_oracle_routes():
         bound = formulation._cap_bound(net, req, ledger, threshold)
         found = formulation._feasible_routes(net, req, ledger, threshold, bound)
         energy = net.energy_matrix
-        oracle = [path for _, path in _feasible_paths(net, req, ledger, threshold)
-                  if all(energy[i, j] <= bound for i, j in zip(path, path[1:]))]
-        assert [route for route, _, _ in found] == oracle
+        paths = [(path, float(need.max())) for need, path in _feasible_paths(net, req, ledger, threshold)]
+        oracle = [path for path, _ in paths if all(energy[i, j] <= bound for i, j in zip(path, path[1:]))]
+        assert [route for route, _ in found] == oracle
         seen.add(min(len(oracle), 2))
+        # each with its cap, and over every arc within max_power too
+        assert found == [(path, cap) for path, cap in paths if path in oracle]
+        wide = formulation._feasible_routes(net, req, ledger, threshold, net.max_power, 10**6)
+        assert wide == [(path, cap) for path, cap in paths
+                        if all(energy[i, j] <= net.max_power for i, j in zip(path, path[1:]))]
     assert seen == {0, 1, 2}
+
+
+def test_route_walk_reads_every_row_as_the_judge(monkeypatch):
+    # the cap bound is the judge's, and the walk lists exactly the open
+    # paths the judge passes with slack, each with the judge's cap, total
+    # energy and margin verdict: on random fields of 3 to 15 nodes with hop
+    # bounds 1-4, random ledgers and no, a tight or a loose threshold; on the
+    # cap-bound, edge and slack-only fields; and on ledgers placed within
+    # 1e-12 of a route's fairness bound, the only readings left to the judge
+    from oracles import simple_paths
+    from qostopo.milp import FEASIBILITY_TOL
+
+    judge, asked = formulation._route_problems, []
+    monkeypatch.setattr(formulation, "_route_problems", lambda *args: asked.append(args) or judge(*args))
+
+    def check(net, req, ledger, threshold):
+        search = formulation._RouteSearch(net, req, ledger, threshold)
+        energy, s, d = net.energy_matrix, req.sender, req.receiver
+        short = [[s, d]] + [[s, v, d] for v in range(net.node_count) if v not in (s, d)]
+        margin = [judge(net, req, ledger, threshold, list(zip(p, p[1:])), -1.0) for p in short]
+        bound = search.cap_bound()
+        assert bound == min([cap for cap, _, problems in margin if not problems], default=net.max_power)
+        listed = 0
+        for cap_bound in (bound, net.max_power):
+            expect = []
+            for path in simple_paths(net.node_count, s, d, req.hop_bound):
+                arcs = list(zip(path, path[1:]))
+                if all(energy[i, j] <= cap_bound for i, j in arcs):
+                    cap, increments, problems = judge(net, req, ledger, threshold, arcs, 1.0)
+                    if not problems:
+                        margin_problems = judge(net, req, ledger, threshold, arcs, -1.0)[2]
+                        expect.append((path, cap, sum(increments), not margin_problems))
+            walked = search.feasible_routes(cap_bound, 10**6)
+            assert [(path, cap, sum(search.increments(path)), search.passes(path, cap, -1.0))
+                    for path, cap in walked] == expect
+            listed += len(expect)
+            # the walk spends one visit on each path it extends or completes
+            visits = walk_visits(net, req, cap_bound, [s])
+            assert search.feasible_routes(cap_bound, visits) is not None
+            assert visits == 0 or search.feasible_routes(cap_bound, visits - 1) is None
+        return listed
+
+    def walk_visits(net, req, bound, path):
+        # every open arc out of the sender counts; a path of H nodes past it
+        # goes on only into the receiver; a relay counts only when bandwidth
+        # carries twice the demand, and nothing when it does not carry one
+        room = net.bandwidth + FEASIBILITY_TOL * max(1.0, net.bandwidth)
+        relays, count = req.demand + req.demand <= room, 0
+        if req.demand > room:
+            return 0
+        for j in range(net.node_count):
+            if (j in path or j == req.sender or net.energy_matrix[path[-1], j] > bound
+                    or (j != req.receiver and (not relays or 1 < len(path) == req.hop_bound))):
+                continue
+            count += 1
+            if j != req.receiver and len(path) < req.hop_bound:
+                count += walk_visits(net, req, bound, path + [j])
+        return count
+
+    rng = np.random.default_rng(46)
+    listed = 0
+    for case in range(120):
+        n = int(rng.integers(3, 16))
+        net = random_net(rng, n, bandwidth=float(rng.uniform(5.0, 100.0)))
+        s, d = (int(v) for v in rng.choice(n, size=2, replace=False))
+        req = Request(s, d, float(rng.uniform(1.0, 10.0)), int(rng.integers(1, 5 if n < 12 else 4)))
+        ledger = EnergyLedger(rng.uniform(0.0, 500.0, size=n))
+        threshold = [None, float(rng.uniform(0.0, 80.0)), float(rng.uniform(500.0, 5e3))][case % 3]
+        listed += check(net, req, ledger, threshold)
+    fields = [(net, req, EnergyLedger.empty(net.node_count), threshold)
+              for net, req, threshold, _ in _CAP_BOUND_FIELDS]
+    fields += [case for variant in _EDGE_VARIANTS for case in _edge_fields(variant)]
+    fields.append(_slack_only_first_route_field())
+    for field in fields:
+        listed += check(*field)
+    assert listed > 1000 and asked == []
+
+    for case in range(40):
+        # a route's fullest node sits 1e-12 of the row's scale (either side)
+        # from its fairness bound with slack (even cases) or with margin (odd)
+        n = int(rng.integers(3, 9))
+        net = random_net(rng, n)
+        s, d = (int(v) for v in rng.choice(n, size=2, replace=False))
+        req = Request(s, d, float(rng.uniform(1.0, 10.0)), int(rng.integers(1, 5)))
+        ledger = EnergyLedger(rng.uniform(0.0, 500.0, size=n))
+        paths = simple_paths(n, s, d, req.hop_bound)
+        path = paths[int(rng.integers(len(paths)))]
+        combined = ledger.consumed + judge(net, req, ledger, None, list(zip(path, path[1:])), 1.0)[1]
+        sign = 1.0 if case % 2 == 0 else -1.0
+        scale = max(1.0, float(combined.max()))
+        off = 1.0 + rng.uniform(-1e-5, 1e-5)
+        threshold = combined.max() - combined.mean() - sign * FEASIBILITY_TOL * scale * off
+        before = len(asked)
+        check(net, req, ledger, threshold)
+        assert any(args[4] == list(zip(path, path[1:])) and args[5] == sign for args in asked[before:])
+
+
+def test_same_admissions_reach_highs(monkeypatch):
+    # seeded _FIELD8 runs with hop bounds 3 and 4, with no threshold and at
+    # 2e3: the cap and least-energy solves that the route search leaves to
+    # HiGHS, as counted when the search judged every route it met with
+    # _route_problems
+    from qostopo import ScenarioParams, generate_scenario
+
+    solves = _counting_solves(monkeypatch)
+    counts = {}
+    for threshold, seeds in ((None, 30), (2e3, 200)):
+        for hops in (3, 4):
+            solves.clear()
+            for seed in range(seeds):
+                net, reqs = generate_scenario(ScenarioParams(**dict(_FIELD8, hop_bound=hops), threshold=threshold,
+                                                             seed=9_800_000 + seed))
+                ledger = EnergyLedger.empty(net.node_count)
+                for req in reqs:
+                    sol = solve_single_request(net, req, ledger, threshold)
+                    if not sol.lost:
+                        ledger.charge(sol.node_energy)
+            energy_solves = sum(len(model.objective) > 1 for model in solves)
+            counts[threshold, hops] = (len(solves) - energy_solves, energy_solves)
+    assert counts == {(None, 3): (93, 0), (None, 4): (98, 0), (2e3, 3): (3, 0), (2e3, 4): (5, 0)}
 
 
 def test_single_route_with_only_slack_goes_to_the_solver(monkeypatch):
@@ -1546,7 +1682,7 @@ def test_single_route_with_only_slack_goes_to_the_solver(monkeypatch):
     req = Request(0, 2, 25.0 * (1.0 + 5e-8), 2)
     ledger = EnergyLedger.empty(3)
     bound = formulation._cap_bound(net, req, ledger, None)
-    assert [route for route, _, _ in formulation._feasible_routes(net, req, ledger, None, bound)] == [[0, 1, 2]]
+    assert [route for route, _ in formulation._feasible_routes(net, req, ledger, None, bound)] == [[0, 1, 2]]
     got = solve_single_request(net, req, ledger, None)
     assert len(solves) == 1
     _assert_same_admission(got, net, req, ledger, None, req)
@@ -1640,8 +1776,8 @@ def test_attained_bound_with_a_slack_only_first_route_solves_for_the_cap_first(m
     energy = net.energy_matrix
     bound = formulation._cap_bound(net, req, ledger, threshold)
     routes = formulation._feasible_routes(net, req, ledger, threshold, bound)
-    assert bound == energy[0, 2] and [route for route, _, _ in routes] == [[0, 1, 2], [0, 2], [0, 3, 4, 2]]
-    assert min(cap for _, cap, _ in routes) > bound - FEASIBILITY_TOL * bound
+    assert bound == energy[0, 2] and [route for route, _ in routes] == [[0, 1, 2], [0, 2], [0, 3, 4, 2]]
+    assert min(cap for _, cap in routes) > bound - FEASIBILITY_TOL * bound
     got = solve_single_request(net, req, ledger, threshold)
     assert got.routes == [[0, 3, 4, 2]] and got.max_energy == energy[3, 4] < bound
     assert [model.variables[0].upper for model in solves] == [bound, got.max_energy]
