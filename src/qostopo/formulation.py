@@ -37,12 +37,12 @@ that cap.
 
 Solver output is decoded into plain topologies and node paths and then
 re-validated from scratch, and the decoder applies the same order at the
-solver's cap; one route judge, ``_route_problems``, holds the QoS rows and
-their tolerance for the cap bound, the route search and this re-check. An
-arc set that is not exactly one simple path, or any other failed
-re-check, is reported as :class:`ValidationError`, signalling a bug
-rather than an infeasible instance. Requests that admit no feasible route
-are "lost": reported as such with zero energy committed.
+solver's cap; one route judge, :class:`_RouteSearch`, states the QoS rows
+and their tolerance once, in plain floats, for the cap bound, the route
+search and this re-check. An arc set that is not exactly one simple path,
+or any other failed re-check, is reported as :class:`ValidationError`,
+signalling a bug rather than an infeasible instance. Requests that admit
+no feasible route are "lost": reported as such with zero energy committed.
 """
 
 from __future__ import annotations
@@ -336,13 +336,6 @@ def _check_requests(net: NetworkModel, requests: Iterable[Request]) -> list[Requ
     return reqs
 
 
-def _single_request(net: NetworkModel, requests: Iterable[Request]) -> Request:
-    reqs = _check_requests(net, requests)
-    if len(reqs) != 1:
-        raise ModelError(f"the topology model routes exactly one request, got {len(reqs)}")
-    return reqs[0]
-
-
 # ---------------------------------------------------------------------------
 # load-balancing LP
 
@@ -543,8 +536,8 @@ def build_topology_milp(
     and fixed at 0 for the sender. The layout is ``1 + n(n-1) + n``. An arc
     is open (binary) unless it enters the sender, leaves the receiver or
     costs more than the bound; closed arcs are continuous and fixed at 0.
-    The bound comes from a feasible route (:func:`_cap_bound`), so every
-    optimal route survives.
+    The bound comes from a feasible route (:meth:`_RouteSearch.cap_bound`),
+    so every optimal route survives.
 
     Rows, in order: a hop-count row; then per node a cap row (its open
     outgoing arcs' energies summed stay below the cap) and out-degree <= 1,
@@ -579,29 +572,32 @@ def build_topology_milp(
     arcs in order), and the columns and rows go in as one
     :meth:`MilpModel.add_block`.
     """
-    req = _admission(net, requests, ledger, threshold)
-    return _topology_model(net, req, ledger, threshold, _cap_bound(net, req, ledger, threshold))
+    search = _RouteSearch(net, _admission(net, requests, ledger, threshold), ledger, threshold)
+    return _topology_model(search, search.cap_bound())
 
 
 def _admission(net: NetworkModel, requests: Iterable[Request], ledger: EnergyLedger,
                threshold: float | None) -> Request:
     """The one request of an admission, once its inputs are checked."""
-    req = _single_request(net, requests)
+    reqs = _check_requests(net, requests)
+    if len(reqs) != 1:
+        raise ModelError(f"the topology model routes exactly one request, got {len(reqs)}")
     if ledger.node_count != net.node_count:
         raise ModelError(f"ledger covers {ledger.node_count} nodes, network has {net.node_count}")
     if threshold is not None and not math.isfinite(threshold):
         raise ModelError(f"threshold must be finite or None, got {threshold!r}")
-    return req
+    return reqs[0]
 
 
-def _topology_model(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None,
-                    bound: float) -> MilpModel:
-    """:func:`build_topology_milp`'s model with the cap bounded by ``bound``,
-    which must be the cap of a route feasible in the model."""
+def _topology_model(search: _RouteSearch, bound: float) -> MilpModel:
+    """:func:`build_topology_milp`'s model of ``search``'s admission with the
+    cap bounded by ``bound``, which must be the cap of a route feasible in
+    the model."""
+    net, req, threshold = search.net, search.req, search.threshold
     n, s, d = net.node_count, req.sender, req.receiver
     hops = float(req.hop_bound)
     pairs = _ordered_pairs(n)
-    energy = net.energy_matrix.tolist()
+    energy = search.energy
     cost = [energy[i][j] for i, j in pairs]  # arc k is column 1 + k
     u = 1 + len(pairs)  # the order variable of node v is column u + v
 
@@ -647,8 +643,8 @@ def _topology_model(net: NetworkModel, req: Request, ledger: EnergyLedger, thres
         # tail, less the 1/n that every use adds to the average
         added = [req.demand * cost[k] for k in open_arcs]
         tails = [pairs[k][0] for k in open_arcs]
-        own, other, average = 1.0 - 1.0 / n, 0.0 - 1.0 / n, ledger.average()
-        for v, consumed in enumerate(ledger.consumed.tolist()):
+        own, other, average = 1.0 - 1.0 / n, 0.0 - 1.0 / n, search.ledger.average()
+        for v, consumed in enumerate(search.consumed):
             add([1 + k for k in open_arcs], [a * (own if t == v else other) for a, t in zip(added, tails)], "<=",
                 threshold - consumed + average)
 
@@ -659,59 +655,6 @@ def _topology_model(net: NetworkModel, req: Request, ledger: EnergyLedger, thres
                     cols=cols, coeffs=coeffs, senses=senses, rhs=rhs)
     model.set_objective({0: 1.0})  # the cap
     return model
-
-
-def _route_problems(
-    net: NetworkModel,
-    req: Request,
-    ledger: EnergyLedger,
-    threshold: float | None,
-    arcs: Collection[tuple[int, int]],
-    sign: float,
-) -> tuple[float, list[float], list[str]]:
-    """Cap (costliest arc, 0 for none) of the route ``arcs``, the energy each
-    node adds, and one message per QoS row of ``req`` it breaks: ``max_power``,
-    the hop bound, per-node bandwidth (the demand at both ends of every arc)
-    and, with a threshold, per-node fairness on the ledger plus increments.
-    Each row's tolerance is ``FEASIBILITY_TOL`` times that row's scale: slack
-    for ``sign=+1`` (the decoder and the route search), margin for
-    ``sign=-1`` (the cap bound and a route the search settles on).
-    """
-    # (Called on every route the route search meets, so plain loops, and
-    # the ufuncs that numpy's max and mean call, without their wrappers.)
-    energy, demand, n = net.energy_matrix, req.demand, net.node_count
-    cap = 0.0  # energies are positive, so this is the costliest arc
-    increments = [0.0] * n
-    occupancy = [0.0] * n
-    for i, j in arcs:
-        e = energy.item(i, j)
-        if e > cap:
-            cap = e
-        increments[i] += demand * e
-        occupancy[i] += demand
-        occupancy[j] += demand
-
-    problems: list[str] = []
-    if cap > net.max_power + sign * FEASIBILITY_TOL * max(1.0, net.max_power):
-        problems.append(f"energy cap {cap} exceeds the power limit {net.max_power}")
-    if len(arcs) > req.hop_bound:
-        problems.append(f"{len(arcs)} route arcs exceed the hop bound {req.hop_bound}")
-    room = net.bandwidth + sign * FEASIBILITY_TOL * max(1.0, net.bandwidth)
-    if max(occupancy) > room:
-        for v, load in enumerate(occupancy):
-            if load > room:
-                problems.append(f"node {v} route occupancy {load} exceeds bandwidth {net.bandwidth}")
-    if threshold is not None:
-        combined = ledger.consumed + increments
-        tolerance = FEASIBILITY_TOL * max(1.0, abs(threshold), float(np.maximum.reduce(combined)))
-        allowed = np.add.reduce(combined) / n + threshold + sign * tolerance
-        for v in np.flatnonzero(combined > allowed).tolist():
-            problems.append(f"node {v} consumption {combined[v]} above average + threshold")
-    return cap, increments, problems
-
-
-def _arcs(path: list[int]) -> list[tuple[int, int]]:
-    return list(zip(path, path[1:]))
 
 
 # The most paths the route search visits (each path it extends or
@@ -726,19 +669,18 @@ _ROUTE_SEARCH_VISITS = 512
 # bound 4, 1,886 of them routes.
 _TIE_VISITS = 4096
 
-# A plain-float fairness reading this near its bound (times the row's scale)
-# goes to the judge: numpy sums in another order, ~1e-16 of that scale off.
-_GUARD = 1e-9
-
 
 class _RouteSearch:
-    """One request's solver-free route search (cap bound, walk, best route),
-    which judges the routes it meets, all within the hop bound, by
-    :func:`_route_problems`'s rows in plain floats. ``limits[sign]``, for
-    slack (``sign=+1``) or margin (-1), holds the request's power and
-    bandwidth rows: the costliest cap that passes and the most nodes a route
-    may visit (all; 2 when a relay's twice the demand breaks bandwidth; 0
-    when the demand does). Fairness is read per route (:meth:`fair`)."""
+    """One request's route judge and solver-free route search (cap bound,
+    walk, best route). Each QoS row is stated once, in plain floats, with a
+    tolerance of ``FEASIBILITY_TOL`` times its scale: slack for ``sign=+1``
+    (the decoder and the walk), margin for -1 (the cap bound and a route
+    the search settles on). ``limits[sign]`` holds the power and bandwidth
+    rows: the costliest cap that passes, the bandwidth room, and the most
+    nodes a route may visit (all; 2 when a relay's twice the demand breaks
+    bandwidth; 0 when the demand does). :meth:`problems` judges any arc
+    set, and :meth:`passes` a simple route within the hop bound by the same
+    limits, so their verdicts agree bit for bit."""
 
     __slots__ = ("net", "req", "ledger", "threshold", "energy", "limits", "consumed", "total", "most")
 
@@ -748,29 +690,66 @@ class _RouteSearch:
         power, bandwidth, demand, self.limits = net.max_power, net.bandwidth, req.demand, {}
         for sign in (1.0, -1.0):
             room = bandwidth + sign * FEASIBILITY_TOL * max(1.0, bandwidth)
-            self.limits[sign] = (power + sign * FEASIBILITY_TOL * max(1.0, power),
+            self.limits[sign] = (power + sign * FEASIBILITY_TOL * max(1.0, power), room,
                                  len(self.energy) if demand + demand <= room else 2 if demand <= room else 0)
         if threshold is not None:
             self.consumed = ledger.consumed.tolist()
             self.total, self.most = sum(self.consumed), max(self.consumed)
 
+    def problems(self, arcs: Collection[tuple[int, int]], sign: float) -> tuple[float, list[float], list[str]]:
+        """Cap (costliest arc, 0 for none) of the route ``arcs``, the energy
+        each node adds, and one message per QoS row it breaks with slack
+        (``sign=+1``) or margin (-1): ``max_power``, the hop bound, per-node
+        bandwidth (the demand at both ends of every arc) and, with a
+        threshold, per-node fairness on the ledger plus increments. A simple
+        path gets the same verdict whatever the order of its arcs."""
+        energy, demand, net = self.energy, self.req.demand, self.net
+        power, room, _ = self.limits[sign]
+        cap = 0.0  # energies are positive, so this is the costliest arc
+        increments = [0.0] * len(energy)
+        occupancy = [0.0] * len(energy)
+        for i, j in arcs:
+            cap = max(cap, energy[i][j])
+            increments[i] += demand * energy[i][j]
+            occupancy[i] += demand
+            occupancy[j] += demand
+        messages = []
+        if cap > power:
+            messages.append(f"energy cap {cap} exceeds the power limit {net.max_power}")
+        if len(arcs) > self.req.hop_bound:
+            messages.append(f"{len(arcs)} route arcs exceed the hop bound {self.req.hop_bound}")
+        messages += [f"node {v} route occupancy {load} exceeds bandwidth {net.bandwidth}"
+                     for v, load in enumerate(occupancy) if load > room]
+        if self.threshold is not None:
+            combined = [consumed + x for consumed, x in zip(self.consumed, increments)]
+            limit = self.fairness_limit([demand * energy[i][j] for i, j in arcs], max(combined), sign)
+            messages += [f"node {v} consumption {c} above average + threshold"
+                         for v, c in enumerate(combined) if c > limit]
+        return cap, increments, messages
+
+    def fairness_limit(self, added: list[float], most: float, sign: float) -> float:
+        """The most energy a node may hold under the fairness row, with slack
+        (``sign=+1``) or margin (-1), once a route adds ``added`` (one entry
+        per arc, in any order, since ``fsum`` rounds their sum once) and its
+        fullest node holds ``most``: the average plus the threshold, give or
+        take ``FEASIBILITY_TOL`` x max(1, |threshold|, most)."""
+        threshold = self.threshold
+        allowed = (self.total + math.fsum(added)) / len(self.consumed) + threshold
+        return allowed + sign * FEASIBILITY_TOL * max(1.0, abs(threshold), most)
+
     def passes(self, path: list[int], cap: float, sign: float) -> bool:
         """Whether the judge passes the route ``path`` of cap ``cap`` with
         slack (``sign=+1``) or margin (-1)."""
-        power, nodes = self.limits[sign]
+        power, _, nodes = self.limits[sign]
         return cap <= power and len(path) <= nodes and (self.threshold is None or self.fair(path, sign))
 
     def fair(self, path: list[int], sign: float) -> bool:
         """Whether the route ``path`` meets the fullest node's fairness row with
-        slack or margin, read in plain floats or, near its bound, by the judge."""
+        slack or margin, as :meth:`problems` reads it."""
         energy, consumed, demand = self.energy, self.consumed, self.req.demand
         added = [demand * energy[i][j] for i, j in zip(path, path[1:])]
         most = max(self.most, max([consumed[i] + a for i, a in zip(path, added)]))
-        allowed = (self.total + sum(added)) / len(consumed) + self.threshold
-        excess = most - allowed - sign * FEASIBILITY_TOL * max(1.0, abs(self.threshold), most)
-        if abs(excess) > _GUARD * max(1.0, abs(allowed), most):
-            return excess < 0.0
-        return not _route_problems(self.net, self.req, self.ledger, self.threshold, _arcs(path), sign)[2]
+        return most <= self.fairness_limit(added, most, sign)
 
     def cap_bound(self) -> float:
         """Cap of the cheapest one- or two-hop route (two-hop for H >= 2)
@@ -799,7 +778,7 @@ class _RouteSearch:
         a complete route leaves only its fairness row to judge."""
         visits = _ROUTE_SEARCH_VISITS if visits is None else visits
         s, d, hops = self.req.sender, self.req.receiver, self.req.hop_bound
-        nodes = self.limits[1.0][1]
+        nodes = self.limits[1.0][2]
         if not nodes:
             return []
         relays, threshold, energy = nodes > 2, self.threshold, self.energy
@@ -850,7 +829,7 @@ class _RouteSearch:
         path = ties[0] if len(ties) == 1 else min(ties, key=lambda tie: (sum(self.increments(tie)), len(tie), tie))
         if not self.passes(path, low, -1.0):
             return None
-        return TopologySolution(low, functools.partial(self.net.broadcast_closure, _arcs(path)), [path],
+        return TopologySolution(low, functools.partial(self.net.broadcast_closure, list(zip(path, path[1:]))), [path],
                                 np.array(self.increments(path)))
 
     def increments(self, path: list[int]) -> list[float]:
@@ -859,17 +838,6 @@ class _RouteSearch:
         for i, j in zip(path, path[1:]):
             increments[i] += self.req.demand * self.energy[i][j]
         return increments
-
-
-def _cap_bound(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None) -> float:
-    """:meth:`_RouteSearch.cap_bound` of ``req``."""
-    return _RouteSearch(net, req, ledger, threshold).cap_bound()
-
-
-def _feasible_routes(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None, bound: float,
-                     visits: int | None = None) -> list[tuple[list[int], float]] | None:
-    """:meth:`_RouteSearch.feasible_routes` of ``req``."""
-    return _RouteSearch(net, req, ledger, threshold).feasible_routes(bound, visits)
 
 
 def _simple_path(arcs: set[tuple[int, int]], start: int, goal: int) -> list[int] | None:
@@ -894,8 +862,9 @@ def decode_and_validate(
 ) -> TopologySolution:
     """Turn an optimal solver result into a route and links, then re-verify.
 
-    ``requests`` must hold the one request the model was built for (else
-    :class:`ModelError`). Its route arcs must form exactly one simple path
+    The inputs are checked as :func:`build_topology_milp` checks them
+    (else :class:`ModelError`), and ``requests`` must hold the one request
+    the model was built for. Its route arcs must form exactly one simple path
     from the sender to the receiver; anything else (a path plus a cycle, a
     broken walk) is a violation. Every row is re-checked directly from the
     decoded arcs (not from solver values): the solver's cap, exact unit
@@ -914,9 +883,8 @@ def decode_and_validate(
     """
     if raw.status is not Status.OPTIMAL:
         raise ValidationError(f"cannot decode a solution with status {raw.status.value}")
-    req = _single_request(net, requests)
-    sol = _validated(net, req, ledger, threshold, *_route_arcs(net, raw))
-    search = _RouteSearch(net, req, ledger, threshold)
+    search = _RouteSearch(net, _admission(net, requests, ledger, threshold), ledger, threshold)
+    sol = _validated(search, *_route_arcs(net, raw))
     return search.best_route(search.feasible_routes(sol.max_energy, _TIE_VISITS)) or sol
 
 
@@ -940,14 +908,14 @@ def _route_arcs(net: NetworkModel, raw: Solution) -> tuple[float, set[tuple[int,
     return float(values[0]), {pairs[k] for k, v in enumerate(indicators) if v > 0.5}
 
 
-def _validated(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None,
-               raw_cap: float, arcs: set[tuple[int, int]]) -> TopologySolution:
-    """:func:`decode_and_validate`'s re-check of the route ``arcs`` against
-    the solver's cap ``raw_cap``."""
+def _validated(search: _RouteSearch, raw_cap: float, arcs: set[tuple[int, int]]) -> TopologySolution:
+    """:func:`decode_and_validate`'s re-check of the route ``arcs`` of
+    ``search``'s admission against the solver's cap ``raw_cap``."""
     # Report the energy cap recomputed exactly from the route arcs; the
     # solver's own objective value may sit a rounding error away.
+    net, req = search.net, search.req
     problems = []
-    cap, increments, route_problems = _route_problems(net, req, ledger, threshold, arcs, 1.0)
+    cap, increments, route_problems = search.problems(arcs, 1.0)
     if abs(raw_cap - cap) > FEASIBILITY_TOL * max(1.0, cap):
         problems.append(f"solver cap {raw_cap} does not match the route arcs (need {cap})")
     # One simple path from the sender to the receiver over all the arcs
@@ -1046,7 +1014,7 @@ def solve_single_request(
     if sol.lost:
         return sol
     return (search.best_route(search.feasible_routes(sol.max_energy, _TIE_VISITS))
-            or _solve_for_energy(net, req, ledger, threshold, sol.max_energy, limits))
+            or _solve_for_energy(search, sol.max_energy, limits))
 
 
 def _solve_for_cap(search: _RouteSearch, bound: float, limits: SolveLimits | None,
@@ -1061,22 +1029,21 @@ def _solve_for_cap(search: _RouteSearch, bound: float, limits: SolveLimits | Non
     route, as without a solve, and :class:`SolverError` is raised when that
     route passes only with slack.
     """
-    net, req, ledger, threshold = search.net, search.req, search.ledger, search.threshold
+    net, req = search.net, search.req
     for _ in range(_SOLVE_ROUNDS):
-        sol = solve(_topology_model(net, req, ledger, threshold, bound), limits)
+        sol = solve(_topology_model(search, bound), limits)
         if sol.status is not Status.OPTIMAL:
             break
         raw_cap, arcs = _route_arcs(net, sol)
-        cap = max((net.energy_matrix.item(i, j) for i, j in arcs), default=raw_cap)
-        if (raw_cap <= cap + FEASIBILITY_TOL * max(1.0, cap) or _simple_path(arcs, req.sender, req.receiver) is None
-                or _route_problems(net, req, ledger, threshold, arcs, -1.0)[2]):
-            return _validated(net, req, ledger, threshold, raw_cap, arcs)
+        cap, _, problems = search.problems(arcs, -1.0)
+        if (raw_cap <= cap + FEASIBILITY_TOL * max(1.0, cap) or problems
+                or _simple_path(arcs, req.sender, req.receiver) is None):
+            return _validated(search, raw_cap, arcs)
         bound = cap  # a sound route HiGHS stopped above, so one the model keeps
     else:
         raise SolverError(f"HiGHS left the cap above its route's costliest arc in {_SOLVE_ROUNDS} solves")
     if sol.status is Status.INFEASIBLE:
-        if routes and any(not _route_problems(net, req, ledger, threshold, _arcs(path), -1.0)[2]
-                          for path, _ in routes):
+        if routes and any(search.passes(path, route_cap, -1.0) for path, route_cap in routes):
             settled = search.best_route(routes)
             if settled is None:
                 raise SolverError("HiGHS calls a model infeasible that has a route passing with margin")
@@ -1087,17 +1054,18 @@ def _solve_for_cap(search: _RouteSearch, bound: float, limits: SolveLimits | Non
     raise ValidationError(f"topology model unexpectedly {sol.status.value}")
 
 
-def _solve_for_energy(net: NetworkModel, req: Request, ledger: EnergyLedger, threshold: float | None,
-                      cap: float, limits: SolveLimits | None) -> TopologySolution:
-    """HiGHS's least-energy route at the optimal cap ``cap``: the model with
-    cap bound ``cap`` and the route's total energy as its objective. The
-    route must attain ``cap``, as :func:`decode_and_validate` checks a cap."""
-    model = _topology_model(net, req, ledger, threshold, cap)
+def _solve_for_energy(search: _RouteSearch, cap: float, limits: SolveLimits | None) -> TopologySolution:
+    """HiGHS's least-energy route of ``search``'s admission at the optimal
+    cap ``cap``: the model with cap bound ``cap`` and the route's total
+    energy as its objective. The route must attain ``cap``, as
+    :func:`decode_and_validate` checks a cap."""
+    net, demand, energy = search.net, search.req.demand, search.energy
+    model = _topology_model(search, cap)
     pairs = _ordered_pairs(net.node_count)
-    model.set_objective({1 + k: req.demand * net.energy_matrix.item(i, j) for k, (i, j) in enumerate(pairs)})
+    model.set_objective({1 + k: demand * energy[i][j] for k, (i, j) in enumerate(pairs)})
     sol = solve(model, limits)
     if sol.status is Status.RESOURCE_LIMIT:
         return TopologySolution(0.0, set(), [None], np.zeros(net.node_count), resource_limited=True)
     if sol.status is not Status.OPTIMAL:
         raise ValidationError(f"least-energy model at the optimal cap unexpectedly {sol.status.value}")
-    return _validated(net, req, ledger, threshold, cap, _route_arcs(net, sol)[1])
+    return _validated(search, cap, _route_arcs(net, sol)[1])

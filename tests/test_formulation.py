@@ -25,7 +25,9 @@
    the only empty rows kept are unsatisfiable (an isolated endpoint, or no
    open arc at all); one model is pinned byte for byte, and the model,
    added in one block, equals a row-by-row reference byte for byte on
-   seeded fields; the model and its decoder take exactly one request
+   seeded fields; the model and its decoder take exactly one request, and
+   they and the admission refuse a ledger of another length and a NaN or
+   infinite threshold
 4. infeasible requests come back as lost outcomes, not exceptions; an
    "infeasible" from HiGHS that a listed route passing with margin
    contradicts is settled from the route list, or raises SolverError
@@ -47,11 +49,14 @@
     decode and the simple-path oracle's route, node energy and links; the
     routes found are the oracle's; a lone route that passes only with the
     judge's slack, and a spent search budget, go to HiGHS with the same
-    answers; the budget covers a field15 request with every arc open; a
-    HiGHS optimum whose cap sits above its route is solved again under the
-    route's cap (admit8 scenario 17001766 against the oracle), gives up
-    with SolverError after three solves, and reports arcs that are no
-    sound route as the decoder does
+    answers; the budget covers a field15 request with every arc open; the
+    walk and the route judge give one fairness verdict, whatever the order
+    of a route's arcs, at the band edge, one ulp either side and near it,
+    where exact arithmetic gives it too; a HiGHS optimum whose cap sits
+    above its route is solved again under the route's cap (admit8
+    scenario 17001766 against the oracle), gives up with SolverError after
+    three solves, and reports arcs that are no sound route as the decoder
+    does
 11. routes at the optimal cap are ordered by total energy, then hop count,
     then node sequence (a square's two equal routes, a cheaper detour with
     an extra hop), by solve_single_request and by the decoder alike; on
@@ -771,6 +776,27 @@ def test_topology_model_and_decoder_take_exactly_one_request(count):
         decode_and_validate(net, reqs, EnergyLedger.empty(3), None, raw)
 
 
+@pytest.mark.parametrize("entry", ["build", "solve", "decode"])
+@pytest.mark.parametrize("nodes, threshold, message", [
+    (2, None, "ledger covers 2 nodes"), (4, 1.0, "ledger covers 4 nodes"), (3, math.nan, "threshold must be finite"),
+    (3, math.inf, "threshold must be finite"), (3, -math.inf, "threshold must be finite")])
+def test_admission_entry_points_refuse_a_wrong_ledger_or_threshold(entry, nodes, threshold, message):
+    # the model builder, the admission and the decoder alike refuse a ledger
+    # of another length than the network and a NaN (which no fairness row
+    # would refuse) or infinite threshold
+    from qostopo import ModelError
+
+    net, req, ledger = line(3), Request(0, 2, 1.0, 3), EnergyLedger.empty(nodes)
+    raw = _relay_layout(net, {(0, 1), (1, 2)}, 1.0)
+    with pytest.raises(ModelError, match=message):
+        if entry == "build":
+            build_topology_milp(net, [req], ledger, threshold)
+        elif entry == "solve":
+            solve_single_request(net, req, ledger, threshold)
+        else:
+            decode_and_validate(net, [req], ledger, threshold, raw)
+
+
 GOLDEN_LP = """\
 Minimize
  obj: 1 x0
@@ -899,12 +925,12 @@ def _topology_by_rows(net, req, ledger, threshold):
     reference for the array-built model; the same cap bound, then the
     variables and rows in the order build_topology_milp documents."""
     from qostopo import MilpModel
-    from qostopo.formulation import _cap_bound, _ordered_pairs
+    from qostopo.formulation import _ordered_pairs
 
     n = net.node_count
     pairs = _ordered_pairs(n)
     energy = net.energy_matrix
-    bound = _cap_bound(net, req, ledger, threshold)
+    bound = formulation._RouteSearch(net, req, ledger, threshold).cap_bound()
     hops = float(req.hop_bound)
 
     model = MilpModel()
@@ -1333,14 +1359,6 @@ def _infeasible_milps(monkeypatch):
     return answered
 
 
-def _judged_without_margin(judge):
-    """``judge`` that refuses every route when asked for margin."""
-    def without_margin(net, req, ledger, threshold, arcs, sign):
-        cap, increments, problems = judge(net, req, ledger, threshold, arcs, sign)
-        return cap, increments, problems + ["no margin"] * (sign < 0)
-    return without_margin
-
-
 def test_infeasible_verdict_against_a_route_with_margin_is_not_a_loss(monkeypatch):
     # LINE4's route list holds 0 -> 3 over every node (cap 1) and dearer
     # ones, each passing with margin; a HiGHS that calls the cap model
@@ -1353,7 +1371,9 @@ def test_infeasible_verdict_against_a_route_with_margin_is_not_a_loss(monkeypatc
     assert (got.max_energy, got.node_energy.tolist(), got.links) == (want.max_energy, want.node_energy.tolist(),
                                                                        want.links)
     # with no route on the list passing with margin, the verdict stands
-    monkeypatch.setattr(formulation, "_route_problems", _judged_without_margin(formulation._route_problems))
+    passes = formulation._RouteSearch.passes
+    monkeypatch.setattr(formulation._RouteSearch, "passes", lambda search, path, cap, sign: (
+        sign > 0 and passes(search, path, cap, sign)))
     assert solve_single_request(LINE4, LINE4_REQUEST, ledger, None).lost
 
 
@@ -1538,8 +1558,9 @@ def test_route_search_counts_the_oracle_routes():
         req = Request(s, d, float(rng.uniform(1.0, 10.0)), int(rng.integers(1, 5)))
         ledger = EnergyLedger(rng.uniform(0.0, 50.0, size=n))
         threshold = None if rng.random() < 0.4 else float(rng.uniform(0.0, 80.0))
-        bound = formulation._cap_bound(net, req, ledger, threshold)
-        found = formulation._feasible_routes(net, req, ledger, threshold, bound)
+        search = formulation._RouteSearch(net, req, ledger, threshold)
+        bound = search.cap_bound()
+        found = search.feasible_routes(bound)
         energy = net.energy_matrix
         paths = [(path, float(need.max())) for need, path in _feasible_paths(net, req, ledger, threshold)]
         oracle = [path for path, _ in paths if all(energy[i, j] <= bound for i, j in zip(path, path[1:]))]
@@ -1547,30 +1568,55 @@ def test_route_search_counts_the_oracle_routes():
         seen.add(min(len(oracle), 2))
         # each with its cap, and over every arc within max_power too
         assert found == [(path, cap) for path, cap in paths if path in oracle]
-        wide = formulation._feasible_routes(net, req, ledger, threshold, net.max_power, 10**6)
+        wide = search.feasible_routes(net.max_power, 10**6)
         assert wide == [(path, cap) for path, cap in paths
                         if all(energy[i, j] <= net.max_power for i, j in zip(path, path[1:]))]
     assert seen == {0, 1, 2}
 
 
-def test_route_walk_reads_every_row_as_the_judge(monkeypatch):
+def _near_fairness_bound_cases():
+    """40 (network, request, ledger, threshold, path, sign) cases on random
+    fields of 3 to 8 nodes: the route ``path``'s fullest node sits up to
+    1e-12 of the row's scale (either side) from its fairness bound with
+    slack (sign +1, even cases) or with margin (-1, odd cases)."""
+    from oracles import simple_paths
+    from qostopo.milp import FEASIBILITY_TOL
+
+    rng = np.random.default_rng(48)
+    for case in range(40):
+        n = int(rng.integers(3, 9))
+        net = random_net(rng, n)
+        s, d = (int(v) for v in rng.choice(n, size=2, replace=False))
+        req = Request(s, d, float(rng.uniform(1.0, 10.0)), int(rng.integers(1, 5)))
+        ledger = EnergyLedger(rng.uniform(0.0, 500.0, size=n))
+        paths = simple_paths(n, s, d, req.hop_bound)
+        path = paths[int(rng.integers(len(paths)))]
+        combined = ledger.consumed.copy()
+        for i, j in zip(path, path[1:]):
+            combined[i] += req.demand * net.energy_matrix[i, j]
+        sign = 1.0 if case % 2 == 0 else -1.0
+        scale = max(1.0, float(combined.max()))
+        off = 1.0 + rng.uniform(-1e-5, 1e-5)
+        threshold = float(combined.max() - combined.mean() - sign * FEASIBILITY_TOL * scale * off)
+        yield net, req, ledger, threshold, path, sign
+
+
+def test_route_walk_reads_every_row_as_the_judge():
     # the cap bound is the judge's, and the walk lists exactly the open
     # paths the judge passes with slack, each with the judge's cap, total
     # energy and margin verdict: on random fields of 3 to 15 nodes with hop
     # bounds 1-4, random ledgers and no, a tight or a loose threshold; on the
     # cap-bound, edge and slack-only fields; and on ledgers placed within
-    # 1e-12 of a route's fairness bound, the only readings left to the judge
+    # 1e-12 of a route's fairness bound
     from oracles import simple_paths
     from qostopo.milp import FEASIBILITY_TOL
 
-    judge, asked = formulation._route_problems, []
-    monkeypatch.setattr(formulation, "_route_problems", lambda *args: asked.append(args) or judge(*args))
-
     def check(net, req, ledger, threshold):
         search = formulation._RouteSearch(net, req, ledger, threshold)
+        judge = search.problems
         energy, s, d = net.energy_matrix, req.sender, req.receiver
         short = [[s, d]] + [[s, v, d] for v in range(net.node_count) if v not in (s, d)]
-        margin = [judge(net, req, ledger, threshold, list(zip(p, p[1:])), -1.0) for p in short]
+        margin = [judge(list(zip(p, p[1:])), -1.0) for p in short]
         bound = search.cap_bound()
         assert bound == min([cap for cap, _, problems in margin if not problems], default=net.max_power)
         listed = 0
@@ -1579,10 +1625,9 @@ def test_route_walk_reads_every_row_as_the_judge(monkeypatch):
             for path in simple_paths(net.node_count, s, d, req.hop_bound):
                 arcs = list(zip(path, path[1:]))
                 if all(energy[i, j] <= cap_bound for i, j in arcs):
-                    cap, increments, problems = judge(net, req, ledger, threshold, arcs, 1.0)
+                    cap, increments, problems = judge(arcs, 1.0)
                     if not problems:
-                        margin_problems = judge(net, req, ledger, threshold, arcs, -1.0)[2]
-                        expect.append((path, cap, sum(increments), not margin_problems))
+                        expect.append((path, cap, sum(increments), not judge(arcs, -1.0)[2]))
             walked = search.feasible_routes(cap_bound, 10**6)
             assert [(path, cap, sum(search.increments(path)), search.passes(path, cap, -1.0))
                     for path, cap in walked] == expect
@@ -1624,35 +1669,82 @@ def test_route_walk_reads_every_row_as_the_judge(monkeypatch):
               for net, req, threshold, _ in _CAP_BOUND_FIELDS]
     fields += [case for variant in _EDGE_VARIANTS for case in _edge_fields(variant)]
     fields.append(_slack_only_first_route_field())
+    fields += [case[:4] for case in _near_fairness_bound_cases()]
     for field in fields:
         listed += check(*field)
-    assert listed > 1000 and asked == []
+    assert listed > 1000
 
-    for case in range(40):
-        # a route's fullest node sits 1e-12 of the row's scale (either side)
-        # from its fairness bound with slack (even cases) or with margin (odd)
-        n = int(rng.integers(3, 9))
-        net = random_net(rng, n)
-        s, d = (int(v) for v in rng.choice(n, size=2, replace=False))
-        req = Request(s, d, float(rng.uniform(1.0, 10.0)), int(rng.integers(1, 5)))
-        ledger = EnergyLedger(rng.uniform(0.0, 500.0, size=n))
-        paths = simple_paths(n, s, d, req.hop_bound)
-        path = paths[int(rng.integers(len(paths)))]
-        combined = ledger.consumed + judge(net, req, ledger, None, list(zip(path, path[1:])), 1.0)[1]
-        sign = 1.0 if case % 2 == 0 else -1.0
-        scale = max(1.0, float(combined.max()))
-        off = 1.0 + rng.uniform(-1e-5, 1e-5)
-        threshold = combined.max() - combined.mean() - sign * FEASIBILITY_TOL * scale * off
-        before = len(asked)
-        check(net, req, ledger, threshold)
-        assert any(args[4] == list(zip(path, path[1:])) and args[5] == sign for args in asked[before:])
+
+def _exact_fairness_excess(net, req, ledger, threshold, path, sign):
+    """The excess of the route ``path``'s fullest node over its fairness
+    row with slack or margin, in exact rational arithmetic on the inputs'
+    floats, and the row's scale max(1, |threshold|, fullest)."""
+    from fractions import Fraction
+    from qostopo.milp import FEASIBILITY_TOL
+
+    combined = [Fraction(c) for c in ledger.consumed.tolist()]
+    for i, j in zip(path, path[1:]):
+        combined[i] += Fraction(req.demand) * Fraction(float(net.energy_matrix[i, j]))
+    most, threshold = max(combined), Fraction(threshold)
+    scale = max(1, abs(threshold), most)
+    limit = sum(combined) / len(combined) + threshold + sign * Fraction(FEASIBILITY_TOL) * scale
+    return most - limit, scale
+
+
+def test_walk_and_judge_read_fairness_alike_at_the_band_edge():
+    # _near_fairness_bound_cases with slack and with margin, at their own
+    # threshold, at the band edge (the least threshold at which the walk
+    # passes the route) and one ulp either side, and 2e-12 of the row's
+    # scale either side of the edge: the walk (fair, passes) and the judge
+    # (problems, on the arcs in path order, reversed and shuffled) give
+    # one verdict, and wherever the exact excess over the row is more than
+    # 1e-12 of its scale, so does exact arithmetic
+    import random
+
+    shuffle = random.Random(49).shuffle
+    readings = exact = 0
+    for net, req, ledger, threshold, path, _ in _near_fairness_bound_cases():
+        arcs = list(zip(path, path[1:]))
+        cap = max(float(net.energy_matrix[i, j]) for i, j in arcs)
+        for sign in (1.0, -1.0):
+            def fair(t):
+                return formulation._RouteSearch(net, req, ledger, t).fair(path, sign)
+
+            # bisect between thresholds 1e-9 of the scale either side of the
+            # exact edge down to two adjacent floats
+            excess, scale = _exact_fairness_excess(net, req, ledger, threshold, path, sign)
+            low, edge = (float(threshold + excess + side * 1e-9 * scale) for side in (-1, 1))
+            assert not fair(low) and fair(edge), (req, sign)
+            while math.nextafter(low, math.inf) < edge:
+                mid = low + (edge - low) / 2
+                low, edge = (low, mid) if fair(mid) else (mid, edge)
+            band = 2e-12 * float(scale)
+            for t in (threshold, math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf),
+                      edge - band, edge + band):
+                search = formulation._RouteSearch(net, req, ledger, t)
+                verdict = search.fair(path, sign)
+                assert search.passes(path, cap, sign) == verdict
+                mixed = list(arcs)
+                shuffle(mixed)
+                first = search.problems(arcs, sign)
+                assert (not first[2]) == verdict
+                for order in (arcs[::-1], mixed):
+                    assert search.problems(order, sign) == first
+                excess, scale = _exact_fairness_excess(net, req, ledger, t, path, sign)
+                if abs(excess) > 1e-12 * scale:
+                    assert verdict == (excess <= 0), (req, sign, t)
+                    exact += 1
+                readings += 1
+    # exact arithmetic reads the other sign at the own threshold and the
+    # thresholds 2e-12 of the scale from the edge
+    assert readings == 40 * 2 * 6 and exact == 40 + 40 * 2 * 2
 
 
 def test_same_admissions_reach_highs(monkeypatch):
     # seeded _FIELD8 runs with hop bounds 3 and 4, with no threshold and at
     # 2e3: the cap and least-energy solves that the route search leaves to
-    # HiGHS, as counted when the search judged every route it met with
-    # _route_problems
+    # HiGHS, pinned so that a change in how the search judges a route cannot
+    # move an admission between the search and HiGHS unseen
     from qostopo import ScenarioParams, generate_scenario
 
     solves = _counting_solves(monkeypatch)
@@ -1681,8 +1773,8 @@ def test_single_route_with_only_slack_goes_to_the_solver(monkeypatch):
     net = line(3, max_power=2.0, bandwidth=50.0)
     req = Request(0, 2, 25.0 * (1.0 + 5e-8), 2)
     ledger = EnergyLedger.empty(3)
-    bound = formulation._cap_bound(net, req, ledger, None)
-    assert [route for route, _ in formulation._feasible_routes(net, req, ledger, None, bound)] == [[0, 1, 2]]
+    search = formulation._RouteSearch(net, req, ledger, None)
+    assert [route for route, _ in search.feasible_routes(search.cap_bound())] == [[0, 1, 2]]
     got = solve_single_request(net, req, ledger, None)
     assert len(solves) == 1
     _assert_same_admission(got, net, req, ledger, None, req)
@@ -1719,12 +1811,13 @@ def test_search_budget_covers_field15():
     net = NetworkModel(np.random.default_rng(45).uniform(0.0, 180.0, size=(15, 2)), max_power=1e6, bandwidth=200.0)
     req = Request(0, 1, 10.0, 3)
     ledger = EnergyLedger.empty(15)
-    assert formulation._cap_bound(net, req, ledger, -1.0) == net.max_power
-    assert formulation._feasible_routes(net, req, ledger, -1.0, net.max_power) == []
+    search = formulation._RouteSearch(net, req, ledger, -1.0)
+    assert search.cap_bound() == net.max_power
+    assert search.feasible_routes(net.max_power) == []
     assert formulation._ROUTE_SEARCH_VISITS >= 339
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(formulation, "_ROUTE_SEARCH_VISITS", 338)
-        assert formulation._feasible_routes(net, req, ledger, -1.0, net.max_power) is None
+        assert search.feasible_routes(net.max_power) is None
 
 
 def test_equal_cap_routes_are_ordered_by_energy_then_hops_then_nodes():
@@ -1774,8 +1867,9 @@ def test_attained_bound_with_a_slack_only_first_route_solves_for_the_cap_first(m
     solves = _counting_solves(monkeypatch)
     net, req, ledger, threshold = _slack_only_first_route_field()
     energy = net.energy_matrix
-    bound = formulation._cap_bound(net, req, ledger, threshold)
-    routes = formulation._feasible_routes(net, req, ledger, threshold, bound)
+    search = formulation._RouteSearch(net, req, ledger, threshold)
+    bound = search.cap_bound()
+    routes = search.feasible_routes(bound)
     assert bound == energy[0, 2] and [route for route, _ in routes] == [[0, 1, 2], [0, 2], [0, 3, 4, 2]]
     assert min(cap for _, cap in routes) > bound - FEASIBILITY_TOL * bound
     got = solve_single_request(net, req, ledger, threshold)
@@ -1854,7 +1948,7 @@ def test_cap_above_the_route_is_solved_again_under_the_route_cap(monkeypatch):
     wrong = 1
     got = solve_single_request(LINE4, req, ledger, None)
     _assert_same_admission(got, LINE4, req, ledger, None, req)
-    assert bounds == [formulation._cap_bound(LINE4, req, ledger, None), got.max_energy]
+    assert bounds == [formulation._RouteSearch(LINE4, req, ledger, None).cap_bound(), got.max_energy]
     bounds.clear()
     wrong = 3
     with pytest.raises(SolverError, match="3 solves"):
