@@ -14,10 +14,12 @@ Two models over a :class:`~qostopo.network.NetworkModel`:
   consumption within a threshold of the network average (counting the
   energy the candidate route would add). Miller-Tucker-Zemlin order
   variables forbid cycles, so the route is one simple path and the energy
-  the fairness row counts is exactly the energy the route commits. The
-  cheapest one- or two-hop route that the route judge (below) passes
-  bounds the cap, and arcs dearer than that bound are fixed at 0, which
-  shrinks the model without removing any optimal route. The enabled links
+  the fairness row counts is exactly the energy the route commits. Power
+  and bandwidth are closed arcs: arcs dearer than the cheapest one- or
+  two-hop route that the route judge (below) passes are fixed at 0, which
+  removes no optimal route, and so are relayed arcs (all arcs) when the
+  judge finds a relay (an endpoint) cannot carry the demand; the model
+  keeps no row that conservation implies. The enabled links
   are the route's minimal closure under link symmetry and the broadcast
   property (reaching a node implies reaching every closer node); it never
   costs more than the costliest arc, so it cannot move the cap.
@@ -264,9 +266,6 @@ class LoadLpResult:
     @property
     def overloaded(self) -> bool:
         return self.max_utilization > 1.0
-
-    def flow(self, sender: int, receiver: int, i: int, j: int) -> float:
-        return float(self.flows[(sender, receiver)][i, j])
 
 
 class _OnFirstRead:
@@ -534,43 +533,48 @@ def build_topology_milp(
     [0, bound]; one route-arc indicator per ordered node pair; then one
     Miller-Tucker-Zemlin order variable per node, in [0, H] for hop bound H
     and fixed at 0 for the sender. The layout is ``1 + n(n-1) + n``. An arc
-    is open (binary) unless it enters the sender, leaves the receiver or
-    costs more than the bound; closed arcs are continuous and fixed at 0.
-    The bound comes from a feasible route (:meth:`_RouteSearch.cap_bound`),
-    so every optimal route survives.
+    is open (binary) only when :class:`_RouteSearch`'s walk may take it;
+    closed arcs are continuous and fixed at 0. So power and bandwidth are
+    closed arcs: an arc that enters the sender, leaves the receiver or costs
+    more than the bound is closed (the bound comes from a feasible route,
+    :meth:`_RouteSearch.cap_bound`, so every optimal route survives), and
+    so is every arc but the direct one (every arc) when the judge, with
+    slack, finds that a relay (an endpoint) cannot carry the demand.
 
-    Rows, in order: a hop-count row; then per node a cap row (its open
-    outgoing arcs' energies summed stay below the cap) and out-degree <= 1,
-    both skipped for a node with no open outgoing arc (such as the
-    receiver), in-degree <= 1, skipped for a node with no open incoming arc
-    (such as the sender), and unit route conservation, skipped for a node
-    with no open arc unless it is the sender or the receiver, whose empty
-    row makes the model infeasible; then per open arc (i, j) the order row
-    ``u_j - u_i - (H+1) x_ij >= -H``, so that every arc used climbs at least
-    one step and no cycle survives; then a bandwidth row per node with an
-    open arc and, when ``threshold`` is not None, a per-node fairness row
-    keeping cumulative consumption (ledger plus the energy the route adds)
-    within ``threshold`` of the network average. Hop and fairness rows range
-    over open arcs only and are left out when no arc is open. The order rows
-    alone imply the hop bound and the degree rows; the hop and degree rows
-    stay as cuts that tighten the LP relaxation, and both earn their place.
-    Over the first 945 HiGHS solves of sequential runs of perfbench's
-    admit8 scenarios 9000 on (2-CPU VM, the HiGHS in scipy 1.17.1, two
-    rounds), leaving out the hop row raised HiGHS's mean time from 6.2-6.5
-    to 10.2-11.9 ms and its p90 from 10.0-10.6 to 19.2-21.3 ms, with the
-    same routes. Leaving out the degree rows keeps the time flat (mean
-    5.5-5.7 against 6.0-6.1 ms) but gives a wrong verdict: with presolve
-    on, HiGHS calls scenario 9248's request 1 (0 -> 7) infeasible, although
-    its routes [0, 1, 5, 7] (cap 934.25) and [0, 6, 7] (1418.12) are in the
-    model. Links need no variables: their closure never costs more than the
-    costliest arc (:meth:`NetworkModel.broadcast_closure`).
+    Rows, in order: a hop-count row; then per node a cap row (its open outgoing
+    arcs' energies summed stay below the cap), skipped for a node with no open
+    outgoing arc (such as the receiver), out-degree <= 1 for a node with both
+    open incoming and open outgoing arcs (a relay), and unit route
+    conservation, skipped for a node with no open arc unless it is the sender
+    or the receiver, whose empty row makes the model infeasible; then per open
+    arc (i, j) the order row ``u_j - u_i - (H+1) x_ij >= -H``, so that every
+    arc used climbs at least one step and no cycle survives; then, when
+    ``threshold`` is not None, a per-node fairness row keeping cumulative
+    consumption (ledger plus the energy the route adds) within ``threshold`` of
+    the network average. Hop and fairness rows range over open arcs only and
+    are left out when no arc is open. Conservation implies every other degree
+    row (in-degree equals out-degree at a relay, the sender sends once, the
+    receiver receives once, and a node with no open incoming arc sends nothing)
+    and so every bandwidth row: a route occupies an endpoint once and a relay
+    twice, which the open arcs allow. The order rows alone imply the hop bound
+    and the relays' degree rows; the hop and degree rows stay as cuts that
+    tighten the LP relaxation, and both earn their place. Over the first 945
+    HiGHS solves of sequential runs of perfbench's admit8 scenarios 9000 on
+    (2-CPU VM, the HiGHS in scipy 1.17.1, two rounds), leaving out the hop row
+    raised HiGHS's mean time from 6.2-6.5 to 10.2-11.9 ms and its p90 from
+    10.0-10.6 to 19.2-21.3 ms, with the same routes. Leaving out the degree
+    rows keeps the time flat (mean 5.5-5.7 against 6.0-6.1 ms) but gives a
+    wrong verdict: with presolve on, HiGHS calls scenario 9248's request 1
+    (0 -> 7) infeasible, although its routes [0, 1, 5, 7] (cap 934.25) and
+    [0, 6, 7] (1418.12) are in the model. Links need no variables: their
+    closure never costs more than the costliest arc
+    (:meth:`NetworkModel.broadcast_closure`).
 
     Each row's terms, sense and right-hand side are appended to plain lists
     in the order listed above, each row's terms in the order it lists them
     (cap rows end with the cap, conservation rows list outgoing arcs before
-    incoming ones, order rows read u_j, u_i, x_ij, and bandwidth rows list
-    arcs in order), and the columns and rows go in as one
-    :meth:`MilpModel.add_block`.
+    incoming ones, and order rows read u_j, u_i, x_ij), and the columns and
+    rows go in as one :meth:`MilpModel.add_block`.
     """
     search = _RouteSearch(net, _admission(net, requests, ledger, threshold), ledger, threshold)
     return _topology_model(search, search.cap_bound())
@@ -601,9 +605,12 @@ def _topology_model(search: _RouteSearch, bound: float) -> MilpModel:
     cost = [energy[i][j] for i, j in pairs]  # arc k is column 1 + k
     u = 1 + len(pairs)  # the order variable of node v is column u + v
 
-    # No simple path enters its sender or leaves its receiver, and no optimal
-    # route uses an arc dearer than a route known to be feasible.
-    is_open = [j != s and i != d and c <= bound for (i, j), c in zip(pairs, cost)]
+    # The arcs the route walk may take: none into the sender, out of the
+    # receiver or dearer than the bound, over as many nodes as bandwidth lets
+    # a route visit (all, the two endpoints, or none).
+    nodes = search.limits[1.0][2]
+    is_open = [c <= bound and (j != s and i != d if nodes > 2 else nodes == 2 and i == s and j == d)
+               for (i, j), c in zip(pairs, cost)]
     open_arcs = list(itertools.compress(range(len(pairs)), is_open))
     out, into = [[] for _ in range(n)], [[] for _ in range(n)]
     for k in open_arcs:
@@ -625,19 +632,14 @@ def _topology_model(search: _RouteSearch, bound: float) -> MilpModel:
     for v in range(n):
         if out[v]:
             add(out[v] + [0], [cost[x - 1] for x in out[v]] + [-1.0], "<=", 0.0)
-            add(out[v], [1.0] * len(out[v]), "<=", 1.0)
-        if into[v]:
-            add(into[v], [1.0] * len(into[v]), "<=", 1.0)
+            if into[v]:
+                add(out[v], [1.0] * len(out[v]), "<=", 1.0)
         flow = 1.0 if v == s else -1.0 if v == d else 0.0
         if out[v] or into[v] or flow:
             add(out[v] + into[v], [1.0] * len(out[v]) + [-1.0] * len(into[v]), "=", flow)
     for k in open_arcs:
         i, j = pairs[k]
         add([u + j, u + i, 1 + k], [1.0, -1.0, -(hops + 1.0)], ">=", -hops)
-    for v in range(n):
-        if out[v] or into[v]:
-            arcs = sorted(out[v] + into[v])
-            add(arcs, [req.demand] * len(arcs), "<=", net.bandwidth)
     if threshold is not None and open_arcs:
         # node v's share of the energy an arc adds: its own use when v is the
         # tail, less the 1/n that every use adds to the average
@@ -956,7 +958,6 @@ def solve_single_request(
     request: Request,
     ledger: EnergyLedger,
     threshold: float | None,
-    limits: SolveLimits | None = None,
 ) -> TopologySolution:
     """Admit one request against the current ledger.
 
@@ -984,8 +985,7 @@ def solve_single_request(
     passes with margin; when that search passes ``_TIE_VISITS`` visits or
     its first route fails the margin, a second solve, under cap bound c*
     with the total energy as objective, decides. The budgets change only
-    how often HiGHS runs, not an answer. ``limits`` bounds each solve; an
-    admission settled without one spends no solver budget.
+    how often HiGHS runs, not an answer.
 
     When HiGHS calls the cap model optimal with its cap above the costliest
     arc of its own route (seen with presolve on the HiGHS in scipy 1.17.1),
@@ -1010,14 +1010,14 @@ def solve_single_request(
     if sol is not None:
         return sol
 
-    sol = _solve_for_cap(search, bound, limits, routes)
+    sol = _solve_for_cap(search, bound, routes)
     if sol.lost:
         return sol
     return (search.best_route(search.feasible_routes(sol.max_energy, _TIE_VISITS))
-            or _solve_for_energy(search, sol.max_energy, limits))
+            or _solve_for_energy(search, sol.max_energy))
 
 
-def _solve_for_cap(search: _RouteSearch, bound: float, limits: SolveLimits | None,
+def _solve_for_cap(search: _RouteSearch, bound: float,
                    routes: list[tuple[list[int], float]] | None) -> TopologySolution:
     """HiGHS's admission on the model with cap bound ``bound``, solved again
     under its route's cap while the cap sits above that route.
@@ -1031,7 +1031,7 @@ def _solve_for_cap(search: _RouteSearch, bound: float, limits: SolveLimits | Non
     """
     net, req = search.net, search.req
     for _ in range(_SOLVE_ROUNDS):
-        sol = solve(_topology_model(search, bound), limits)
+        sol = solve(_topology_model(search, bound))
         if sol.status is not Status.OPTIMAL:
             break
         raw_cap, arcs = _route_arcs(net, sol)
@@ -1054,7 +1054,7 @@ def _solve_for_cap(search: _RouteSearch, bound: float, limits: SolveLimits | Non
     raise ValidationError(f"topology model unexpectedly {sol.status.value}")
 
 
-def _solve_for_energy(search: _RouteSearch, cap: float, limits: SolveLimits | None) -> TopologySolution:
+def _solve_for_energy(search: _RouteSearch, cap: float) -> TopologySolution:
     """HiGHS's least-energy route of ``search``'s admission at the optimal
     cap ``cap``: the model with cap bound ``cap`` and the route's total
     energy as its objective. The route must attain ``cap``, as
@@ -1063,7 +1063,7 @@ def _solve_for_energy(search: _RouteSearch, cap: float, limits: SolveLimits | No
     model = _topology_model(search, cap)
     pairs = _ordered_pairs(net.node_count)
     model.set_objective({1 + k: demand * energy[i][j] for k, (i, j) in enumerate(pairs)})
-    sol = solve(model, limits)
+    sol = solve(model)
     if sol.status is Status.RESOURCE_LIMIT:
         return TopologySolution(0.0, set(), [None], np.zeros(net.node_count), resource_limited=True)
     if sol.status is not Status.OPTIMAL:
